@@ -2,7 +2,7 @@
 
 Library layout:
 
-    arithmetic        Kronecker symbol, Bernoulli numbers, zeta values
+    arithmetic        Kronecker symbol and tables, Bernoulli numbers, zeta values
     characters        quadratic characters chi_d, Gauss sums, L-functions
     class_numbers     Hurwitz / Cohen class numbers, reduced forms, tables
     dirichlet_series  gamma_c Gauss sums and the series E_n(s)

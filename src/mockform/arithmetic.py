@@ -1,6 +1,7 @@
 """Exact number-theoretic primitives.
 
-Kronecker symbol, the eighth-root factor eps_d, multiplicative functions,
+Kronecker symbol and the kernel that fills every symbol table (jacobi_row,
+kronecker_column), the eighth-root factor eps_d, multiplicative functions,
 Bernoulli numbers and polynomials, fundamental discriminants, and exact /
 numeric values of the Riemann zeta function.  Everything exact is carried by
 ``fractions.Fraction`` (arbitrary-size rationals, always in lowest terms).
@@ -13,9 +14,9 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .config import DEFAULT_CONFIG, EvalConfig
+import numpy as np
 
-ExactRational = Fraction
+from .config import DEFAULT_CONFIG, EvalConfig
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -47,6 +48,52 @@ def kronecker_symbol(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def jacobi_row(c: int) -> np.ndarray:
+    """(b/c) for b = 0..c-1, c odd, as the product of the Legendre rows of c's primes.
+
+    A Legendre row marks the squares (arange(1, p)**2) % p with +1, the other
+    nonzero residues with -1 and 0 with 0, so no symbol is evaluated.
+    """
+    if c < 1 or c % 2 == 0:
+        raise ValueError(f"jacobi_row requires odd c >= 1, got {c}")
+    b = np.arange(c)
+    row = np.ones(c, dtype=np.int8)
+    for p, e in factorize(c).items():
+        legendre = -np.ones(p, dtype=np.int8)
+        legendre[0] = 0
+        legendre[(np.arange(1, p) ** 2) % p] = 1
+        row *= legendre[b % p] ** e
+    return row
+
+
+def kronecker_column(m: int, a) -> np.ndarray:
+    """(m/a) for an array of positive a, by reciprocity onto jacobi_row of m's odd part.
+
+    With a = 2^e a' and m = sign 2^f m' (a', m' odd): (m/a) = (m/2)^e (sign/a')
+    (2/a')^f (a'/m') (-1)^{(a'-1)/2 (m'-1)/2}, and every sign depends on a' mod 8.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if a.size and a.min() < 1:
+        raise ValueError("kronecker_column requires positive a")
+    if m == 0:
+        return (a == 1).astype(np.int8)
+    low = a & -a                              # 2^e
+    odd = a // low
+    e = np.frexp(low.astype(float))[1] - 1
+    m_over_2 = 0 if m % 2 == 0 else (1 if m % 8 in (1, 7) else -1)
+    col = (m_over_2 ** e).astype(np.int8)
+    m_low = abs(m) & -abs(m)                  # 2^f
+    m_odd = abs(m) // m_low
+    a8 = odd % 8
+    flip = np.zeros(a.shape, dtype=bool)
+    if (m < 0) != (m_odd % 4 == 3):           # (-1/a') and reciprocity flip at a' = 3 mod 4
+        flip ^= a8 % 4 == 3
+    if m_low.bit_length() % 2 == 0:           # f odd: (2/a') flips at a' = 3, 5 mod 8
+        flip ^= (a8 == 3) | (a8 == 5)
+    col[flip] *= -1
+    return col * jacobi_row(m_odd)[odd % m_odd]
 
 
 def epsilon_factor(d: int) -> complex:

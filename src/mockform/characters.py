@@ -18,6 +18,7 @@ import numpy as np
 from .arithmetic import (
     bernoulli_number,
     is_fundamental_discriminant,
+    kronecker_column,
     kronecker_symbol,
     zeta_numeric,
     _em_tail_no_pole,
@@ -44,7 +45,8 @@ class QuadraticCharacter:
     @functools.cached_property
     def values(self) -> np.ndarray:
         """One period of chi_d as an int8 array indexed by a mod |d|."""
-        return np.array([self(a) for a in range(self.modulus)], dtype=np.int8)
+        # chi(a) for a = 1..|d|, rotated so that chi(|d|) = chi(0) lands at index 0
+        return np.roll(kronecker_column(self.d, np.arange(1, self.modulus + 1)), 1)
 
     @property
     def is_principal(self) -> bool:
@@ -101,19 +103,15 @@ def l_numeric(chi: QuadraticCharacter, s: float, cfg: EvalConfig = DEFAULT_CONFI
 def generalized_bernoulli(chi: QuadraticCharacter, r: int) -> Fraction:
     """B_{r,chi} = N^{r-1} sum_{a=1}^{N} chi(a) B_r(a/N), N = |d|, exact.
 
-    Expanded through integer power sums so only O(r) Fraction operations occur.
+    Expanded through integer power sums so only O(r) Fraction operations occur;
+    the power sums are object arrays of Python ints, exact for every r.
     """
     if r < 0:
         raise ValueError("generalized_bernoulli requires r >= 0")
     N = chi.modulus
-    power_sums = [0] * (r + 1)
-    for a in range(1, N + 1):
-        c = chi(a)
-        if c:
-            ae = 1
-            for e in range(r + 1):
-                power_sums[e] += c * ae
-                ae *= a
+    a = np.arange(1, N + 1, dtype=object)
+    chi_a = np.roll(chi.values, -1).astype(object)       # chi(a) for a = 1..N
+    power_sums = [int((chi_a * a ** e).sum()) for e in range(r + 1)]
     acc = Fraction(0)
     for j in range(r + 1):
         acc += comb(r, j) * bernoulli_number(j) * power_sums[r - j] * Fraction(N) ** (j - 1)

@@ -83,8 +83,8 @@ def hurwitz_class_number(N: int) -> Fraction:
     return total
 
 
-def t_chi(s: int, chi: QuadraticCharacter, f: int) -> Fraction:
-    """Multiplicative factor T_s^chi(f) = sum_{a|f} mu(a) chi(a) a^{s-1} sigma_{2s-1}(f/a)."""
+def t_chi(s: int | float, chi: QuadraticCharacter, f: int) -> Fraction | float:
+    """T_s^chi(f) = sum_{a|f} mu(a) chi(a) a^{s-1} sigma_{2s-1}(f/a); exact for int s."""
     if f < 1:
         raise ValueError("t_chi requires f >= 1")
     if s < 1:
@@ -92,7 +92,7 @@ def t_chi(s: int, chi: QuadraticCharacter, f: int) -> Fraction:
     total = 0
     for a in divisors(f):
         total += moebius(a) * chi(a) * a ** (s - 1) * sigma_divisor(2 * s - 1, f // a)
-    return Fraction(total)
+    return total if isinstance(s, float) else Fraction(total)
 
 
 def cohen_class_number(r: int, N: int) -> Fraction:

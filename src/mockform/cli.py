@@ -74,17 +74,10 @@ def _add_config_flags(p):
 
 
 def _config_from(args):
-    cfg = DEFAULT_CONFIG
-    overrides = {}
-    for flag, name in (("lattice_bound", "lattice_bound"),
-                       ("fourier_bound", "fourier_bound"),
-                       ("q_terms", "q_terms"),
-                       ("fd_step", "fd_step"),
-                       ("quad_tol", "quad_tol")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[name] = value
-    return cfg.with_(**overrides) if overrides else cfg
+    overrides = {name: getattr(args, name) for name in
+                 ("lattice_bound", "fourier_bound", "q_terms", "fd_step", "quad_tol")
+                 if getattr(args, name, None) is not None}
+    return DEFAULT_CONFIG.with_(**overrides) if overrides else DEFAULT_CONFIG
 
 
 def _parse_tau(text: str) -> complex:
@@ -112,9 +105,7 @@ def _cmd_hurwitz(args) -> int:
         else:
             path = args.cache or default_cache_path()
             table = load_or_build(path, args.max_n, rebuild=args.rebuild_cache)
-    except CacheError as exc:
-        return _fail(2, str(exc))
-    except ArithmeticError as exc:
+    except (CacheError, ArithmeticError) as exc:
         return _fail(2, str(exc))
     rows = [(n, table.value(n)) for n in range(args.max_n + 1)]
     if args.format == "csv":
@@ -192,13 +183,8 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "hurwitz":
-        code = _cmd_hurwitz(args)
-    elif args.command == "eval":
-        code = _cmd_eval(args)
-    else:
-        code = _cmd_verify(args)
-    return code
+    commands = {"hurwitz": _cmd_hurwitz, "eval": _cmd_eval, "verify": _cmd_verify}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

@@ -18,14 +18,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .arithmetic import (
-    divisors,
     epsilon_factor,
     fundamental_discriminant,
+    jacobi_row,
+    kronecker_column,
     kronecker_symbol,
-    moebius,
     zeta_numeric,
 )
 from .characters import QuadraticCharacter, l_numeric
+from .class_numbers import t_chi
 from .config import DEFAULT_CONFIG, EvalConfig
 
 _EIGHTH_ROOTS = np.exp(1j * pi * np.arange(16) / 4)  # i^{a/2} = e^{i pi a/4}, period 16 in a
@@ -45,31 +46,14 @@ def lambda_factor(a: int, c: int) -> complex:
     return 0j
 
 
-@functools.lru_cache(maxsize=8192)
-def _odd_symbol_table(c: int) -> np.ndarray:
-    """(b/c) for b = 0..c-1, c odd, via complete multiplicativity in b."""
-    table = np.zeros(c, dtype=np.int8)
-    if c == 1:
-        table[0] = 1
-        return table
-    table[1] = 1
-    smallest = np.zeros(c, dtype=np.int64)
-    for b in range(2, c):
-        if smallest[b] == 0:  # b prime
-            table[b] = kronecker_symbol(b, c)
-            for m in range(b * b, c, b):
-                if smallest[m] == 0:
-                    smallest[m] = b
-        else:
-            p = smallest[b]
-            table[b] = table[p] * table[b // p]
-    return table
+# gamma_c revisits every modulus c for each n, so its symbol rows are cached (bounded).
+_odd_row = functools.lru_cache(maxsize=8192)(jacobi_row)
 
 
 @functools.lru_cache(maxsize=8192)
-def _even_symbol_table(c: int) -> np.ndarray:
+def _even_row(c: int) -> np.ndarray:
     """(c/a) for odd a = 1, 3, ..., 2c-1, c even."""
-    return np.array([kronecker_symbol(c, a) for a in range(1, 2 * c, 2)], dtype=np.int8)
+    return kronecker_column(c, np.arange(1, 2 * c, 2))
 
 
 def gauss_sum_gamma(c: int, n: int) -> complex:
@@ -78,7 +62,7 @@ def gauss_sum_gamma(c: int, n: int) -> complex:
         raise ValueError("gauss_sum_gamma requires c >= 1")
     if c % 2 == 1:
         # only even a = 2b contribute; the symbol (2b/c) splits off (2/c)
-        table = _odd_symbol_table(c)
+        table = _odd_row(c)
         b = np.arange(c)
         phase = np.exp(-2j * pi * n * b / c)
         pref = 1j ** ((1 - c) // 2) * kronecker_symbol(2, c) / sqrt(c)
@@ -86,7 +70,7 @@ def gauss_sum_gamma(c: int, n: int) -> complex:
     a = np.arange(1, 2 * c, 2)
     roots = _EIGHTH_ROOTS[a % 16]
     phase = np.exp(-1j * pi * n * a / c)
-    return complex((roots * _even_symbol_table(c) * phase).sum() / sqrt(c))
+    return complex((roots * _even_row(c) * phase).sum() / sqrt(c))
 
 
 def upsilon(m: int, k: int, h: int) -> complex:
@@ -97,7 +81,7 @@ def upsilon(m: int, k: int, h: int) -> complex:
     """
     if m % 2 == 0 or m < 1:
         raise ValueError("upsilon requires odd positive m")
-    table = _odd_symbol_table(m)
+    table = _odd_row(m)
     n = np.arange(m)
     phase = np.exp(2j * pi * n * h / m)
     return complex(epsilon_factor(m) ** (-2 * k - 1) * (table * phase).sum() / sqrt(m))
@@ -124,15 +108,8 @@ def series_partial(n: int, s: complex, M: int) -> DirichletSeriesValue:
         raise ValueError("series_partial requires Re(s) > 3/2 for a rigorous tail")
     if M < 1:
         raise ValueError("series_partial requires M >= 1")
-    total = 0j
-    terms = 0
-    for c in range(1, M + 1, 2):
-        total += 0.5 * gauss_sum_gamma(c, n) * c ** -s
-        terms += 1
-    for c in range(2, 2 * M + 1, 2):
-        total += 0.5 * gauss_sum_gamma(c, n) * (c / 2) ** -s
-        terms += 1
-    return DirichletSeriesValue(complex(total), terms, _tail_bound(s.real, M))
+    odd, even = series_odd_even(n, s, M)
+    return DirichletSeriesValue(0.5 * (odd + even), (M + 1) // 2 + M, _tail_bound(s.real, M))
 
 
 def series_odd_even(n: int, s: complex, M: int) -> tuple[complex, complex]:
@@ -143,15 +120,6 @@ def series_odd_even(n: int, s: complex, M: int) -> tuple[complex, complex]:
     odd = sum(gauss_sum_gamma(c, n) * c ** -s for c in range(1, M + 1, 2))
     even = sum(gauss_sum_gamma(c, n) * (c / 2) ** -s for c in range(2, 2 * M + 1, 2))
     return complex(odd), complex(even)
-
-
-def _t_chi_real(s: float, d: int, f: int) -> float:
-    """T_s^chi(f) with real exponents: sum_{a|f} mu(a) chi_d(a) a^{s-1} sigma_{2s-1}(f/a)."""
-    total = 0.0
-    for a in divisors(f):
-        sig = sum(e ** (2.0 * s - 1.0) for e in divisors(f // a))
-        total += moebius(a) * kronecker_symbol(d, a) * a ** (s - 1.0) * sig
-    return total
 
 
 def series_closed(n: int, s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -167,5 +135,6 @@ def series_closed(n: int, s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     if n == 0:
         return zeta_numeric(2 * s - 1, cfg) / zeta_numeric(2 * s, cfg)
     d, f = fundamental_discriminant(n)
-    lval = l_numeric(QuadraticCharacter(d), s, cfg)
-    return lval / zeta_numeric(2 * s, cfg) * _t_chi_real(s, d, f) / f ** (2.0 * s - 1.0)
+    chi = QuadraticCharacter(d)
+    lval = l_numeric(chi, s, cfg)
+    return lval / zeta_numeric(2 * s, cfg) * t_chi(float(s), chi, f) / f ** (2.0 * s - 1.0)

@@ -11,15 +11,16 @@ the Fourier expansion through the Dirichlet series E_n and the kernel rho.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from math import pi
 from typing import Callable, Literal
 
 import numpy as np
 
-from .arithmetic import epsilon_factor, kronecker_symbol, zeta_exact_neg
+from .arithmetic import epsilon_factor, jacobi_row, kronecker_symbol, zeta_exact_neg
 from .config import DEFAULT_CONFIG, EvalConfig, require_upper_half
-from .dirichlet_series import series_closed, _odd_symbol_table
+from .dirichlet_series import series_closed
 from .special_functions import rho_kernel
 
 
@@ -170,6 +171,10 @@ def lattice_tail_estimate(k: int, s: float, tau: complex, M: int) -> float:
     return pi / v * (M * v) ** (2.0 - w) / (w - 2.0)
 
 
+# Every lattice sum revisits the odd m <= M, so their symbol rows are cached (bounded).
+_odd_row = functools.lru_cache(maxsize=8192)(jacobi_row)
+
+
 def _lattice_sum(k: int, s: float, tau: complex, M: int) -> complex:
     tau = require_upper_half(tau)
     total = 0j
@@ -177,7 +182,7 @@ def _lattice_sum(k: int, s: float, tau: complex, M: int) -> complex:
     ns = np.arange(-n_max, n_max + 1)
     expo = -(k + 0.5)
     for m in range(1, M + 1, 2):
-        symbols = _odd_symbol_table(m)[ns % m]
+        symbols = _odd_row(m)[ns % m]
         z = m * tau + ns
         terms = symbols * np.exp(expo * np.log(z)) * np.abs(z) ** (-2.0 * s)
         total += epsilon_factor(m) ** (-2 * k - 1) * terms.sum()

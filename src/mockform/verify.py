@@ -16,7 +16,7 @@ pass; the suite is constructed to distinguish the two readings.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import factorial, pi, sqrt
 
@@ -72,14 +72,7 @@ class ReportRecord:
         self.passed = self.residual <= self.tolerance
 
     def as_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "parameters": self.parameters,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 def _record(name, params, residual, tol, t0) -> ReportRecord:
@@ -261,6 +254,17 @@ def _shadow_sample_points(seed: int, count: int = 20):
     return [complex(rng.uniform(0.0, 1.0), rng.uniform(0.3, 3.0)) for _ in range(count)]
 
 
+def _theta_stream_mismatch(stream: dict, pi_power: int) -> float:
+    """0 if the shadow stream is exactly -Theta/16 times pi^pi_power through q^400, else 1."""
+    support = [0] + [m * m for m in range(1, 21)]
+    exact = set(stream) <= set(support) and all(
+        n in stream
+        and stream[n].pi_power == pi_power
+        and stream[n].mantissa == (Fraction(-1, 16) if n == 0 else Fraction(-1, 8))
+        for n in support)
+    return 0.0 if exact else 1.0
+
+
 def verify_shadow(cfg: EvalConfig = DEFAULT_CONFIG,
                   seed: int = DEFAULT_SEED) -> list[ReportRecord]:
     out = []
@@ -273,30 +277,16 @@ def verify_shadow(cfg: EvalConfig = DEFAULT_CONFIG,
         th = theta_series(tau, cfg)
         worst16 = max(worst16, abs(shadow + th / 16.0))
         worst16pi = max(worst16pi, abs(shadow + th / (16.0 * pi)))
-    elapsed = t0
-    out.append(_record("shadow_fd_theta_over_16", {"samples": 20}, worst16, 1e-5, elapsed))
-    out.append(_record("shadow_fd_theta_over_16pi", {"samples": 20}, worst16pi, 1e-5, elapsed))
+    out.append(_record("shadow_fd_theta_over_16", {"samples": 20}, worst16, 1e-5, t0))
+    out.append(_record("shadow_fd_theta_over_16pi", {"samples": 20}, worst16pi, 1e-5, t0))
 
     t0 = time.perf_counter()
     stream = {c.exponent: c for c in xi_shadow_analytic(400)}
-    plain_bad = 0 if all(
-        stream.get(n) is not None
-        and stream[n].pi_power == 0
-        and stream[n].mantissa == (Fraction(-1, 16) if n == 0 else Fraction(-1, 8))
-        for n in [0] + [m * m for m in range(1, 21)]
-    ) and all(n in ([0] + [m * m for m in range(1, 21)]) for n in stream) else 1
     out.append(_record("shadow_analytic_theta_over_16", {"max_exponent": 400},
-                       float(plain_bad), 0.0, t0))
-
+                       _theta_stream_mismatch(stream, 0), 0.0, t0))
     t0 = time.perf_counter()
-    pi_bad = 0 if all(
-        stream.get(n) is not None
-        and stream[n].pi_power == -1
-        and stream[n].mantissa == (Fraction(-1, 16) if n == 0 else Fraction(-1, 8))
-        for n in [0] + [m * m for m in range(1, 21)]
-    ) and all(n in ([0] + [m * m for m in range(1, 21)]) for n in stream) else 1
     out.append(_record("shadow_analytic_theta_over_16pi", {"max_exponent": 400},
-                       float(pi_bad), 0.0, t0))
+                       _theta_stream_mismatch(stream, -1), 0.0, t0))
     return out
 
 

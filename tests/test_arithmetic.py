@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 from math import pi
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mockform.arithmetic import (
     bernoulli_number,
@@ -12,12 +14,15 @@ from mockform.arithmetic import (
     fundamental_discriminant,
     hurwitz_zeta_numeric,
     is_fundamental_discriminant,
+    jacobi_row,
+    kronecker_column,
     kronecker_symbol,
     moebius,
     sigma_divisor,
     zeta_exact_neg,
     zeta_numeric,
 )
+from mockform.characters import QuadraticCharacter
 
 
 def brute_force_residue_symbol(a, p):
@@ -167,3 +172,48 @@ def test_hurwitz_zeta_matches_scipy():
         for a in (0.25, 0.5, 1.0, 2.75):
             ref = scipy_zeta(s, a)
             assert abs(hurwitz_zeta_numeric(s, a) - ref) < 1e-11 * max(1.0, abs(ref))
+
+
+# The table kernel against the scalar symbol, on every table shape it fills.
+
+def test_jacobi_row_matches_scalar_symbol():
+    for c in range(1, 302, 2):
+        assert jacobi_row(c).tolist() == [kronecker_symbol(b, c) for b in range(c)], c
+
+
+def test_kronecker_column_even_rows_match_scalar_symbol():
+    # the rows of gamma_c for even c: (c/a) over odd a < 2c
+    for c in range(2, 601, 2):
+        a = np.arange(1, 2 * c, 2)
+        assert kronecker_column(c, a).tolist() == [kronecker_symbol(c, int(x)) for x in a], c
+
+
+def test_character_tables_match_scalar_symbol():
+    for d in range(-1000, 1001):
+        if is_fundamental_discriminant(d):
+            expected = [kronecker_symbol(d, a) for a in range(abs(d))]
+            assert QuadraticCharacter(d).values.tolist() == expected, d
+
+
+def test_kernel_rejects_bad_input():
+    with pytest.raises(ValueError):
+        jacobi_row(10)
+    with pytest.raises(ValueError):
+        jacobi_row(0)
+    with pytest.raises(ValueError):
+        kronecker_column(5, [3, 0])
+
+
+_TOPS = st.one_of(st.integers(-10 ** 5, 10 ** 5),
+                  st.builds(lambda u, f: u << f, st.integers(-97, 97), st.integers(0, 10)))
+# a = u 2^e <= 10^6, so high powers of 2 (u = 1) are drawn as well
+_BOTTOMS = st.integers(0, 19).flatmap(lambda e: st.integers(1, 10 ** 6 >> e).map(lambda u: u << e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_TOPS, a=st.lists(_BOTTOMS, min_size=1, max_size=16))
+@example(m=0, a=[1, 2, 3])
+@example(m=-(2 ** 16), a=[2 ** 19, 3, 5, 7])
+@example(m=-1, a=[2 ** 19, 2 ** 18 * 3, 1])
+def test_kronecker_column_matches_scalar_symbol(m, a):
+    assert kronecker_column(m, a).tolist() == [kronecker_symbol(m, x) for x in a]

@@ -1,14 +1,15 @@
 from fractions import Fraction
-from math import pi, sqrt
+from math import comb, pi, sqrt
 
 import numpy as np
 import pytest
 
-from mockform.arithmetic import is_fundamental_discriminant, kronecker_symbol
+from mockform.arithmetic import bernoulli_number, is_fundamental_discriminant, kronecker_symbol
 from mockform.characters import (
     QuadraticCharacter,
     functional_equation_residual,
     gauss_sum,
+    generalized_bernoulli,
     l_exact_neg,
     l_numeric,
     root_number,
@@ -113,3 +114,27 @@ def test_functional_equation_rejects_bad_input():
         functional_equation_residual(QuadraticCharacter(1), 2.0)
     with pytest.raises(ValueError):
         functional_equation_residual(QuadraticCharacter(-4), 2.5)
+
+
+def _bernoulli_by_scalar_loop(d, r):
+    """B_{r,chi_d} by a per-a loop of scalar symbols and Python-int power sums (the oracle)."""
+    N = abs(d)
+    power_sums = [0] * (r + 1)
+    for a in range(1, N + 1):
+        c = kronecker_symbol(d, a)
+        if c:
+            ae = 1
+            for e in range(r + 1):
+                power_sums[e] += c * ae
+                ae *= a
+    acc = Fraction(0)
+    for j in range(r + 1):
+        acc += comb(r, j) * bernoulli_number(j) * power_sums[r - j] * Fraction(N) ** (j - 1)
+    return acc
+
+
+def test_generalized_bernoulli_exact_at_large_modulus():
+    # sum of chi(a) a^r over a <= 5000 leaves int64 for r >= 5 (5000^9 > 2^63)
+    for d in (4997, 5001, -4999):
+        for r in (6, 8):
+            assert generalized_bernoulli(QuadraticCharacter(d), r) == _bernoulli_by_scalar_loop(d, r)
