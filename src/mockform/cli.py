@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .cache import CacheError, default_cache_path, load_or_build
@@ -19,6 +20,7 @@ from .class_numbers import build_table
 from .config import DEFAULT_CONFIG
 from .eisenstein import eisenstein_direct, eisenstein_fourier
 from .maass import completed_hurwitz_series, e2_star, theta_series
+from .special_functions import QuadratureError
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 
@@ -77,7 +79,10 @@ def _config_from(args):
     overrides = {name: getattr(args, name) for name in
                  ("lattice_bound", "fourier_bound", "q_terms", "fd_step", "quad_tol")
                  if getattr(args, name, None) is not None}
-    return DEFAULT_CONFIG.with_(**overrides) if overrides else DEFAULT_CONFIG
+    try:
+        return DEFAULT_CONFIG.with_(**overrides) if overrides else DEFAULT_CONFIG
+    except ValueError as exc:
+        raise SystemExit(_fail(1, f"bad configuration: {exc}"))
 
 
 def _parse_tau(text: str) -> complex:
@@ -86,6 +91,8 @@ def _parse_tau(text: str) -> complex:
         tau = complex(float(u_str), float(v_str))
     except ValueError:
         raise SystemExit(_fail(1, f"cannot parse --tau {text!r}; expected u,v"))
+    if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
+        raise SystemExit(_fail(1, f"--tau needs finite u and v, got {text!r}"))
     if tau.imag <= 0:
         raise SystemExit(_fail(1, f"--tau needs v > 0, got {tau.imag}"))
     return tau
@@ -146,6 +153,8 @@ def _cmd_eval(args) -> int:
                           route_difference=abs(direct - fourier))
     except ValueError as exc:
         return _fail(2, f"evaluation outside the convergence domain: {exc}")
+    except QuadratureError as exc:
+        return _fail(2, str(exc))
     if args.format == "json":
         print(json.dumps({"command": "eval", "params": record.copy(),
                           "results": [record], "summary": {"entries": 1}}, indent=2))
@@ -161,7 +170,10 @@ def _c(z: complex):
 
 def _cmd_verify(args) -> int:
     cfg = _config_from(args)
-    records = run_suite(args.suite, cfg, args.seed)
+    try:
+        records = run_suite(args.suite, cfg, args.seed)
+    except QuadratureError as exc:
+        return _fail(2, str(exc))
     n_passed = sum(r.passed for r in records)
     if args.format == "json":
         payload = {
@@ -176,7 +188,7 @@ def _cmd_verify(args) -> int:
         for r in records:
             status = "PASS" if r.passed else "FAIL"
             print(f"[{status}] {r.check_name} {r.parameters} "
-                  f"residual={r.residual:.3e} tol={r.tolerance:.1e} ({r.elapsed_ms} ms)")
+                  f"residual={r.residual:.3e} tol={r.tolerance:.1e} ({r.elapsed_ms:.1f} ms)")
         print(f"{n_passed}/{len(records)} checks passed")
     return 0 if n_passed == len(records) else 2
 

@@ -7,6 +7,30 @@ For n = d f^2 the series collapses to L(s, chi_d) / zeta(2s) times an
 elementary divisor factor, which is the closed form used by the Fourier
 expansions; the truncated series with its rigorous tail bound provides the
 independent cross-check.
+
+gamma_c(n) is real, and its summand is even or odd under a -> -a, so it is
+computed as a real trig sum over half a period.  gamma_1(n) = 1.
+
+Odd c > 1: only a = 2b contributes, with lambda = i^{(1-c)/2} (2/c) (b/c), so
+gamma_c(n) = i^{(1-c)/2} (2/c) c^{-1/2} sum_{b mod c} (b/c) e^{-2 pi i n b/c}.
+As (-b/c) = (-1/c) (b/c), the terms b and c - b pair to 2 (b/c) cos(theta_b)
+for c = 1 (mod 4) and to -2i (b/c) sin(theta_b) for c = 3 (mod 4), where
+theta_b = 2 pi (n b mod c) / c.  The prefactor i^{(1-c)/2} (2/c) is 1 * 1,
+-1 * -1, -i * -1, i * 1 = 1, 1, i, i for c = 1, 5, 3, 7 (mod 8); with the -i of
+the sine case it is 1 throughout, so
+gamma_c(n) = 2 c^{-1/2} sum_{b=1}^{(c-1)/2} (b/c) T(theta_b), T = cos or sin.
+
+Even c: lambda(a, c) e^{-pi i n a/c} = (c/a) e^{i theta_a} for odd a with
+theta_a = pi (a (c - 4n) mod 8c) / (4c).  The partner 2c - a has phase
+i^c e^{-i theta_a} and symbol (c/(2c - a)) = +-(c/a), + for c = 0 (mod 4) and
+- for c = 2 (mod 4), so the sign cancels i^c and the pair sums to
+2 (c/a) cos(theta_a): gamma_c(n) = 2 c^{-1/2} sum_{a odd < c} (c/a) cos(theta_a).
+The symbol sign: for c = 0 (mod 4), a -> (c/a) has period c and (c/-a) = (c/a);
+for c = 2m, 2c - a = 4 - a (mod 8) flips (2/.), while (m/.) agrees at a and
+2c - a by reciprocity.
+
+Both angles are reduced as integer residues before the trig call, so the
+error stays at the rounding level however large |n| is.
 """
 
 from __future__ import annotations
@@ -52,25 +76,27 @@ _odd_row = functools.lru_cache(maxsize=8192)(jacobi_row)
 
 @functools.lru_cache(maxsize=8192)
 def _even_row(c: int) -> np.ndarray:
-    """(c/a) for odd a = 1, 3, ..., 2c-1, c even."""
-    return kronecker_column(c, np.arange(1, 2 * c, 2))
+    """(c/a) for odd a = 1, 3, ..., c-1, c even (the half row; see gauss_sum_gamma)."""
+    return kronecker_column(c, np.arange(1, c, 2))
 
 
 def gauss_sum_gamma(c: int, n: int) -> complex:
-    """gamma_c(n) = c^{-1/2} sum_{a=1}^{2c} lambda(a, c) e^{-pi i n a / c}."""
+    """gamma_c(n) = c^{-1/2} sum_{a=1}^{2c} lambda(a, c) e^{-pi i n a / c}, a real number.
+
+    Summed as a real trig sum over half a period (derivation in the module
+    docstring); the angle is reduced as an integer residue before the trig call.
+    """
     if c < 1:
         raise ValueError("gauss_sum_gamma requires c >= 1")
+    if c == 1:
+        return 1 + 0j
     if c % 2 == 1:
-        # only even a = 2b contribute; the symbol (2b/c) splits off (2/c)
-        table = _odd_row(c)
-        b = np.arange(c)
-        phase = np.exp(-2j * pi * n * b / c)
-        pref = 1j ** ((1 - c) // 2) * kronecker_symbol(2, c) / sqrt(c)
-        return complex(pref * (table * phase).sum())
-    a = np.arange(1, 2 * c, 2)
-    roots = _EIGHTH_ROOTS[a % 16]
-    phase = np.exp(-1j * pi * n * a / c)
-    return complex((roots * _even_row(c) * phase).sum() / sqrt(c))
+        half = (c + 1) // 2
+        trig = np.cos if c % 4 == 1 else np.sin
+        angle = (2 * pi / c) * (np.arange(1, half) * (n % c) % c)
+        return complex(2 * (_odd_row(c)[1:half] @ trig(angle)) / sqrt(c))
+    residue = np.arange(1, c, 2) * ((c - 4 * n) % (8 * c)) % (8 * c)
+    return complex(2 * (_even_row(c) @ np.cos((pi / (4 * c)) * residue)) / sqrt(c))
 
 
 def upsilon(m: int, k: int, h: int) -> complex:

@@ -1,10 +1,12 @@
 import json
+import re
 from math import pi, sqrt
 
 import pytest
 
 from mockform.cache import CacheError, default_cache_path, load_or_build, read_table, write_table
 from mockform.class_numbers import build_table
+from mockform import verify
 from mockform.cli import main
 
 
@@ -162,3 +164,50 @@ def test_cli_verify_shadow_reports_failure(capsys):
     assert code == 2
     assert "[FAIL] shadow_fd_theta_over_16 " in out
     assert "[PASS] shadow_fd_theta_over_16pi " in out
+
+
+@pytest.mark.parametrize("target, tau", [("H", "nan,1"), ("H", "0,nan"), ("theta", "0,inf")])
+def test_cli_eval_rejects_non_finite_tau(capsys, target, tau):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--target", target, "--tau", tau])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+def test_cli_bad_config_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--target", "H", "--tau", "0,1", "--lattice-bound", "0"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "mockform: bad configuration: lattice_bound must be positive"
+
+
+def test_cli_verify_quadrature_failure_exits_2(capsys):
+    code = main(["verify", "--suite", "limits", "--quad-tol", "1e-16"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "mockform: omega quadrature did not converge" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_verify_elapsed_ms_is_fractional(capsys):
+    assert main(["verify", "--suite", "limits", "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)["results"]
+    assert all(isinstance(r["elapsed_ms"], float) and r["elapsed_ms"] > 0 for r in records)
+    assert main(["verify", "--suite", "limits"]) == 0
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    assert lines and all(re.search(r"\(\d+\.\d ms\)$", line) for line in lines)
+
+
+def test_verify_modularity_rejects_inadmissible_sample(monkeypatch):
+    class NearRealAxis(verify.Gamma04Matrix):
+        def apply(self, tau):
+            return complex(tau.real, 0.01)
+
+    monkeypatch.setattr(verify, "Gamma04Matrix", NearRealAxis)
+    monkeypatch.setattr(verify, "modularity_residual", lambda *args: 0.0)
+    with pytest.raises(ValueError, match="inadmissible sample"):
+        verify.verify_modularity()

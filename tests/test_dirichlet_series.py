@@ -1,10 +1,18 @@
 import cmath
 from math import pi, sqrt
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from mockform.arithmetic import epsilon_factor, kronecker_symbol, zeta_numeric
+from mockform.arithmetic import (
+    epsilon_factor,
+    jacobi_row,
+    kronecker_column,
+    kronecker_symbol,
+    zeta_numeric,
+)
 from mockform.dirichlet_series import (
     gauss_sum_gamma,
     lambda_factor,
@@ -135,3 +143,75 @@ def test_tail_bound_formula():
     part = series_partial(1, 3.0, 2000)
     assert abs(part.tail_bound - 4.0 * 2000 ** -1.5 / 1.5) < 1e-15
     assert part.tail_bound <= 1e-2
+
+
+def _gamma_by_complex_exp(c, n):
+    """The full-period complex-exponential gamma_c(n), kept as an oracle for the real kernel.
+
+    The phase exponent n a is reduced mod 2c before exp (a period of
+    e^{-pi i x / c}); unreduced, the sum is off by up to 1.8e-11 at
+    c ~ 4000, |n| ~ 10^4.
+    """
+    if c % 2 == 1:
+        b = np.arange(c)
+        phase = np.exp(-1j * pi * ((2 * n * b) % (2 * c)) / c)
+        pref = 1j ** ((1 - c) // 2) * kronecker_symbol(2, c) / sqrt(c)
+        return complex(pref * (jacobi_row(c) * phase).sum())
+    a = np.arange(1, 2 * c, 2)
+    roots = np.exp(1j * pi * (a % 16) / 4)
+    phase = np.exp(-1j * pi * ((n * a) % (2 * c)) / c)
+    return complex((roots * kronecker_column(c, a) * phase).sum() / sqrt(c))
+
+
+def test_gamma_real_kernel_against_definition_small_moduli():
+    # every c <= 64 covers each class of c mod 8, c = 0 and c = 2 (mod 4) alike
+    for c in range(1, 65):
+        for n in range(-40, 41):
+            assert abs(gauss_sum_gamma(c, n) - gamma_by_definition(c, n)) < 1e-11, (c, n)
+
+
+def test_gamma_real_kernel_against_complex_exp_large_moduli():
+    rng = np.random.default_rng(2024)
+    ns = [-10 ** 4, -9999, -1, 0, 1, 9999, 10 ** 4] + rng.integers(-10 ** 4, 10 ** 4 + 1, 40).tolist()
+    for c in range(3990, 4001):
+        for n in ns:
+            assert abs(gauss_sum_gamma(c, n) - _gamma_by_complex_exp(c, n)) <= 1e-11, (c, n)
+
+
+def _gamma_mpmath(c, n):
+    """gamma_c(n) from its definition in 30-digit mpmath, phases as exact rationals."""
+    with mpmath.workdps(30):
+        terms = []
+        for a in range(1, 2 * c + 1):
+            if c % 2 == 1 and a % 2 == 0:
+                root, symbol = mpmath.mpf(1 - c) / 4, kronecker_symbol(a, c)
+            elif c % 2 == 0 and a % 2 == 1:
+                root, symbol = mpmath.mpf(a) / 4, kronecker_symbol(c, a)
+            else:
+                continue
+            terms.append(symbol * mpmath.expjpi(root - mpmath.mpf(n * a) / c))
+        return complex(mpmath.fsum(terms) / mpmath.sqrt(c))
+
+
+def test_gamma_real_kernel_against_mpmath_at_large_n():
+    # |n| ~ 10^4; at the first three the unreduced complex-exp sum is off by 1.5e-11 to 1.8e-11
+    for c, n in ((3996, -9999), (3993, -9681), (3993, 8471), (3998, 10 ** 4)):
+        assert abs(gauss_sum_gamma(c, n) - _gamma_mpmath(c, n)) < 1e-13, (c, n)
+
+
+def test_gamma_imaginary_part_is_exactly_zero():
+    for c in (1, 2, 3, 4, 5, 6, 7, 8, 97, 98, 99, 100, 3999, 4000):
+        for n in (-10 ** 5, -3, 0, 1, 2, 10 ** 5 + 1):
+            value = gauss_sum_gamma(c, n)
+            assert type(value) is complex and value.imag == 0.0, (c, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.integers(0, 249).map(lambda j: 2 * j + 1), n=st.integers(-10 ** 5, 10 ** 5),
+       k=st.sampled_from((1, 2)))
+@example(c=499, n=10 ** 5, k=1)
+@example(c=495, n=-10 ** 5, k=2)
+def test_gamma_real_kernel_matches_upsilon_property(c, n, k):
+    # upsilon(c, k, h) = gamma_c((-1)^k h) and upsilon has period c in h; the
+    # oracle gets the reduced h, where its phase error stays near 1e-12
+    assert abs(gauss_sum_gamma(c, n) - upsilon(c, k, ((-1) ** k * n) % c)) < 1e-11
