@@ -1,7 +1,8 @@
 """Exact number-theoretic primitives.
 
 Kronecker symbol and the kernel that fills every symbol table (jacobi_row,
-kronecker_column), the eighth-root factor eps_d, multiplicative functions,
+kronecker_column), the eighth-root factor eps_d, a smallest-prime-factor
+sieve, multiplicative functions,
 Bernoulli numbers and polynomials, fundamental discriminants, and exact /
 numeric values of the Riemann zeta function.  Everything exact is carried by
 ``fractions.Fraction`` (arbitrary-size rationals, always in lowest terms).
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -133,6 +134,22 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def smallest_prime_factors(n: int) -> np.ndarray:
+    """spf[k] = the smallest prime factor of k for 2 <= k <= n (spf[0] = 0, spf[1] = 1).
+
+    One sieve pass: each prime p <= sqrt(n) lowers its multiples from p^2 on to
+    p, and np.minimum keeps the mark of any smaller prime already there.
+    """
+    if n < 1:
+        raise ValueError("smallest_prime_factors requires n >= 1")
+    spf = np.arange(n + 1, dtype=np.int64)
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == p:
+            multiples = spf[p * p::p]
+            np.minimum(multiples, p, out=multiples)
+    return spf
 
 
 def sigma_divisor(k: int, n: int) -> int:

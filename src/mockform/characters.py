@@ -100,17 +100,22 @@ def l_numeric(chi: QuadraticCharacter, s: float, cfg: EvalConfig = DEFAULT_CONFI
     return direct + q ** -s * tail
 
 
+_INT64_LIMIT = 2 ** 63
+
+
 def generalized_bernoulli(chi: QuadraticCharacter, r: int) -> Fraction:
     """B_{r,chi} = N^{r-1} sum_{a=1}^{N} chi(a) B_r(a/N), N = |d|, exact.
 
-    Expanded through integer power sums so only O(r) Fraction operations occur;
-    the power sums are object arrays of Python ints, exact for every r.
+    Expanded through integer power sums so only O(r) Fraction operations occur.
+    Every partial sum of chi(a) a^e, e <= r, is at most N^{r+1} in size, so the
+    sums are int64 while N^{r+1} < 2^63 and object arrays of Python ints beyond.
     """
     if r < 0:
         raise ValueError("generalized_bernoulli requires r >= 0")
     N = chi.modulus
-    a = np.arange(1, N + 1, dtype=object)
-    chi_a = np.roll(chi.values, -1).astype(object)       # chi(a) for a = 1..N
+    dtype = np.int64 if N ** (r + 1) < _INT64_LIMIT else object
+    a = np.arange(1, N + 1, dtype=dtype)
+    chi_a = np.roll(chi.values, -1).astype(dtype)        # chi(a) for a = 1..N
     power_sums = [int((chi_a * a ** e).sum()) for e in range(r + 1)]
     acc = Fraction(0)
     for j in range(r + 1):

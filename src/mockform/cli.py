@@ -14,12 +14,15 @@ import argparse
 import json
 import math
 import sys
+import warnings
+
+from scipy.integrate import IntegrationWarning
 
 from .cache import CacheError, default_cache_path, load_or_build
 from .class_numbers import build_table
 from .config import DEFAULT_CONFIG
 from .eisenstein import eisenstein_direct, eisenstein_fourier
-from .maass import completed_hurwitz_series, e2_star, theta_series
+from .maass import completed_hurwitz_series, e2_star, theta_series, theta_truncation
 from .special_functions import QuadratureError
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
@@ -142,7 +145,8 @@ def _cmd_eval(args) -> int:
                           nonholomorphic_part=_c(val.nonholomorphic_part),
                           truncation_tail=val.truncation_tail)
         elif args.target == "theta":
-            record.update(value=_c(theta_series(tau, cfg)), truncation_tail=cfg.quad_tol)
+            record.update(value=_c(theta_series(tau, cfg)),
+                          truncation_tail=theta_truncation(tau.imag, cfg.quad_tol)[1])
         elif args.target == "e2star":
             record.update(value=_c(e2_star(tau, cfg)), truncation_tail=cfg.quad_tol)
         else:
@@ -196,7 +200,11 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     commands = {"hurwitz": _cmd_hurwitz, "eval": _cmd_eval, "verify": _cmd_verify}
-    return commands[args.command](args)
+    # A failed quadrature is reported once, as the one-line QuadratureError;
+    # scipy's multi-line IntegrationWarning ahead of it would only repeat it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return commands[args.command](args)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,12 @@ for c = 2m, 2c - a = 4 - a (mod 8) flips (2/.), while (m/.) agrees at a and
 
 Both angles are reduced as integer residues before the trig call, so the
 error stays at the rounding level however large |n| is.
+
+gamma_c(n) is an integer and multiplicative over coprime moduli,
+gamma_{c1 c2}(n) = gamma_{c1}(n) gamma_{c2}(n): this Euler product is the step
+that turns E_n(s) into L(s, chi_d)/zeta(2s) T_s(f).  gamma_row uses it to tabulate
+a whole row: the trig kernel runs at prime powers only, and every other
+modulus is a product of integers.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from .arithmetic import (
     jacobi_row,
     kronecker_column,
     kronecker_symbol,
+    smallest_prime_factors,
     zeta_numeric,
 )
 from .characters import QuadraticCharacter, l_numeric
@@ -99,6 +106,37 @@ def gauss_sum_gamma(c: int, n: int) -> complex:
     return complex(2 * (_even_row(c) @ np.cos((pi / (4 * c)) * residue)) / sqrt(c))
 
 
+def _exact_gamma(c: int, n: int) -> int:
+    """gamma_c(n) from the trig kernel, rounded; ArithmeticError if it is not within 1e-6 of an integer."""
+    value = gauss_sum_gamma(c, n).real
+    rounded = round(value)
+    if abs(value - rounded) > 1e-6:
+        raise ArithmeticError(f"gamma_{c}({n}) = {value!r} is not within 1e-6 of an integer")
+    return rounded
+
+
+def gamma_row(n: int, L: int) -> np.ndarray:
+    """gamma_c(n) for c = 0..L as an int64 array (entry 0 is 0), by the Euler product.
+
+    Only the prime powers q <= L are summed (gauss_sum_gamma, checked to be
+    integers); every other entry is the product of gamma_q(n) over the prime
+    powers q that exactly divide c.
+    """
+    if L < 1:
+        raise ValueError("gamma_row requires L >= 1")
+    spf = smallest_prime_factors(L)
+    row = np.ones(L + 1, dtype=np.int64)
+    row[0] = 0
+    local = np.empty(L + 1, dtype=np.int64)   # gamma of the p-part of c, at multiples c of p
+    for p in (np.flatnonzero(spf[2:] == np.arange(2, L + 1)) + 2).tolist():
+        q = p
+        while q <= L:
+            local[q::q] = _exact_gamma(q, n)   # overwritten at multiples of p q
+            q *= p
+        row[p::p] *= local[p::p]
+    return row
+
+
 def upsilon(m: int, k: int, h: int) -> complex:
     """Character sum eps_m^{-2k-1} m^{-1/2} sum_{n mod m} (n/m) e^{2 pi i n h / m}, m odd.
 
@@ -139,12 +177,20 @@ def series_partial(n: int, s: complex, M: int) -> DirichletSeriesValue:
 
 
 def series_odd_even(n: int, s: complex, M: int) -> tuple[complex, complex]:
-    """Truncated (E_n^odd, E_n^even); their mean is the truncated E_n."""
+    """Truncated (E_n^odd, E_n^even); their mean is the truncated E_n.
+
+    Odd moduli c <= M weigh gamma_c(n) by c^{-s}, even moduli c <= 2M by
+    (c/2)^{-s}: two dot products with one gamma_row.
+    """
     s = complex(s)
     if s.real <= 1.5:
         raise ValueError("series_odd_even requires Re(s) > 3/2")
-    odd = sum(gauss_sum_gamma(c, n) * c ** -s for c in range(1, M + 1, 2))
-    even = sum(gauss_sum_gamma(c, n) * (c / 2) ** -s for c in range(2, 2 * M + 1, 2))
+    if M < 1:
+        raise ValueError("series_odd_even requires M >= 1")
+    row = gamma_row(n, 2 * M)
+    scale = np.arange(1, M + 1, dtype=float) ** -s   # k^{-s} at index k - 1
+    odd = row[1:M + 1:2] @ scale[::2]
+    even = row[2::2] @ scale
     return complex(odd), complex(even)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import exp, pi, sqrt
+from math import exp, expm1, pi, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,14 +37,32 @@ class HarmonicFormValue(NamedTuple):
     truncation_tail: float
 
 
-def theta_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Theta(tau) = sum_{n in Z} q^{n^2}, truncated with a geometric tail bound."""
-    tau = require_upper_half(tau)
-    v = tau.imag
+_THETA_MAX_TERMS = 400
+
+
+def theta_truncation(v: float, tol: float) -> tuple[int, float]:
+    """Terms N and tail bound 2 r^{N^2}/(1 - r), r = e^{-2 pi v}, of Theta at height v.
+
+    N >= 2 is the first whose bound is at most tol.  Raises ValueError when
+    that takes more than 400 terms: the series is not truncated silently.
+    """
     r = exp(-2 * pi * v)
+    one_minus_r = -expm1(-2 * pi * v)
     N = 2
-    while 2 * r ** (N * N) / (1 - r) > cfg.quad_tol and N < 400:
+    tail = 2 * r ** (N * N) / one_minus_r
+    while tail > tol:
+        if N == _THETA_MAX_TERMS:
+            raise ValueError(f"theta_series needs more than {_THETA_MAX_TERMS} terms "
+                             f"at v = {v} for a tail below {tol}")
         N += 1
+        tail = 2 * r ** (N * N) / one_minus_r
+    return N, tail
+
+
+def theta_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+    """Theta(tau) = sum_{n in Z} q^{n^2}, truncated where theta_truncation puts the tail below quad_tol."""
+    tau = require_upper_half(tau)
+    N, _ = theta_truncation(tau.imag, cfg.quad_tol)
     n = np.arange(1, N + 1)
     return complex(1.0 + 2.0 * np.exp(2j * pi * tau * n * n).sum())
 

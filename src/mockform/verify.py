@@ -27,7 +27,7 @@ from .arithmetic import (
     hurwitz_zeta_numeric,
     kronecker_symbol,
 )
-from .class_numbers import cohen_class_number, hurwitz_class_number
+from .class_numbers import build_table, cohen_class_number, first_formula_mismatch
 from .config import DEFAULT_CONFIG, EvalConfig
 from .dirichlet_series import series_closed, series_partial
 from .eisenstein import (
@@ -138,13 +138,7 @@ def verify_dirichlet(cfg: EvalConfig = DEFAULT_CONFIG,
     out = []
 
     t0 = time.perf_counter()
-    first_bad = None
-    for n in range(max_n + 1):
-        if n % 4 in (1, 2):
-            continue
-        if hurwitz_class_number(n) != cohen_class_number(1, n):
-            first_bad = n
-            break
+    first_bad = first_formula_mismatch(build_table(max_n, cross_check=False))
     out.append(_record("hurwitz_formula_cross_check",
                        {"max_n": max_n, "first_mismatch": first_bad},
                        0.0 if first_bad is None else 1.0, 0.0, t0))

@@ -1,13 +1,19 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from math import pi, sqrt
+from pathlib import Path
 
 import pytest
 
 from mockform.cache import CacheError, default_cache_path, load_or_build, read_table, write_table
 from mockform.class_numbers import build_table
+import mockform
 from mockform import verify
 from mockform.cli import main
+from mockform.maass import theta_truncation
 
 
 def test_cache_roundtrip(tmp_path):
@@ -108,6 +114,20 @@ def test_cli_eval_theta(capsys):
     assert abs(payload["results"][0]["value"][0] - (1 + 2 * exp(-20 * pi))) < 1e-8
 
 
+def test_cli_eval_theta_reports_its_tail_bound(capsys):
+    assert main(["eval", "--target", "theta", "--tau", "0.3,1e-3", "--format", "json"]) == 0
+    tail = json.loads(capsys.readouterr().out)["results"][0]["truncation_tail"]
+    assert tail == theta_truncation(1e-3, 1e-10)[1]
+    assert 0 < tail <= 1e-10 and tail != 1e-10
+
+
+def test_cli_eval_theta_refuses_below_its_range(capsys):
+    assert main(["eval", "--target", "theta", "--tau", "0,1e-6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mockform: evaluation outside the convergence domain: ")
+
+
 def test_cli_eval_eisenstein_dual(capsys):
     code = main(["eval", "--target", "eisenstein", "--k", "2", "--s", "1",
                  "--tau", "0,1", "--format", "json"])
@@ -191,6 +211,19 @@ def test_cli_verify_quadrature_failure_exits_2(capsys):
     assert captured.out == ""
     assert "mockform: omega quadrature did not converge" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_cli_quadrature_failure_is_one_stderr_line():
+    # in a fresh interpreter, so scipy's IntegrationWarning is not already filtered
+    src = str(Path(mockform.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mockform", "verify", "--suite", "limits", "--quad-tol", "1e-16"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("mockform: omega quadrature did not converge"), lines
 
 
 def test_cli_verify_elapsed_ms_is_fractional(capsys):

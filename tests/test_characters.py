@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mockform.arithmetic import bernoulli_number, is_fundamental_discriminant, kronecker_symbol
+from mockform import characters
 from mockform.characters import (
     QuadraticCharacter,
     functional_equation_residual,
@@ -138,3 +139,26 @@ def test_generalized_bernoulli_exact_at_large_modulus():
     for d in (4997, 5001, -4999):
         for r in (6, 8):
             assert generalized_bernoulli(QuadraticCharacter(d), r) == _bernoulli_by_scalar_loop(d, r)
+
+
+def _fundamental_near(bound, below):
+    """The negative fundamental discriminant d whose |d| is nearest to bound on one side."""
+    step = -1 if below else 1
+    N = bound
+    while not is_fundamental_discriminant(-N):
+        N += step
+    return -N
+
+
+def test_generalized_bernoulli_int64_path_matches_object_path(monkeypatch):
+    # int64 power sums are taken while |d|^{r+1} < 2^63; for r = 3 the switch
+    # lies between |d| = 55108 and 55109, so test both sides of it
+    below = _fundamental_near(55108, below=True)
+    above = _fundamental_near(55109, below=False)
+    assert below ** 4 < 2 ** 63 <= above ** 4
+    cases = [(d, r) for d in (-3, 5, -4, 8, -2003, 4997, below) for r in (1, 2, 3)]
+    fast = {case: generalized_bernoulli(QuadraticCharacter(case[0]), case[1]) for case in cases}
+    monkeypatch.setattr(characters, "_INT64_LIMIT", 0)       # object arrays throughout
+    for (d, r), value in fast.items():
+        assert value == generalized_bernoulli(QuadraticCharacter(d), r), (d, r)
+    assert generalized_bernoulli(QuadraticCharacter(above), 3) == _bernoulli_by_scalar_loop(above, 3)

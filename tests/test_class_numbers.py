@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from mockform import class_numbers
 from mockform.characters import QuadraticCharacter
 from mockform.class_numbers import (
     ClassNumberTable,
     QuadraticForm,
     build_table,
     cohen_class_number,
+    first_formula_mismatch,
     hurwitz_class_number,
     reduced_forms,
     t_chi,
@@ -98,3 +100,29 @@ def test_build_table():
 def test_table_validation():
     with pytest.raises(ValueError):
         ClassNumberTable([Fraction(0)])
+
+
+def test_one_pass_table_matches_per_n_enumeration():
+    # hurwitz_class_number enumerates reduced_forms(N) for each N separately
+    table = build_table(2000, cross_check=False)
+    for n in range(2001):
+        assert table.value(n) == hurwitz_class_number(n), n
+
+
+def test_formula_cross_check_reports_first_mismatch(monkeypatch):
+    values = list(build_table(40))
+    assert first_formula_mismatch(values) is None
+    values[23] = Fraction(4)                     # H(23) = 3
+    values[31] = Fraction(4)
+    assert first_formula_mismatch(values) == 23
+
+    sixths = class_numbers._sixths_by_forms
+
+    def tampered(max_n):
+        out = sixths(max_n)
+        out[23] += 6
+        return out
+
+    monkeypatch.setattr(class_numbers, "_sixths_by_forms", tampered)
+    with pytest.raises(ArithmeticError, match="n=23: enumeration 4 vs formula 3"):
+        build_table(40)

@@ -1,5 +1,5 @@
 import cmath
-from math import pi, sqrt
+from math import gcd, pi, sqrt
 
 import mpmath
 import numpy as np
@@ -13,7 +13,9 @@ from mockform.arithmetic import (
     kronecker_symbol,
     zeta_numeric,
 )
+from mockform import dirichlet_series
 from mockform.dirichlet_series import (
+    gamma_row,
     gauss_sum_gamma,
     lambda_factor,
     series_closed,
@@ -137,6 +139,8 @@ def test_series_domain_checks():
         series_partial(1, 1.2, 100)
     with pytest.raises(ValueError):
         series_closed(1, 1.0)
+    with pytest.raises(ValueError, match="M >= 1"):
+        series_odd_even(1, 3.0, 0)
 
 
 def test_tail_bound_formula():
@@ -215,3 +219,33 @@ def test_gamma_real_kernel_matches_upsilon_property(c, n, k):
     # upsilon(c, k, h) = gamma_c((-1)^k h) and upsilon has period c in h; the
     # oracle gets the reduced h, where its phase error stays near 1e-12
     assert abs(gauss_sum_gamma(c, n) - upsilon(c, k, ((-1) ** k * n) % c)) < 1e-11
+
+
+def test_gamma_multiplicative_on_coprime_moduli():
+    # the Euler product gamma_row rests on, checked against the trig kernel itself
+    for n in (0, 1, -3, 7, -12, 30):
+        gamma = {c: gauss_sum_gamma(c, n).real for c in range(1, 80)}
+        for c1 in range(2, 80):
+            for c2 in range(c1 + 1, 80):
+                if gcd(c1, c2) == 1:
+                    product = gamma[c1] * gamma[c2]
+                    assert abs(gauss_sum_gamma(c1 * c2, n).real - product) < 1e-9, (c1, c2, n)
+
+
+def test_gamma_row_matches_kernel():
+    for n in (0, -7, 10 ** 4 + 1):
+        row = gamma_row(n, 4000)
+        assert row.dtype == np.int64 and row[0] == 0
+        for c in range(1, 4001):
+            assert abs(row[c] - gauss_sum_gamma(c, n).real) < 1e-10, (c, n)
+    with pytest.raises(ValueError):
+        gamma_row(1, 0)
+
+
+def test_gamma_row_refuses_non_integer_prime_power(monkeypatch):
+    kernel = dirichlet_series.gauss_sum_gamma
+    monkeypatch.setattr(dirichlet_series, "gauss_sum_gamma",
+                        lambda c, n: kernel(c, n) + (1e-3 if c == 9 else 0))
+    assert gamma_row(5, 8).tolist() == [0] + [round(kernel(c, 5).real) for c in range(1, 9)]
+    with pytest.raises(ArithmeticError, match=r"gamma_9\(5\)"):
+        gamma_row(5, 9)

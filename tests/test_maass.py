@@ -2,6 +2,7 @@ import cmath
 from fractions import Fraction
 from math import exp, pi, sqrt
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma as Gamma
@@ -17,6 +18,7 @@ from mockform.maass import (
     laplacian_fd,
     s_limit_check,
     theta_series,
+    theta_truncation,
     xi_shadow_analytic,
     xi_shadow_fd,
 )
@@ -41,6 +43,25 @@ def test_theta_periodicity_and_values():
     assert abs(theta_series(1j, CFG) - THETA_AT_I) < 1e-13
     # classical closed form at nome e^{-pi}
     assert abs(theta_series(0.5j, CFG) - pi ** 0.25 / Gamma(0.75)) < 1e-13
+
+
+def test_theta_against_mpmath_jtheta():
+    # Theta(tau) = jtheta(3, 0, q) with nome q = e^{2 pi i tau}; down to v = 4e-5
+    # the series needs at most 400 terms at quad_tol = 1e-10
+    for tau in (0.3 + 4e-5j, 1e-4j, 0.25 + 1e-3j, -0.4 + 0.01j, 0.1 + 0.3j, 0.7 + 2j):
+        with mpmath.workdps(30):
+            expected = complex(mpmath.jtheta(3, 0, mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau))))
+        _, tail = theta_truncation(tau.imag, CFG.quad_tol)
+        assert tail <= CFG.quad_tol
+        assert abs(theta_series(tau, CFG) - expected) <= tail + 1e-11, tau
+
+
+def test_theta_refuses_beyond_400_terms():
+    # at v = 1e-6 the capped series gave 597.02 where jtheta gives 707.107
+    for v in (1e-6, 3e-5):
+        with pytest.raises(ValueError, match="more than 400 terms"):
+            theta_series(complex(0.0, v), CFG)
+    assert theta_truncation(3.3e-5, CFG.quad_tol)[0] <= 400
 
 
 def test_completed_series_values():
