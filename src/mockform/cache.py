@@ -31,12 +31,23 @@ def default_cache_path() -> Path:
 
 
 def write_table(path, table: ClassNumberTable) -> None:
+    """Write the table atomically: a killed or concurrent writer never leaves a truncated cache.
+
+    The text goes to the sibling ``<name>.<pid>.tmp``, which then replaces
+    the cache in one rename; on failure the temporary file is removed.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"MOCKFORM-CACHE v{CACHE_VERSION} max_n={table.max_n}"]
     for n, value in enumerate(table):
         lines.append(f"{n} {value.numerator}/{value.denominator}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n", encoding="ascii")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_table(path) -> ClassNumberTable:

@@ -15,6 +15,7 @@ from math import comb, exp, expm1, log, pi, sqrt
 
 import numpy as np
 
+from ._scipy import gamma as _gamma, rgamma as _rgamma
 from .arithmetic import (
     bernoulli_number,
     is_fundamental_discriminant,
@@ -147,8 +148,6 @@ def functional_equation_residual(chi: QuadraticCharacter, s: float,
     (there 1/Gamma = 0 and the exact side vanishes by Bernoulli parity).
     Requires s in [1, 3] at an integer value so L(1-s) is an exact rational.
     """
-    from scipy.special import gamma as _gamma, rgamma as _rgamma
-
     if chi.is_principal:
         raise ValueError("functional equation residual needs a non-principal character")
     if not 1 <= s <= 3:

@@ -16,13 +16,12 @@ import math
 import sys
 import warnings
 
-from scipy.integrate import IntegrationWarning
-
 from .cache import CacheError, default_cache_path, load_or_build
 from .class_numbers import build_table
 from .config import DEFAULT_CONFIG
 from .eisenstein import eisenstein_direct, eisenstein_fourier
-from .maass import completed_hurwitz_series, e2_star, theta_series, theta_truncation
+from .maass import (completed_hurwitz_series, e2_star, e2_truncation, theta_series,
+                    theta_truncation)
 from .special_functions import QuadratureError
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
@@ -148,7 +147,8 @@ def _cmd_eval(args) -> int:
             record.update(value=_c(theta_series(tau, cfg)),
                           truncation_tail=theta_truncation(tau.imag, cfg.quad_tol)[1])
         elif args.target == "e2star":
-            record.update(value=_c(e2_star(tau, cfg)), truncation_tail=cfg.quad_tol)
+            record.update(value=_c(e2_star(tau, cfg)),
+                          truncation_tail=e2_truncation(tau.imag, cfg.quad_tol, cfg.q_terms)[1])
         else:
             direct = eisenstein_direct("H", args.k, args.s, tau, cfg)
             fourier = eisenstein_fourier(args.k, args.s, tau, cfg)
@@ -202,8 +202,10 @@ def main(argv=None) -> int:
     commands = {"hurwitz": _cmd_hurwitz, "eval": _cmd_eval, "verify": _cmd_verify}
     # A failed quadrature is reported once, as the one-line QuadratureError;
     # scipy's multi-line IntegrationWarning ahead of it would only repeat it.
+    # quad warns with stacklevel=2, so the warning is attributed to its caller
+    # mockform._scipy, and filtering by module keeps scipy unimported here.
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
+        warnings.filterwarnings("ignore", category=UserWarning, module=r"mockform\._scipy")
         return commands[args.command](args)
 
 

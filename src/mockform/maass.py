@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .arithmetic import sigma_divisor
 from .class_numbers import ClassNumberTable, hurwitz_class_number
 from .config import DEFAULT_CONFIG, EvalConfig, require_upper_half
 from .dirichlet_series import series_closed
@@ -37,6 +38,18 @@ class HarmonicFormValue(NamedTuple):
     truncation_tail: float
 
 
+def _truncate(series: str, tail: Callable[[int], float], first: int, max_terms: int,
+              v: float, tol: float) -> tuple[int, float]:
+    """The first N >= first with tail(N) <= tol, and tail(N); ValueError past max_terms."""
+    N = first
+    while tail(N) > tol:
+        if N >= max_terms:
+            raise ValueError(f"{series} needs more than {max_terms} terms "
+                             f"at v = {v} for a tail below {tol}")
+        N += 1
+    return N, tail(N)
+
+
 _THETA_MAX_TERMS = 400
 
 
@@ -48,15 +61,8 @@ def theta_truncation(v: float, tol: float) -> tuple[int, float]:
     """
     r = exp(-2 * pi * v)
     one_minus_r = -expm1(-2 * pi * v)
-    N = 2
-    tail = 2 * r ** (N * N) / one_minus_r
-    while tail > tol:
-        if N == _THETA_MAX_TERMS:
-            raise ValueError(f"theta_series needs more than {_THETA_MAX_TERMS} terms "
-                             f"at v = {v} for a tail below {tol}")
-        N += 1
-        tail = 2 * r ** (N * N) / one_minus_r
-    return N, tail
+    return _truncate("theta_series", lambda N: 2 * r ** (N * N) / one_minus_r,
+                     2, _THETA_MAX_TERMS, v, tol)
 
 
 def theta_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -229,23 +235,34 @@ def xi_shadow_analytic(max_exponent: int = 400) -> list[ShadowCoefficient]:
 # The weight-2 warm-up and the s -> 0 coefficient limits.
 
 
+def e2_truncation(v: float, tol: float, max_terms: int) -> tuple[int, float]:
+    """Terms N and tail bound 24 sum_{m>N} m^2 r^m, r = e^{-2 pi v}, of E2 at height v.
+
+    sigma_1(m) <= m^2 makes this a bound on 24 sum_{m>N} sigma_1(m) |q|^m;
+    in closed form it is 24 r^{N+1} ((N+1)^2/(1-r) + 2(N+1) r/(1-r)^2 + r(1+r)/(1-r)^3).
+    N >= 1 is the first whose bound is at most tol.  Raises ValueError when
+    that takes more than max_terms terms: the series is not truncated silently.
+    """
+    r = exp(-2 * pi * v)
+    # w = 1/(1 - r): at tiny v its powers overflow to inf, where dividing by
+    # powers of 1 - r would raise ZeroDivisionError
+    w = 1.0 / -expm1(-2 * pi * v)
+
+    def tail(N):
+        M = N + 1
+        return 24 * r ** M * w * (M * M + 2 * M * r * w + r * (1 + r) * w * w)
+
+    return _truncate("e2_star", tail, 1, max_terms, v, tol)
+
+
 def e2_star(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Completed weight-2 Eisenstein series E2(tau) - 3/(pi v)."""
+    """Completed weight-2 Eisenstein series E2(tau) - 3/(pi v), truncated where e2_truncation puts the tail below quad_tol."""
     tau = require_upper_half(tau)
     v = tau.imag
-    q = cmath.exp(2j * pi * tau)
-    absq = abs(q)
-    total = 1.0 + 0j
-    qn = 1.0 + 0j
-    n = 1
-    while True:
-        qn *= q
-        sig = sum(d for d in range(1, n + 1) if n % d == 0)
-        total -= 24.0 * sig * qn
-        if n * n * absq ** (n + 1) / (1 - absq) * 24 < cfg.quad_tol or n >= cfg.q_terms:
-            break
-        n += 1
-    return total - 3.0 / (pi * v)
+    N, _ = e2_truncation(v, cfg.quad_tol, cfg.q_terms)
+    n = np.arange(1, N + 1)
+    sigma = np.array([sigma_divisor(1, m) for m in range(1, N + 1)], dtype=float)
+    return complex(1.0 - 24.0 * (sigma * np.exp(2j * pi * tau * n)).sum()) - 3.0 / (pi * v)
 
 
 def s_limit_check(h: int, v: float, s_samples: list[float],

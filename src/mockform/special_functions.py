@@ -12,9 +12,8 @@ from math import exp, pi, sqrt
 import cmath
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as _gamma, rgamma as _rgamma
 
+from ._scipy import gamma as _gamma, quad, rgamma as _rgamma
 from .config import DEFAULT_CONFIG, EvalConfig
 
 _SQRT_PI = sqrt(pi)

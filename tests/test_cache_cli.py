@@ -13,7 +13,8 @@ from mockform.class_numbers import build_table
 import mockform
 from mockform import verify
 from mockform.cli import main
-from mockform.maass import theta_truncation
+from mockform.eisenstein import eisenstein_direct
+from mockform.maass import e2_truncation, theta_truncation
 
 
 def test_cache_roundtrip(tmp_path):
@@ -24,6 +25,24 @@ def test_cache_roundtrip(tmp_path):
     assert read_table(path) == table
     write_table(path, read_table(path))
     assert path.read_bytes() == first  # rewrite is byte-identical
+
+
+def test_cache_write_failure_keeps_previous_cache(tmp_path, monkeypatch):
+    path = tmp_path / "table.txt"
+    table = build_table(30)
+    write_table(path, table)
+
+    def write_half_then_fail(self, text, **kwargs):
+        with open(self, "w", encoding="ascii") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_table(path, build_table(60))
+    monkeypatch.undo()
+    assert read_table(path) == table
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_cache_rejects_truncation(tmp_path):
@@ -126,6 +145,56 @@ def test_cli_eval_theta_refuses_below_its_range(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("mockform: evaluation outside the convergence domain: ")
+
+
+def test_cli_eval_e2star_reports_its_tail_bound(capsys):
+    assert main(["eval", "--target", "e2star", "--tau", "0.3,0.05", "--format", "json"]) == 0
+    tail = json.loads(capsys.readouterr().out)["results"][0]["truncation_tail"]
+    assert tail == e2_truncation(0.05, 1e-10, 4000)[1]
+    assert 0 < tail <= 1e-10 and tail != 1e-10
+
+
+def test_cli_eval_e2star_refuses_beyond_q_terms(capsys):
+    assert main(["eval", "--target", "e2star", "--tau", "0,1e-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mockform: evaluation outside the convergence domain: ")
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from mockform import cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+cheap = [run(["hurwitz", "--max", "50", "--no-cache"])[0],
+         run(["eval", "--target", "H", "--tau", "0.1,0.8"])[0],
+         run(["eval", "--target", "theta", "--tau", "0.1,0.8"])[0]]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+code, out = run(["eval", "--target", "eisenstein", "--tau", "0.1,0.8", "--format", "json"])
+print(json.dumps({"cheap": cheap, "loaded": loaded, "code": code,
+                  "scipy_after": "scipy" in sys.modules,
+                  "value": json.loads(out)["results"][0]["value"]}))
+"""
+
+
+def test_cheap_paths_run_without_scipy():
+    # in a fresh interpreter, because this one has scipy loaded already
+    src = str(Path(mockform.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["cheap"] == [0, 0, 0]
+    assert probe["loaded"] == []
+    assert probe["code"] == 0 and probe["scipy_after"]
+    expected = eisenstein_direct("H", 2, 1.0, complex(0.1, 0.8))
+    assert complex(*probe["value"]) == expected
 
 
 def test_cli_eval_eisenstein_dual(capsys):

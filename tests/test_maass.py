@@ -14,6 +14,7 @@ from mockform.maass import (
     alpha_limit,
     completed_hurwitz_series,
     e2_star,
+    e2_truncation,
     fourier_coefficient,
     laplacian_fd,
     s_limit_check,
@@ -169,6 +170,39 @@ def test_e2star():
     assert abs(e2_star(1j, CFG)) < 1e-10  # fixed point of the inversion
     assert abs(e2_star(1 + 2j, CFG) - E2STAR_AT_1_2I) < 1e-10
     assert abs(e2_star(100j, CFG) - (1 - 3 / (100 * pi))) < 1e-10
+
+
+def _e2star_lambert(tau: complex) -> complex:
+    """1 - 24 sum n q^n/(1 - q^n) - 3/(pi v) at 30 digits."""
+    with mpmath.workdps(30):
+        q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
+        total, n = mpmath.mpf(0), 1
+        while True:
+            term = n * q ** n / (1 - q ** n)
+            total += term
+            if abs(term) < mpmath.mpf(10) ** -35:
+                break
+            n += 1
+        return complex(1 - 24 * total - 3 / (mpmath.pi * tau.imag))
+
+
+@pytest.mark.parametrize("tau", [1j, 1 + 2j, -0.2 + 0.5j, 0.3 + 0.05j, 0.25 + 0.02j])
+def test_e2star_against_lambert_series(tau):
+    _, tail = e2_truncation(tau.imag, CFG.quad_tol, CFG.q_terms)
+    assert 0 <= tail <= CFG.quad_tol
+    value = e2_star(tau, CFG)
+    # the tail bounds the truncation; 1e-14 relative covers the float summation
+    assert abs(value - _e2star_lambert(tau)) <= tail + 1e-14 * max(1.0, abs(value))
+
+
+def test_e2star_refuses_beyond_q_terms():
+    with pytest.raises(ValueError, match="more than 4000 terms"):
+        e2_star(0.3 + 1e-3j, CFG)
+    with pytest.raises(ValueError, match="more than 4000 terms"):
+        e2_truncation(5e-324, CFG.quad_tol, CFG.q_terms)
+    # the same point is fine once q_terms admits the tail
+    N, tail = e2_truncation(1e-3, CFG.quad_tol, 10_000)
+    assert 4000 < N <= 10_000 and tail <= CFG.quad_tol
 
 
 def test_s_limit_check():
