@@ -2,7 +2,7 @@
 
 Kronecker symbol and the kernel that fills every symbol table (jacobi_row,
 kronecker_column), the eighth-root factor eps_d, a smallest-prime-factor
-sieve, multiplicative functions,
+sieve and the multiplicative rows built on it, multiplicative functions,
 Bernoulli numbers and polynomials, fundamental discriminants, and exact /
 numeric values of the Riemann zeta function.  Everything exact is carried by
 ``fractions.Fraction`` (arbitrary-size rationals, always in lowest terms).
@@ -54,18 +54,19 @@ def kronecker_symbol(a: int, n: int) -> int:
 def jacobi_row(c: int) -> np.ndarray:
     """(b/c) for b = 0..c-1, c odd, as the product of the Legendre rows of c's primes.
 
-    A Legendre row marks the squares (arange(1, p)**2) % p with +1, the other
-    nonzero residues with -1 and 0 with 0, so no symbol is evaluated.
+    A Legendre row marks the squares k^2 mod p, 1 <= k <= (p-1)/2, with +1, the
+    other nonzero residues with -1 and 0 with 0, so no symbol is evaluated; it
+    is tiled c/p times, and squared for an even power of p.
     """
     if c < 1 or c % 2 == 0:
         raise ValueError(f"jacobi_row requires odd c >= 1, got {c}")
-    b = np.arange(c)
     row = np.ones(c, dtype=np.int8)
     for p, e in factorize(c).items():
         legendre = -np.ones(p, dtype=np.int8)
         legendre[0] = 0
-        legendre[(np.arange(1, p) ** 2) % p] = 1
-        row *= legendre[b % p] ** e
+        k = np.arange(1, (p + 1) // 2)
+        legendre[k * k % p] = 1
+        row *= np.tile(legendre if e % 2 else legendre * legendre, c // p)
     return row
 
 
@@ -73,28 +74,34 @@ def kronecker_column(m: int, a) -> np.ndarray:
     """(m/a) for an array of positive a, by reciprocity onto jacobi_row of m's odd part.
 
     With a = 2^e a' and m = sign 2^f m' (a', m' odd): (m/a) = (m/2)^e (sign/a')
-    (2/a')^f (a'/m') (-1)^{(a'-1)/2 (m'-1)/2}, and every sign depends on a' mod 8.
+    (2/a')^f (a'/m') (-1)^{(a'-1)/2 (m'-1)/2}.  Every factor but (a'/m') depends
+    only on min(e, 1) (m even) or e mod 2 (m odd) and on a' mod 8, so it is read
+    from a 2 x 8 sign table.
     """
     a = np.asarray(a, dtype=np.int64)
     if a.size and a.min() < 1:
         raise ValueError("kronecker_column requires positive a")
     if m == 0:
         return (a == 1).astype(np.int8)
-    low = a & -a                              # 2^e
-    odd = a // low
-    e = np.frexp(low.astype(float))[1] - 1
-    m_over_2 = 0 if m % 2 == 0 else (1 if m % 8 in (1, 7) else -1)
-    col = (m_over_2 ** e).astype(np.int8)
+    e = np.frexp((a & -a).astype(float))[1] - 1   # a & -a = 2^e
+    odd = a >> e
     m_low = abs(m) & -abs(m)                  # 2^f
     m_odd = abs(m) // m_low
-    a8 = odd % 8
-    flip = np.zeros(a.shape, dtype=bool)
+    sign = np.ones((2, 8), dtype=np.int8)     # [row for e, a' mod 8]
     if (m < 0) != (m_odd % 4 == 3):           # (-1/a') and reciprocity flip at a' = 3 mod 4
-        flip ^= a8 % 4 == 3
+        sign[:, [3, 7]] *= -1
     if m_low.bit_length() % 2 == 0:           # f odd: (2/a') flips at a' = 3, 5 mod 8
-        flip ^= (a8 == 3) | (a8 == 5)
-    col[flip] *= -1
-    return col * jacobi_row(m_odd)[odd % m_odd]
+        sign[:, [3, 5]] *= -1
+    if m % 2 == 0:                            # (m/2) = 0: only e = 0 survives
+        sign[1] = 0
+        e_row = np.minimum(e, 1)
+    else:
+        sign[1] *= 1 if m % 8 in (1, 7) else -1
+        e_row = e & 1
+    col = sign.ravel()[(e_row << 3) | (odd & 7)]
+    if m_odd > 1:
+        col *= jacobi_row(m_odd)[odd % m_odd]
+    return col
 
 
 def epsilon_factor(d: int) -> complex:
@@ -150,6 +157,26 @@ def smallest_prime_factors(n: int) -> np.ndarray:
             multiples = spf[p * p::p]
             np.minimum(multiples, p, out=multiples)
     return spf
+
+
+def multiplicative_row(L: int, at_prime_power, spf: np.ndarray) -> np.ndarray:
+    """g(c) for c = 0..L as an int64 array (entry 0 is 0), g multiplicative.
+
+    at_prime_power(p, q) gives the integer g(q) at the prime power q = p^e <= L;
+    spf is a smallest_prime_factors sieve reaching at least L.  Each prime fills
+    a scratch row with g(p^e) at the multiples of p^e, e = 1, 2, ... (the higher
+    power overwrites), and that row is multiplied in at the multiples of p.
+    """
+    row = np.ones(L + 1, dtype=np.int64)
+    row[0] = 0
+    local = np.empty(L + 1, dtype=np.int64)
+    for p in (np.flatnonzero(spf[2:L + 1] == np.arange(2, L + 1)) + 2).tolist():
+        q = p
+        while q <= L:
+            local[q::q] = at_prime_power(p, q)
+            q *= p
+        row[p::p] *= local[p::p]
+    return row
 
 
 def sigma_divisor(k: int, n: int) -> int:

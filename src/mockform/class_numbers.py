@@ -7,12 +7,19 @@ Dirichlet's class number formula H(N) = L(0, chi_d) T_1(f) where -N = d f^2.
 Single values enumerate the forms of one N; the table builder enumerates the
 forms of every N <= max_n in one pass, cross-checks the result against the
 formula route and refuses to hand out a table that disagrees.
+
+The formula route for a whole table is one pass as well (formula_sixths): the
+fundamental d < 0 come from squarefree flags of one smallest-prime-factor
+sieve, each gets one row of chi_d from the Kronecker kernel, 6 L(0, chi_d) is
+an exact int64 dot product, and T_1(f) is multiplicative, so every
+N = |d| f^2 is reached in int64 sixths without a Fraction.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -20,8 +27,11 @@ import numpy as np
 from .arithmetic import (
     divisors,
     fundamental_discriminant,
+    kronecker_column,
     moebius,
+    multiplicative_row,
     sigma_divisor,
+    smallest_prime_factors,
     zeta_exact_neg,
 )
 from .characters import QuadraticCharacter, l_exact_neg
@@ -114,12 +124,7 @@ def cohen_class_number(r: int, N: int) -> Fraction:
         return Fraction(0)
     d, f = fundamental_discriminant(signed)
     chi = QuadraticCharacter(d)
-    return _l_exact_neg_cached(d, r) * t_chi(r, chi, f)
-
-
-@functools.lru_cache(maxsize=None)
-def _l_exact_neg_cached(d: int, r: int) -> Fraction:
-    return l_exact_neg(QuadraticCharacter(d), r)
+    return l_exact_neg(chi, r) * t_chi(r, chi, f)
 
 
 class ClassNumberTable:
@@ -186,28 +191,85 @@ def _sixths_by_forms(max_n: int) -> np.ndarray:
     return sixths
 
 
+def formula_sixths(max_n: int) -> np.ndarray:
+    """6 H(N) for N = 0..max_n (entry 0 left 0) by the class number formula, as int64.
+
+    Every N = 0, 3 (mod 4) is |d| f^2 for exactly one fundamental d < 0, and
+    6 H(N) = 6 L(0, chi_d) T_1(f) with 6 L(0, chi_d) = -6 sum_{a<=|d|} a chi_d(a) / |d|
+    and T_1(p^e) = sigma_1(p^e) - chi_d(p) sigma_1(p^{e-1}).  Raises
+    ArithmeticError if some 6 L(0, chi_d) comes out non-integral.
+    """
+    if max_n < 0:
+        raise ValueError("formula_sixths requires max_n >= 0")
+    sixths = np.zeros(max_n + 1, dtype=np.int64)
+    if max_n < 3:
+        return sixths
+    spf = smallest_prime_factors(max_n)
+    squarefree = np.ones(max_n + 1, dtype=bool)
+    for p in range(2, isqrt(max_n) + 1):
+        if spf[p] == p:
+            squarefree[p * p::p * p] = False
+    D = np.arange(max_n + 1)
+    # d = -D is fundamental iff D = 3 (mod 4) is squarefree, or D = 4m with
+    # m = 1, 2 (mod 4) squarefree
+    fundamental = squarefree & (D % 4 == 3)
+    m = D[4::4] // 4
+    fundamental[4::4] = squarefree[m] & ((m % 4 == 1) | (m % 4 == 2))
+    a = np.arange(1, max_n + 1, dtype=np.int64)
+    for modulus in np.flatnonzero(fundamental).tolist():
+        F = isqrt(max_n // modulus)
+        half = (modulus - 1) // 2
+        chi = kronecker_column(-modulus, a[:max(half, F)])   # chi_d(a) for a = 1, 2, ...
+        # chi_d is odd, so a and |d| - a pair to (2a - |d|) chi_d(a), and chi_d(|d|/2) = 0
+        numerator = -6 * (2 * int(chi[:half] @ a[:half]) - modulus * int(chi[:half].sum()))
+        six_l, rem = divmod(numerator, modulus)
+        if rem:
+            raise ArithmeticError(f"formula route at n={modulus}: "
+                                  f"6 L(0, chi_{-modulus}) = {numerator}/{modulus} is not an integer")
+        # T_1(q) = sigma_1(q) - chi_d(p) sigma_1(q/p) = (q p - 1 - chi_d(p) (q - 1)) / (p - 1)
+        t1 = multiplicative_row(F, lambda p, q: (q * p - 1 - int(chi[p - 1]) * (q - 1)) // (p - 1), spf)
+        f = np.arange(1, F + 1)
+        sixths[modulus * f * f] = six_l * t1[1:]
+    return sixths
+
+
+def _first_mismatch(sixths: np.ndarray, formula: np.ndarray) -> int | None:
+    """The first n >= 1 with sixths[n] != formula[n], else None."""
+    bad = np.flatnonzero(sixths[1:] != formula[1:])
+    return int(bad[0]) + 1 if bad.size else None
+
+
 def first_formula_mismatch(values: Iterable[Fraction]) -> int | None:
-    """The first n with values[n] != H(1, n) by the class number formula, else None."""
-    for n, value in enumerate(values):
-        if value != cohen_class_number(1, n):
-            return n
-    return None
+    """The first n with values[n] != H(n) by the class number formula, else None.
+
+    One comparison of 6 values[n] against formula_sixths; a non-integral
+    6 values[n] never equals the integer there, so it counts as a mismatch.
+    """
+    values = list(values)
+    if not values:
+        return None
+    if values[0] != Fraction(-1, 12):
+        return 0
+    six = np.array([6 * value for value in values], dtype=object)
+    return _first_mismatch(six, formula_sixths(len(values) - 1))
 
 
 def build_table(max_n: int, cfg: EvalConfig = DEFAULT_CONFIG,
                 cross_check: bool = True) -> ClassNumberTable:
     """Tabulate H(n) for 0 <= n <= max_n by one pass of form enumeration.
 
-    With cross_check, every entry is verified against the class number
-    formula route H(1, n); the first disagreement aborts construction.
+    With cross_check, the enumeration's sixths are compared with
+    formula_sixths before any Fraction is built; the first disagreement
+    aborts construction.
     """
     if max_n < 0:
         raise ValueError("build_table requires max_n >= 0")
-    values = [Fraction(-1, 12)] + [Fraction(h, 6) for h in _sixths_by_forms(max_n)[1:].tolist()]
+    sixths = _sixths_by_forms(max_n)
     if cross_check:
-        n = first_formula_mismatch(values)
+        formula = formula_sixths(max_n)
+        n = _first_mismatch(sixths, formula)
         if n is not None:
             raise ArithmeticError(
-                f"class number cross-check failed at n={n}: "
-                f"enumeration {values[n]} vs formula {cohen_class_number(1, n)}")
-    return ClassNumberTable(values)
+                f"class number cross-check failed at n={n}: enumeration "
+                f"{Fraction(int(sixths[n]), 6)} vs formula {Fraction(int(formula[n]), 6)}")
+    return ClassNumberTable([Fraction(-1, 12)] + [Fraction(h, 6) for h in sixths[1:].tolist()])

@@ -53,6 +53,7 @@ from .arithmetic import (
     jacobi_row,
     kronecker_column,
     kronecker_symbol,
+    multiplicative_row,
     smallest_prime_factors,
     zeta_numeric,
 )
@@ -124,17 +125,7 @@ def gamma_row(n: int, L: int) -> np.ndarray:
     """
     if L < 1:
         raise ValueError("gamma_row requires L >= 1")
-    spf = smallest_prime_factors(L)
-    row = np.ones(L + 1, dtype=np.int64)
-    row[0] = 0
-    local = np.empty(L + 1, dtype=np.int64)   # gamma of the p-part of c, at multiples c of p
-    for p in (np.flatnonzero(spf[2:] == np.arange(2, L + 1)) + 2).tolist():
-        q = p
-        while q <= L:
-            local[q::q] = _exact_gamma(q, n)   # overwritten at multiples of p q
-            q *= p
-        row[p::p] *= local[p::p]
-    return row
+    return multiplicative_row(L, lambda p, q: _exact_gamma(q, n), smallest_prime_factors(L))
 
 
 def upsilon(m: int, k: int, h: int) -> complex:
@@ -147,7 +138,7 @@ def upsilon(m: int, k: int, h: int) -> complex:
         raise ValueError("upsilon requires odd positive m")
     table = _odd_row(m)
     n = np.arange(m)
-    phase = np.exp(2j * pi * n * h / m)
+    phase = np.exp(2j * pi * (n * (h % m) % m) / m)   # the residue n h mod m, as in gauss_sum_gamma
     return complex(epsilon_factor(m) ** (-2 * k - 1) * (table * phase).sum() / sqrt(m))
 
 

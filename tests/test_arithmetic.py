@@ -18,7 +18,9 @@ from mockform.arithmetic import (
     kronecker_column,
     kronecker_symbol,
     moebius,
+    multiplicative_row,
     sigma_divisor,
+    smallest_prime_factors,
     zeta_exact_neg,
     zeta_numeric,
 )
@@ -217,3 +219,13 @@ _BOTTOMS = st.integers(0, 19).flatmap(lambda e: st.integers(1, 10 ** 6 >> e).map
 @example(m=-1, a=[2 ** 19, 2 ** 18 * 3, 1])
 def test_kronecker_column_matches_scalar_symbol(m, a):
     assert kronecker_column(m, a).tolist() == [kronecker_symbol(m, x) for x in a]
+
+
+def test_multiplicative_row_builds_sigma_and_moebius():
+    spf = smallest_prime_factors(300)
+    sigma = multiplicative_row(300, lambda p, q: (q * p - 1) // (p - 1), spf)
+    mu = multiplicative_row(300, lambda p, q: -1 if q == p else 0, spf)
+    assert sigma.dtype == np.int64 and sigma[0] == 0 and mu[0] == 0
+    assert sigma[1:].tolist() == [sigma_divisor(1, n) for n in range(1, 301)]
+    assert mu[1:].tolist() == [moebius(n) for n in range(1, 301)]
+    assert multiplicative_row(1, lambda p, q: 7, spf).tolist() == [0, 1]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -92,6 +93,13 @@ def test_cli_hurwitz_csv(tmp_path, capsys):
     assert code == 0
     assert out[0] == "n,H(n)"
     assert out[1:] == ["0,-1/12", "1,0/1", "2,0/1", "3,1/3", "4,1/2"]
+
+
+def test_cli_hurwitz_csv_to_3000_is_exact(capsys):
+    # the digest perfbench/reference.json pins for the `table` workload
+    assert main(["hurwitz", "--max", "3000", "--no-cache", "--format", "csv"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "1a607931c444bb4d2ad2b5709a1ef0a024d7124833a6ca09020871269948eaee"
 
 
 def test_cli_hurwitz_json_schema(tmp_path, capsys):

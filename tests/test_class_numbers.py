@@ -1,15 +1,18 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mockform import class_numbers
-from mockform.characters import QuadraticCharacter
+from mockform.arithmetic import is_fundamental_discriminant
+from mockform.characters import QuadraticCharacter, l_exact_neg
 from mockform.class_numbers import (
     ClassNumberTable,
     QuadraticForm,
     build_table,
     cohen_class_number,
     first_formula_mismatch,
+    formula_sixths,
     hurwitz_class_number,
     reduced_forms,
     t_chi,
@@ -125,4 +128,57 @@ def test_formula_cross_check_reports_first_mismatch(monkeypatch):
 
     monkeypatch.setattr(class_numbers, "_sixths_by_forms", tampered)
     with pytest.raises(ArithmeticError, match="n=23: enumeration 4 vs formula 3"):
+        build_table(40)
+
+
+def test_first_formula_mismatch_counts_non_integral_sixths():
+    values = list(build_table(40))
+    values[12] = Fraction(1, 7)                  # 6/7 is no integer
+    assert first_formula_mismatch(values) == 12
+    values[0] = Fraction(1, 12)
+    assert first_formula_mismatch(values) == 0
+    assert first_formula_mismatch([]) is None
+    assert first_formula_mismatch([Fraction(-1, 12)]) is None
+
+
+def test_formula_sixths_matches_enumeration():
+    formula = formula_sixths(5000)
+    assert formula.dtype == np.int64 and formula[0] == 0
+    assert np.array_equal(formula[1:], class_numbers._sixths_by_forms(5000)[1:])
+
+
+def test_formula_sixths_matches_scalar_formula():
+    formula = formula_sixths(800)
+    for n in range(1, 801):
+        assert formula[n] == 6 * cohen_class_number(1, n), n
+    assert formula_sixths(0).tolist() == [0]
+    assert formula_sixths(4).tolist() == [0, 0, 0, 2, 3]
+
+
+def test_formula_sixths_l_values():
+    # N = |d| has f = 1, so the entry is 6 L(0, chi_d) itself
+    formula = formula_sixths(2000)
+    for d in range(-2000, -2):
+        if is_fundamental_discriminant(d):
+            assert formula[-d] == 6 * l_exact_neg(QuadraticCharacter(d), 1), d
+
+
+@pytest.mark.parametrize("d, p, message", [
+    # chi_{-3}(2) enters only T_1(2): H(12) = L(0) (3 - chi(2)) becomes 2/3
+    (-3, 2, "n=12: enumeration 4/3 vs formula 2/3"),
+    # chi_{-7}(2) enters L(0, chi_{-7}) itself, which stops being a multiple of 1/6
+    (-7, 2, r"n=7: 6 L\(0, chi_-7\) = 6/7 is not an integer"),
+], ids=["T1", "L0"])
+def test_build_table_refuses_a_flipped_character(monkeypatch, d, p, message):
+    kernel = class_numbers.kronecker_column
+
+    def flipped(m, a):
+        col = kernel(m, a)
+        if m == d:
+            col[np.asarray(a) == p] *= -1
+        return col
+
+    assert build_table(40) == build_table(40, cross_check=False)
+    monkeypatch.setattr(class_numbers, "kronecker_column", flipped)
+    with pytest.raises(ArithmeticError, match=message):
         build_table(40)

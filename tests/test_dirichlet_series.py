@@ -26,8 +26,11 @@ from mockform.dirichlet_series import (
 
 
 def gamma_by_definition(c, n):
-    """Direct 2c-term summation, the independent route to gamma_c(n)."""
-    return sum(lambda_factor(a, c) * cmath.exp(-1j * pi * n * a / c)
+    """Direct 2c-term summation, the independent route to gamma_c(n).
+
+    The phase e^{-pi i n a / c} has period 2c in n a, so n a is reduced first.
+    """
+    return sum(lambda_factor(a, c) * cmath.exp(-1j * pi * ((n * a) % (2 * c)) / c)
                for a in range(1, 2 * c + 1)) / sqrt(c)
 
 
@@ -79,6 +82,13 @@ def test_upsilon_equals_gamma():
                 assert abs(lhs - rhs) < 1e-12, (m, k, h)
     with pytest.raises(ValueError):
         upsilon(4, 1, 1)
+
+
+def test_upsilon_at_large_h():
+    # the phase n h / m is reduced mod m as an integer, so the error does not grow with |h|
+    for h in (10 ** 5, 10 ** 7):
+        for k in (1, 2):
+            assert abs(upsilon(499, k, h) - gauss_sum_gamma(499, (-1) ** k * h)) < 1e-12, (h, k)
 
 
 def test_eighth_root_prefactor_identities():
