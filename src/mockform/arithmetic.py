@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -287,17 +287,21 @@ def zeta_exact_neg(r: int) -> Fraction:
 _EM_ORDER = 6
 
 
-def _em_tail_no_pole(s: float, x: float) -> float:
-    """Euler-Maclaurin tail of sum_{n >= 0} (n + x)^{-s} *without* x^{1-s}/(s-1)."""
+# B_{2j} / (2j)! for j = 1.._EM_ORDER
+_EM_COEFFS = tuple(float(bernoulli_number(2 * j) / factorial(2 * j))
+                   for j in range(1, _EM_ORDER + 1))
+
+
+def _em_tail_no_pole(s: float, x):
+    """Euler-Maclaurin tail of sum_{n >= 0} (n + x)^{-s} *without* x^{1-s}/(s-1).
+
+    x may be a float or an array of abscissae, one tail each.
+    """
     acc = 0.5 * x ** -s
-    for j in range(1, _EM_ORDER + 1):
-        coeff = float(bernoulli_number(2 * j))
-        for t in range(1, 2 * j + 1):
-            coeff /= t
-        poch = 1.0
-        for t in range(2 * j - 1):
-            poch *= s + t
+    poch = s                                   # s (s+1) ... (s+2j-2)
+    for j, coeff in enumerate(_EM_COEFFS, start=1):
         acc += coeff * poch * x ** (-s - 2 * j + 1)
+        poch *= (s + 2 * j - 1) * (s + 2 * j)
     return acc
 
 

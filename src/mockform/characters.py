@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, exp, expm1, log, pi, sqrt
+from math import comb, exp, log, pi, sqrt
 
 import numpy as np
 
@@ -85,19 +85,21 @@ def l_numeric(chi: QuadraticCharacter, s: float, cfg: EvalConfig = DEFAULT_CONFI
     direct = float((vals[np.arange(1, n0) % q] * n ** -s).sum())
 
     # tail over arithmetic progressions: sum_j chi(j) q^{-s} zeta(s, periods + j/q)
-    support = [j for j in range(1, q + 1) if vals[j % q] != 0]
-    xs = [periods + j / q for j in support]
-    tail = sum(vals[j % q] * _em_tail_no_pole(s, x) for j, x in zip(support, xs))
+    j = np.arange(1, q + 1)
+    signs = vals[j % q]
+    support = signs != 0
+    signs = signs[support].astype(float)
+    xs = periods + j[support] / q
+    tail = float(signs @ _em_tail_no_pole(s, xs))
     # pole parts x^{1-s}/(s-1) summed against chi: subtract the first abscissa,
     # legitimate since sum_j chi(j) = 0 over the full period
     lref = log(xs[0])
-    for j, x in zip(support, xs):
-        delta = log(x) - lref
-        if abs(s - 1.0) < 1e-13:
-            phi = -delta
-        else:
-            phi = expm1((1.0 - s) * delta) / (s - 1.0)
-        tail += vals[j % q] * exp((1.0 - s) * lref) * phi
+    delta = np.log(xs) - lref
+    if abs(s - 1.0) < 1e-13:
+        phi = -delta
+    else:
+        phi = np.expm1((1.0 - s) * delta) / (s - 1.0)
+    tail += exp((1.0 - s) * lref) * float(signs @ phi)
     return direct + q ** -s * tail
 
 

@@ -19,7 +19,7 @@ import warnings
 from .cache import CacheError, default_cache_path, load_or_build
 from .class_numbers import build_table
 from .config import DEFAULT_CONFIG
-from .eisenstein import eisenstein_direct, eisenstein_fourier
+from .eisenstein import eisenstein_direct, eisenstein_fourier, lattice_tail_estimate
 from .maass import (completed_hurwitz_series, e2_star, e2_truncation, theta_series,
                     theta_truncation)
 from .special_functions import QuadratureError
@@ -153,6 +153,8 @@ def _cmd_eval(args) -> int:
             direct = eisenstein_direct("H", args.k, args.s, tau, cfg)
             fourier = eisenstein_fourier(args.k, args.s, tau, cfg)
             record.update(k=args.k, s=args.s, value=_c(direct),
+                          lattice_tail_estimate=lattice_tail_estimate(
+                              args.k, args.s, tau, cfg.lattice_bound, "H"),
                           fourier_value=_c(fourier),
                           route_difference=abs(direct - fourier))
     except ValueError as exc:

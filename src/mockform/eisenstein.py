@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
-from math import pi
+from math import pi, sqrt
 from typing import Callable, Literal
 
 import numpy as np
@@ -157,35 +157,78 @@ def sigma_shift_residual(g1: Gamma04Matrix, g2: Gamma04Matrix, tau: complex) -> 
 Kind = Literal["E", "F", "H"]
 
 
-def lattice_tail_estimate(k: int, s: float, tau: complex, M: int) -> float:
-    """Integral-comparison estimate of the lattice-sum truncation error.
+def lattice_tail_estimate(k: int, s: float, tau: complex, M: int, kind: Kind = "E") -> float:
+    """Integral-comparison estimate of the truncation error of eisenstein_direct.
 
     Points m tau + n with m odd form a lattice of covolume 2v; dropping
     |m tau + n| > M v and integrating r^{-(k+1/2+2s)} over the remaining
-    density gives (pi / v) (M v)^{2-w} / (w - 2) with w = k + 1/2 + 2s.
+    density gives (pi / v) (M v)^{2-w} / (w - 2) with w = k + 1/2 + 2s for E.
+    F carries the estimate at -1/(4 tau) times |tau|^{-w}, and H combines
+    them as |zeta(1-2k)| / 2^{2k+1} (sqrt(2) est_E + est_F).
     """
     w = k + 0.5 + 2.0 * s
     if w <= 2:
         raise ValueError("estimate needs k + 1/2 + 2s > 2")
-    v = require_upper_half(tau).imag
-    return pi / v * (M * v) ** (2.0 - w) / (w - 2.0)
+    tau = require_upper_half(tau)
+    if kind == "E":
+        v = tau.imag
+        return pi / v * (M * v) ** (2.0 - w) / (w - 2.0)
+    if kind == "F":
+        return abs(tau) ** -w * lattice_tail_estimate(k, s, -1.0 / (4.0 * tau), M)
+    if kind == "H":
+        zk = abs(float(zeta_exact_neg(k)))
+        return zk / 2 ** (2 * k + 1) * (sqrt(2.0) * lattice_tail_estimate(k, s, tau, M)
+                                        + lattice_tail_estimate(k, s, tau, M, "F"))
+    raise ValueError(f"unknown kind {kind!r}")
 
 
-# Every lattice sum revisits the odd m <= M, so their symbol rows are cached (bounded).
-_odd_row = functools.lru_cache(maxsize=8192)(jacobi_row)
+# Every lattice sum revisits the odd m <= M; the cache holds the rows of
+# m < 4096, at most 34 MB of floats.
+@functools.lru_cache(maxsize=2048)
+def _symbol_row(m: int) -> np.ndarray:
+    """(n/m) for n mod m, as floats that weight the real powers in place."""
+    return jacobi_row(m).astype(float)
 
 
 def _lattice_sum(k: int, s: float, tau: complex, M: int) -> complex:
+    """E_{k+1/2,s}(tau) truncated to odd m <= M and |n| <= M (1 + |tau|).
+
+    The terms are (n/m) eps_m^{-2k-1} z^{-k-1/2} |z|^{-2s} with z = m tau + n.
+    Each term is conj(z^k sqrt z) (|z|^2)^{-(k+s+1/2)}, built from real
+    arithmetic: sqrt z from real square roots on the branch that does not
+    cancel (t = sqrt((|z| + |x|)/2) and y/(2t), swapped where x = Re z < 0),
+    k complex products and one real power per point.  The symbols and
+    powers are real, so each row's sum is conjugated once.
+    """
     tau = require_upper_half(tau)
     total = 0j
     n_max = int(np.ceil(M * (1.0 + abs(tau))))
-    ns = np.arange(-n_max, n_max + 1)
-    expo = -(k + 0.5)
+    ints = np.arange(-n_max, n_max + 1)
+    ns = ints.astype(float)
+    expo = -(k + s + 0.5)
+    u, v = tau.real, tau.imag
+    root = np.empty(ns.size, dtype=complex)
+    re, im = root.real, root.imag
     for m in range(1, M + 1, 2):
-        symbols = _odd_row(m)[ns % m]
-        z = m * tau + ns
-        terms = symbols * np.exp(expo * np.log(z)) * np.abs(z) ** (-2.0 * s)
-        total += epsilon_factor(m) ** (-2 * k - 1) * terms.sum()
+        x = ns + m * u                         # ascending in n
+        y = m * v
+        r2 = x * x
+        r2 += y * y
+        big = np.sqrt(r2)
+        big += np.abs(x)
+        big *= 0.5
+        np.sqrt(big, out=big)
+        small = (0.5 * y) / big
+        j = int(np.searchsorted(x, 0.0))       # x < 0 exactly before j
+        re[:j], im[:j] = small[:j], big[:j]
+        re[j:], im[j:] = big[j:], small[j:]
+        z = ns + m * tau
+        terms = root
+        for _ in range(k):
+            terms = terms * z
+        weights = r2 ** expo
+        weights *= np.take(_symbol_row(m), ints, mode="wrap")
+        total += epsilon_factor(m) ** (-2 * k - 1) * np.conj(terms @ weights)
     return complex(total)
 
 
@@ -198,8 +241,10 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
     the (-2s)-power of |tau| is forced by the |c tau + d|^{2s} transformation
     law (and by the tau-independence of the constant Fourier term).  H is
     the combination zeta(1-2k)/2^{2k+1} [(1 + i^{2k+1}) E + i^{2k+1} F].
-    The truncation error is roughly lattice_tail_estimate(k, s, tau, M).
+    The truncation error is roughly lattice_tail_estimate(k, s, tau, M, kind).
     """
+    if k < 0:
+        raise ValueError(f"lattice sum needs k >= 0, got k={k}")
     if k + 0.5 + 2 * s <= 2:
         raise ValueError(f"lattice sum diverges at k={k}, s={s}: need k + 2s > 3/2")
     tau = require_upper_half(tau)

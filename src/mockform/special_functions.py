@@ -142,14 +142,14 @@ def omega(y: float, alpha: complex, beta: complex,
     g1 = a - 1.0 - y  # d/du [e^{-yu}(u+1)^{a-1}] at u = 0
 
     if is_real:
-        def smooth(u):
-            return np.exp(-y * u) * (u + 1.0) ** (a - 1.0)
+        # quad passes floats, so the integrands stay in float arithmetic
+        y, am1, bm1 = float(y), a - 1.0, b - 1.0
 
         def near(u):
-            return (smooth(u) - g0 - g1 * u) * u ** (b - 1.0)
+            return (exp(-y * u) * (u + 1.0) ** am1 - g0 - g1 * u) * u ** bm1
 
         def far(u):
-            return smooth(u) * u ** (b - 1.0)
+            return exp(-y * u) * (u + 1.0) ** am1 * u ** bm1
 
         i1, e1 = quad(near, 0.0, 1.0, epsabs=cfg.quad_tol, epsrel=cfg.quad_tol, limit=300)
         i2, e2 = quad(far, 1.0, np.inf, epsabs=cfg.quad_tol, epsrel=cfg.quad_tol, limit=300)

@@ -14,7 +14,7 @@ from mockform.class_numbers import build_table
 import mockform
 from mockform import verify
 from mockform.cli import main
-from mockform.eisenstein import eisenstein_direct
+from mockform.eisenstein import eisenstein_direct, lattice_tail_estimate
 from mockform.maass import e2_truncation, theta_truncation
 
 
@@ -212,6 +212,9 @@ def test_cli_eval_eisenstein_dual(capsys):
     assert code == 0
     rec = payload["results"][0]
     assert rec["route_difference"] < 5e-3 * abs(complex(*rec["value"]))
+    # the truncation estimate of the lattice value it prints
+    assert rec["lattice_tail_estimate"] == lattice_tail_estimate(2, 1.0, 1j, 301, "H")
+    assert 0 < rec["lattice_tail_estimate"] < 1e-5
 
 
 def test_cli_eval_errors(capsys):

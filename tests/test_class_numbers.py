@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mockform import class_numbers
+from mockform import class_numbers, verify
 from mockform.arithmetic import is_fundamental_discriminant
 from mockform.characters import QuadraticCharacter, l_exact_neg
 from mockform.class_numbers import (
@@ -129,6 +129,26 @@ def test_formula_cross_check_reports_first_mismatch(monkeypatch):
     monkeypatch.setattr(class_numbers, "_sixths_by_forms", tampered)
     with pytest.raises(ArithmeticError, match="n=23: enumeration 4 vs formula 3"):
         build_table(40)
+
+
+def test_verify_dirichlet_cross_check_record(monkeypatch):
+    def record():
+        (rec,) = [r for r in verify.verify_dirichlet(max_n=300)
+                  if r.check_name == "hurwitz_formula_cross_check"]
+        return rec
+
+    rec = record()
+    assert rec.passed and rec.parameters == {"max_n": 300, "first_mismatch": None}
+    sixths = class_numbers._sixths_by_forms
+
+    def tampered(max_n):
+        out = sixths(max_n)
+        out[[23, 31]] += 6
+        return out
+
+    monkeypatch.setattr(verify, "_sixths_by_forms", tampered)
+    rec = record()
+    assert not rec.passed and rec.parameters["first_mismatch"] == 23
 
 
 def test_first_formula_mismatch_counts_non_integral_sixths():

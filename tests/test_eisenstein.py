@@ -6,9 +6,11 @@ import pytest
 
 from mockform.config import EvalConfig
 from mockform.class_numbers import cohen_class_number
+from mockform.arithmetic import epsilon_factor, jacobi_row
 from mockform.eisenstein import (
     Gamma04Matrix,
     IDENTITY,
+    _lattice_sum,
     automorphy_factor,
     cocycle_sign,
     eisenstein_direct,
@@ -25,6 +27,8 @@ from mockform.eisenstein import (
 from mockform.maass import theta_series
 
 CFG = EvalConfig()
+# the (k, s) pairs of the benchmark's eisenstein workload
+WORKLOAD_PAIRS = ((1, 1.0), (2, 1.0), (2, 0.5), (3, 0.25), (1, 0.75), (2, 0.25))
 
 
 def test_matrix_validation():
@@ -128,6 +132,34 @@ def test_f_defining_relation():
     assert lhs == rhs  # same code path, defining relation
 
 
+def _lattice_sum_complex_log(k, s, tau, M):
+    """The lattice sum with every power taken as exp(-(k+1/2) log z) |z|^{-2s}."""
+    total = 0j
+    n_max = int(np.ceil(M * (1.0 + abs(tau))))
+    ns = np.arange(-n_max, n_max + 1)
+    for m in range(1, M + 1, 2):
+        z = m * tau + ns
+        terms = jacobi_row(m)[ns % m] * np.exp(-(k + 0.5) * np.log(z)) * np.abs(z) ** (-2.0 * s)
+        total += epsilon_factor(m) ** (-2 * k - 1) * terms.sum()
+    return complex(total)
+
+
+def test_lattice_sum_matches_complex_log_formula():
+    rng = np.random.default_rng(10)
+    taus = [complex(u, rng.uniform(0.6, 1.5)) for u in (-0.5, 0.5)]
+    taus += [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.5)) for _ in range(2)]
+    # F points -1/(4 tau) with |tau| up to 2: Im z is small and Re z < 0 dominates
+    big = [2.0 * cmath.exp(1j * rng.uniform(0.3, pi - 0.3)) for _ in range(2)]
+    taus += [-1.0 / (4.0 * t) for t in taus[:2] + big]
+    for k, s in WORKLOAD_PAIRS:
+        for tau in taus:
+            expected = _lattice_sum_complex_log(k, s, tau, 61)
+            got = _lattice_sum(k, s, tau, 61)
+            assert abs(got - expected) < 1e-13 * abs(expected), (k, s, tau)
+    with pytest.raises(ValueError):
+        eisenstein_direct("E", -1, 2.0, 1j, CFG)
+
+
 def test_lattice_tail_estimate_bounds_refinement():
     tau = 0.2 + 0.9j
     for (k, s) in ((1, 1.0), (2, 1.0)):
@@ -139,6 +171,17 @@ def test_lattice_tail_estimate_bounds_refinement():
         assert estimate < 1e-2
     with pytest.raises(ValueError):
         lattice_tail_estimate(1, 0.0, tau, 100)
+    with pytest.raises(ValueError):
+        lattice_tail_estimate(2, 1.0, tau, 100, "X")
+
+
+def test_h_lattice_tail_estimate_bounds_refinement():
+    for tau in (0.1 + 0.8j, -0.4 + 1.3j):
+        for k, s in WORKLOAD_PAIRS:
+            coarse = eisenstein_direct("H", k, s, tau, CFG.with_(lattice_bound=151))
+            fine = eisenstein_direct("H", k, s, tau, CFG.with_(lattice_bound=601))
+            estimate = lattice_tail_estimate(k, s, tau, 151, "H")
+            assert abs(coarse - fine) < estimate, (k, s, tau)
 
 
 def test_dual_route_agreement():

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfc as scipy_erfc, gamma as Gamma, gammaincc, hyperu
 
+from mockform import special_functions
 from mockform.config import EvalConfig
 from mockform.special_functions import (
     erfc_scalar,
@@ -83,6 +84,24 @@ def test_omega_incomplete_gamma_identity():
         lhs = v ** -1.5 * exp(4 * pi * h * v) * omega(y, -0.5, 1.0, CFG)
         rhs = (-4.0 * pi * h) ** 1.5 * upper_incomplete_gamma(-0.5, y)
         assert abs(lhs - rhs) < 1e-8, (h, v)
+
+
+def test_omega_looks_up_quad_at_call_time(monkeypatch):
+    # the benchmark's quadrature counter replaces special_functions.quad
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(special_functions, "quad", counted)
+    for y, a, b in ((4.0, 2.5, 1.0), (12.0, 1.5001, 1e-4), (0.8, 3.5, 2.0)):
+        del calls[:]
+        omega(y, a, b, CFG)
+        assert calls == [(0.0, 1.0), (1.0, np.inf)], (y, a, b)
+    del calls[:]
+    assert omega(3.0, 2.5, 0.0) == 1.0
+    assert calls == []
 
 
 def test_omega_domain():
