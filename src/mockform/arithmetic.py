@@ -221,13 +221,6 @@ def bernoulli_number(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
-    """B_n(x) = sum_j C(n,j) B_j x^{n-j}, exact for rational x."""
-    x = Fraction(x)
-    return sum((comb(n, j) * bernoulli_number(j) * x ** (n - j) for j in range(n + 1)),
-               Fraction(0))
-
-
 class DiscriminantFactorization(NamedTuple):
     d: int
     f: int

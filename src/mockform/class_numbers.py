@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,21 +237,6 @@ def _first_mismatch(sixths: np.ndarray, formula: np.ndarray) -> int | None:
     """The first n >= 1 with sixths[n] != formula[n], else None."""
     bad = np.flatnonzero(sixths[1:] != formula[1:])
     return int(bad[0]) + 1 if bad.size else None
-
-
-def first_formula_mismatch(values: Iterable[Fraction]) -> int | None:
-    """The first n with values[n] != H(n) by the class number formula, else None.
-
-    One comparison of 6 values[n] against formula_sixths; a non-integral
-    6 values[n] never equals the integer there, so it counts as a mismatch.
-    """
-    values = list(values)
-    if not values:
-        return None
-    if values[0] != Fraction(-1, 12):
-        return 0
-    six = np.array([6 * value for value in values], dtype=object)
-    return _first_mismatch(six, formula_sixths(len(values) - 1))
 
 
 def build_table(max_n: int, cfg: EvalConfig = DEFAULT_CONFIG,

@@ -4,7 +4,7 @@
     mockform eval --target H --tau 0,1.2
     mockform verify --suite all --format json
 
-Exit codes: 0 success, 1 usage error, 2 check or convergence failure.
+Exit codes: 0 success, 1 usage error, 2 check, convergence or domain failure.
 Tables and verification reports go to stdout, diagnostics to stderr.
 """
 
@@ -159,6 +159,8 @@ def _cmd_eval(args) -> int:
                           route_difference=abs(direct - fourier))
     except ValueError as exc:
         return _fail(2, f"evaluation outside the convergence domain: {exc}")
+    except OverflowError as exc:
+        return _fail(2, f"evaluation overflows a float: {exc}")
     except QuadratureError as exc:
         return _fail(2, str(exc))
     if args.format == "json":

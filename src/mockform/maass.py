@@ -73,15 +73,6 @@ def theta_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     return complex(1.0 + 2.0 * np.exp(2j * pi * tau * n * n).sum())
 
 
-def _holo_terms_needed(v: float, tol: float, cap: int) -> int:
-    """Smallest N with sum_{n>N} H(n) e^{-2 pi n v} < tol, using H(n) <= n."""
-    r = exp(-2 * pi * v)
-    N = 4
-    while (N + 1) * r ** (N + 1) / (1 - r) ** 2 > tol and N < cap:
-        N += 1
-    return N
-
-
 def completed_hurwitz_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG,
                              table: ClassNumberTable | None = None) -> HarmonicFormValue:
     """Evaluate the completed class number series at tau (v >= 0.05).
@@ -89,14 +80,19 @@ def completed_hurwitz_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG,
     The holomorphic part is read from the supplied table (or computed and
     memoized on the fly); the nonholomorphic part sums incomplete gamma
     terms that decay like e^{-2 pi n^2 v}.  Reported truncation_tail bounds
-    everything dropped from both series.
+    everything dropped from both series.  Raises ValueError when the
+    holomorphic part needs more than q_terms terms for a tail below quad_tol.
     """
     tau = require_upper_half(tau)
     v = tau.imag
     if v < 0.05:
         raise ValueError(f"truncation floor: require v >= 0.05, got v={v}")
     tol = cfg.quad_tol
-    N = _holo_terms_needed(v, tol, cfg.q_terms)
+    r = exp(-2 * pi * v)
+    # sum_{n>N} H(n) r^n <= sum_{n>N} n r^n <= (N+1) r^{N+1} / (1-r)^2, as H(n) <= n
+    N, holo_tail = _truncate("completed_hurwitz_series",
+                             lambda N: (N + 1) * r ** (N + 1) / (1 - r) ** 2,
+                             4, cfg.q_terms, v, tol)
     if table is not None and table.max_n < N:
         raise ValueError(
             f"class number table holds n <= {table.max_n} but v={v} "
@@ -111,8 +107,6 @@ def completed_hurwitz_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG,
         h = lookup(n)
         if h:
             holo += float(h) * qn
-    r = exp(-2 * pi * v)
-    holo_tail = (N + 1) * r ** (N + 1) / (1 - r) ** 2
 
     nonholo = complex(1.0 / (8.0 * pi * sqrt(v)))
     n = 1

@@ -116,67 +116,40 @@ def upper_incomplete_gamma(s: float, x: float) -> float:
     return val
 
 
-def omega(y: float, alpha: complex, beta: complex,
-          cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def omega(y: float, alpha: float, beta: float,
+          cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """Omega(y, alpha, beta) = y^beta / Gamma(beta) * int_0^inf e^{-yu} (u+1)^{alpha-1} u^{beta-1} du.
 
-    Defined for y > 0 and Re(beta) > 0; Omega(y, alpha, 0) = 1 by convention.
+    Defined for real alpha, y > 0 and beta > 0; Omega(y, alpha, 0) = 1 by convention.
     Satisfies the symmetry Omega(y, 1-beta, 1-alpha) = Omega(y, alpha, beta).
     The endpoint singularity u^{beta-1} is removed by splitting off the first
     two Taylor terms of e^{-yu}(u+1)^{alpha-1}, which keeps the quadrature
-    stable down to Re(beta) ~ 1e-4.
+    stable down to beta ~ 1e-4.
     """
     if y <= 0:
         raise ValueError("omega requires y > 0")
-    alpha = complex(alpha)
-    beta = complex(beta)
+    # quad passes floats, so the integrands stay in float arithmetic
+    y, alpha, beta = float(y), float(alpha), float(beta)
     if beta == 0:
-        return 1.0 + 0j
-    if beta.real <= 0:
-        raise ValueError("omega requires Re(beta) > 0 (or beta = 0 exactly)")
-    is_real = alpha.imag == 0 and beta.imag == 0
-    a = alpha.real if is_real else alpha
-    b = beta.real if is_real else beta
+        return 1.0
+    if beta < 0:
+        raise ValueError("omega requires beta > 0 (or beta = 0 exactly)")
+    am1, bm1 = alpha - 1.0, beta - 1.0
+    g1 = am1 - y  # d/du [e^{-yu}(u+1)^{alpha-1}] at u = 0
 
-    g0 = 1.0
-    g1 = a - 1.0 - y  # d/du [e^{-yu}(u+1)^{a-1}] at u = 0
+    def near(u):
+        return (exp(-y * u) * (u + 1.0) ** am1 - 1.0 - g1 * u) * u ** bm1
 
-    if is_real:
-        # quad passes floats, so the integrands stay in float arithmetic
-        y, am1, bm1 = float(y), a - 1.0, b - 1.0
+    def far(u):
+        return exp(-y * u) * (u + 1.0) ** am1 * u ** bm1
 
-        def near(u):
-            return (exp(-y * u) * (u + 1.0) ** am1 - g0 - g1 * u) * u ** bm1
-
-        def far(u):
-            return exp(-y * u) * (u + 1.0) ** am1 * u ** bm1
-
-        i1, e1 = quad(near, 0.0, 1.0, epsabs=cfg.quad_tol, epsrel=cfg.quad_tol, limit=300)
-        i2, e2 = quad(far, 1.0, np.inf, epsabs=cfg.quad_tol, epsrel=cfg.quad_tol, limit=300)
-    else:
-        def near(u):
-            su = cmath.exp(-y * u) * (u + 1.0) ** (a - 1.0)
-            return (su - g0 - g1 * u) * u ** (b - 1.0)
-
-        def far(u):
-            return cmath.exp(-y * u) * (u + 1.0) ** (a - 1.0) * u ** (b - 1.0)
-
-        i1, e1 = quad(near, 0.0, 1.0, epsabs=cfg.quad_tol, epsrel=cfg.quad_tol,
-                      limit=300, complex_func=True)
-        i2, e2 = quad(far, 1.0, np.inf, epsabs=cfg.quad_tol, epsrel=cfg.quad_tol,
-                      limit=300, complex_func=True)
-    total = g0 / b + g1 / (b + 1.0) + i1 + i2
+    i1, e1 = quad(near, 0.0, 1.0, epsabs=cfg.quad_tol, epsrel=cfg.quad_tol, limit=300)
+    i2, e2 = quad(far, 1.0, np.inf, epsabs=cfg.quad_tol, epsrel=cfg.quad_tol, limit=300)
+    total = 1.0 / beta + g1 / (beta + 1.0) + i1 + i2
     achieved = abs(e1) + abs(e2)
     if achieved > 1e3 * cfg.quad_tol * max(1.0, abs(total)):
         raise QuadratureError("omega quadrature did not converge", achieved)
-    return complex(y ** b if is_real else cmath.exp(b * cmath.log(y))) \
-        * complex(total) * complex(_gamma_recip(beta))
-
-
-def _gamma_recip(z: complex) -> complex:
-    if z.imag == 0:
-        return complex(_rgamma(z.real))
-    return 1.0 / _gamma(z)
+    return float(y ** beta * total * _rgamma(beta))
 
 
 def _principal_power(z: complex, w: complex) -> complex:
@@ -184,34 +157,32 @@ def _principal_power(z: complex, w: complex) -> complex:
     return cmath.exp(w * cmath.log(z))
 
 
-def xi_fourier_kernel(y: float, alpha: complex, beta: complex, t: float,
+def xi_fourier_kernel(y: float, alpha: float, beta: float, t: float,
                       cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """The Fourier transform int e^{-2 pi i t x} (x+iy)^{-alpha} (x-iy)^{-beta} dx.
 
-    Evaluated through its meromorphic continuation: three closed branches in
+    Takes real alpha and beta.  Evaluated through its meromorphic continuation: three closed branches in
     the sign of t, built from Omega; reciprocal gamma prefactors give exact
     zeros where 1/Gamma vanishes.
     """
     if y <= 0:
         raise ValueError("xi_fourier_kernel requires y > 0")
-    alpha = complex(alpha)
-    beta = complex(beta)
     phase = _principal_power(1j, beta - alpha)
     if t > 0:
-        ra = _gamma_recip(alpha)
+        ra = _rgamma(alpha)
         if ra == 0:
             return 0j
         return (phase * _principal_power(2 * pi, alpha) * ra
                 * _principal_power(2 * y, -beta) * _principal_power(t, alpha - 1)
                 * exp(-2 * pi * y * t) * omega(4 * pi * y * t, alpha, beta, cfg))
     if t == 0:
-        ra, rb = _gamma_recip(alpha), _gamma_recip(beta)
+        ra, rb = _rgamma(alpha), _rgamma(beta)
         if ra == 0 or rb == 0:
             return 0j
         return (phase * _principal_power(2 * pi, alpha + beta) * ra * rb
                 * _gamma(alpha + beta - 1)
                 * _principal_power(4 * pi * y, 1 - alpha - beta))
-    rb = _gamma_recip(beta)
+    rb = _rgamma(beta)
     if rb == 0:
         return 0j
     return (phase * _principal_power(2 * pi, beta) * rb
@@ -241,14 +212,14 @@ def rho_kernel(h: int, k: int, s: float, v: float,
         raise ValueError("rho_kernel requires s >= 0")
     a = k + 0.5 + s
     if h > 0:
-        om = 1.0 + 0j if s == 0 else omega(4 * pi * h * v, a, s, cfg)
-        return (_principal_power(-2j * pi, k + 0.5) * pi ** s * _gamma_recip(a)
+        om = 1.0 if s == 0 else omega(4 * pi * h * v, a, s, cfg)
+        return (_principal_power(-2j * pi, k + 0.5) * pi ** s * _rgamma(a)
                 * h ** (k - 0.5 + s) * v ** (-s) * om)
-    rs = _gamma_recip(s)
+    rs = _rgamma(s)
     if rs == 0:
         return 0j
     if h == 0:
-        return (_principal_power(1j, -k - 0.5) * 2 * pi * _gamma_recip(a) * rs
+        return (_principal_power(1j, -k - 0.5) * 2 * pi * _rgamma(a) * rs
                 * _gamma(k - 0.5 + 2 * s) * (2 * v) ** (-k + 0.5 - 2 * s))
     om = omega(-4 * pi * h * v, s, a, cfg)
     return (_principal_power(2j, -k - 0.5) * pi ** s * rs

@@ -7,10 +7,14 @@ class-number-formula cross-check, the Gauss-sum Dirichlet series closed
 forms, Cohen class number consistency, the multiplier identities, the
 dual-route Eisenstein evaluations and the s -> 0 coefficient limits.
 
+These records are the single definition of each acceptance criterion:
+tests/test_acceptance.py asserts on them instead of recomputing the checks.
+
 The two shadow-constant checks deliberately pin the constant both ways:
 the measured shadow of the completed series is -Theta/(16 pi), so the
-checks against -Theta/16 report as failed while the pi-normalized twins
-pass; the suite is constructed to distinguish the two readings.
+checks against -Theta/16 are negative controls that report as failed
+while the pi-normalized twins pass.  The finite-difference control records
+in "closest" how near -Theta/16 comes at its best sample point.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ from .maass import (
 )
 
 DEFAULT_SEED = 12345
+
+# xi_{3/2} of the completed series is -Theta / SHADOW_DENOMINATOR
+SHADOW_DENOMINATOR = 16.0 * pi
 
 SUITES = ("multiplier", "dirichlet", "fourier", "modularity",
           "shadow", "laplacian", "limits")
@@ -129,7 +136,7 @@ def verify_multiplier(cfg: EvalConfig = DEFAULT_CONFIG,
         i_half = complex(np.exp(1j * pi * (m % 8) / 4))
         worst = max(worst, abs(sqrt(2) * kronecker_symbol(2, m) * 1j / eps - (1 + 1j) * i_half))
         worst = max(worst, abs(sqrt(2) * kronecker_symbol(2, m) / eps - (1 - 1j) * i_half))
-    out.append(_record("eighth_root_identities", {"odd m": "1..99"}, worst, 1e-12, t0))
+    out.append(_record("eighth_root_identities", {"odd m": "1..99"}, worst, 1e-14, t0))
     return out
 
 
@@ -266,14 +273,16 @@ def verify_shadow(cfg: EvalConfig = DEFAULT_CONFIG,
     points = _shadow_sample_points(seed)
 
     t0 = time.perf_counter()
-    worst16 = worst16pi = 0.0
+    residuals16, residuals16pi = [], []
     for tau in points:
         shadow = xi_shadow_fd(lambda t: completed_hurwitz_series(t, cfg).value, 1.5, tau, cfg)
         th = theta_series(tau, cfg)
-        worst16 = max(worst16, abs(shadow + th / 16.0))
-        worst16pi = max(worst16pi, abs(shadow + th / (16.0 * pi)))
-    out.append(_record("shadow_fd_theta_over_16", {"samples": 20}, worst16, 1e-5, t0))
-    out.append(_record("shadow_fd_theta_over_16pi", {"samples": 20}, worst16pi, 1e-5, t0))
+        residuals16.append(abs(shadow + th / 16.0))
+        residuals16pi.append(abs(shadow + th / SHADOW_DENOMINATOR))
+    # closest: how near the pi-free reading comes at its best point (the negative control)
+    out.append(_record("shadow_fd_theta_over_16", {"samples": 20, "closest": min(residuals16)},
+                       max(residuals16), 1e-5, t0))
+    out.append(_record("shadow_fd_theta_over_16pi", {"samples": 20}, max(residuals16pi), 1e-5, t0))
 
     t0 = time.perf_counter()
     stream = {c.exponent: c for c in xi_shadow_analytic(400)}

@@ -1,298 +1,130 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Every check runs at its stated tolerance; nothing is deferred or loosened.
-
-The shadow checks (03, 04) assert xi_{3/2}(completed series) = -Theta/(16 pi).
-The constant follows from the two documented normalisations, the
-nonholomorphic part (1/(4 sqrt pi)) sum n Gamma(-1/2, 4 pi n^2 v) q^(-n^2)
-+ 1/(8 pi sqrt v) and xi_{3/2} = 2 i v^{3/2} conj(d/d taubar):
-
-    xi_{3/2}(1/(8 pi sqrt v)) = 2 i v^{3/2} conj((i/2) (-1/2) v^{-3/2} / (8 pi))
-                              = -1/(16 pi),
-
-and each term (n/(4 sqrt pi)) Gamma(-1/2, 4 pi n^2 v) q^(-n^2) maps in the
-same way to -(1/(8 pi)) q^(n^2).  Test 03 also rejects the pi-free reading
--Theta/16, so the suite cannot confuse the two.
+Each criterion is defined once, as ReportRecords of mockform.verify: every suite runs
+once per session (default seed and config) and the tests assert on its records.  The
+shadow checks (03, 04) assert -Theta/(16 pi) against an mpmath constant; the pi-free
+-Theta/16 records are negative controls that must fail, the FD one by > 1e-2 at every point.
 """
 
-import cmath
-import time
-from fractions import Fraction
-from math import pi
+import functools
+import json
+from pathlib import Path
 
 import mpmath
-import numpy as np
 
-from mockform.class_numbers import cohen_class_number, hurwitz_class_number
-from mockform.config import EvalConfig
-from mockform.dirichlet_series import series_closed, series_partial
-from mockform.eisenstein import (
-    Gamma04Matrix,
-    automorphy_factor,
-    eisenstein_direct,
-    eisenstein_fourier,
-    modularity_residual,
-    multiplier_identity_residual,
-    random_words,
-    sigma_shift_residual,
-)
-from mockform.maass import (
-    alpha_limit,
-    completed_hurwitz_series,
-    e2_star,
-    fourier_coefficient,
-    laplacian_fd,
-    s_limit_check,
-    theta_series,
-    xi_shadow_analytic,
-    xi_shadow_fd,
-)
-from mockform.verify import _cohen_analytic
+from mockform import cli
+from mockform.verify import DEFAULT_SEED, SHADOW_DENOMINATOR, SUITES, run_suite
 
-CFG = EvalConfig()
-SEED = 12345
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
-
-# xi_{3/2} of the documented constant term 1/(8 pi sqrt v), taken from mpmath
-# rather than from mockform.  The term depends on v alone, so d/d taubar is
-# (i/2) d/dv and xi_{3/2} = 2 i v^{3/2} conj((i/2) d/dv) = v^{3/2} d/dv; at
-# v = 1 that is the v-derivative itself, -1/(16 pi).
+# xi_{3/2} of the documented constant term 1/(8 pi sqrt v), from mpmath, not mockform:
+# it depends on v alone, so d/d taubar = (i/2) d/dv and xi_{3/2} = 2 i v^{3/2}
+# conj((i/2) d/dv) = v^{3/2} d/dv, at v = 1 the v-derivative itself, -1/(16 pi).
 SHADOW_CONSTANT = float(mpmath.diff(lambda v: 1 / (8 * mpmath.pi * mpmath.sqrt(v)), 1))
 
 
-def _report(tag, passed, detail):
-    print(f"ACCEPTANCE {tag}: {'PASS' if passed else 'FAIL'} ({detail})")
+@functools.cache
+def _suite(name):
+    return tuple(run_suite(name))
 
 
-def series_value(tau):
-    return completed_hurwitz_series(tau, CFG).value
+def _records(suite, *checks):
+    return [r for r in _suite(suite) if r.check_name in checks]
+
+
+def _accept(tag, records, seconds=None, extra=()):
+    """Print the ACCEPTANCE line of the records and extra (label, ok) pairs; assert all hold."""
+    assert records, f"{tag}: no records"
+    checks = list(extra)
+    for name in dict.fromkeys(r.check_name for r in records):
+        mine = [r for r in records if r.check_name == name]
+        worst = max(mine, key=lambda r: r.residual)
+        checks.append((f"{name} {worst.residual:.2e} vs tol {worst.tolerance:.0e}",
+                       all(r.passed for r in mine)))
+    elapsed = sum(r.elapsed_ms for r in records) / 1000
+    if seconds is not None:
+        checks.append((f"{elapsed:.1f}s < {seconds}s", elapsed < seconds))
+    failed = [label for label, ok in checks if not ok]
+    print(f"ACCEPTANCE {tag}: {'FAIL' if failed else 'PASS'} ({'; '.join(l for l, _ in checks)})")
+    assert not failed, f"{tag}: {failed}"
 
 
 def test_01_hurwitz_cross_check():
-    t0 = time.perf_counter()
-    mismatch = None
-    for n in range(5001):
-        if n % 4 in (1, 2):
-            continue
-        if hurwitz_class_number(n) != cohen_class_number(1, n):
-            mismatch = n
-            break
-    elapsed = time.perf_counter() - t0
-    _report("#1 hurwitz-cross-check", mismatch is None,
-            f"exact equality for N <= 5000, {elapsed:.1f}s")
-    assert mismatch is None, f"first mismatch at N={mismatch}"
-    assert elapsed < 60.0
+    (rec,) = _records("dirichlet", "hurwitz_formula_cross_check")
+    max_n = rec.parameters["max_n"]
+    _accept("#1 hurwitz-cross-check", [rec], 60, [(f"exact for N <= {max_n}", max_n >= 5000)])
 
 
 def test_02_dirichlet_series_closed_forms():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for n in (0, 1, 4, 5, 8, -3, -4, -7):
-        part = series_partial(n, 3.0, 2000)
-        closed = series_closed(n, 3.0, CFG)
-        assert part.tail_bound <= 1e-2
-        assert abs(part.value - closed) <= part.tail_bound, n
-        worst = max(worst, abs(part.value - closed))
-    for n in (2, 3, 6, -1, -2):
-        part = series_partial(n, 3.0, 2000)
-        assert abs(part.value) <= part.tail_bound, n
-    elapsed = time.perf_counter() - t0
-    _report("#2 dirichlet-closed-forms", True,
-            f"worst |partial-closed|={worst:.2e} within tail bound, {elapsed:.1f}s")
-    assert elapsed < 120.0
+    recs = _records("dirichlet", "dirichlet_series_closed_form", "dirichlet_series_vanishing")
+    tail = max(r.parameters["tail_bound"] for r in recs)
+    _accept("#2 dirichlet-closed-forms", recs, 120, [(f"tail {tail:.1e} <= 1e-2", tail <= 1e-2)])
 
 
 def test_02b_cohen_consistency():
-    worst = 0.0
-    for N in (0, 1, 4, 5, 8, 9, 12):
-        exact = float(cohen_class_number(2, N))
-        analytic = _cohen_analytic(2, N)
-        rel = abs(analytic - exact) / max(1e-300, abs(exact))
-        worst = max(worst, rel)
-        assert rel < 1e-8, N
-    _report("#2b cohen-consistency", True, f"worst relative={worst:.2e}")
-
-
-def _shadow_residuals(constant):
-    rng = np.random.default_rng(SEED)
-    residuals = []
-    for _ in range(20):
-        tau = complex(rng.uniform(0, 1), rng.uniform(0.3, 3.0))
-        shadow = xi_shadow_fd(series_value, 1.5, tau, CFG)
-        residuals.append(abs(shadow + theta_series(tau, CFG) / constant))
-    return residuals
-
-
-def _shadow_worst(constant):
-    return max(_shadow_residuals(constant))
+    _accept("#2b cohen-consistency", _records("dirichlet", "cohen_class_number_analytic"))
 
 
 def test_03_shadow_identity_fd():
-    t0 = time.perf_counter()
-    worst = _shadow_worst(-1.0 / SHADOW_CONSTANT)
-    closest_pi_free = min(_shadow_residuals(16.0))
-    elapsed = time.perf_counter() - t0
-    _report("#3 shadow-fd-vs-theta/(16 pi)", worst < 1e-5 and closest_pi_free > 1e-2,
-            f"max residual {worst:.3e} vs tol 1e-5; -Theta/16 missed by "
-            f">= {closest_pi_free:.3e} > 1e-2, {elapsed:.1f}s")
-    assert elapsed < 30.0
-    assert worst < 1e-5, (
-        f"the finite-difference shadow of the completed series misses "
-        f"-Theta/(16 pi) by {worst:.3e}; xi_{{3/2}} of 1/(8 pi sqrt v) is "
-        f"2 i v^{{3/2}} conj((i/2)(-1/2) v^{{-3/2}}/(8 pi)) = -1/(16 pi)")
-    assert closest_pi_free > 1e-2, (
-        f"the finite-difference shadow comes within {closest_pi_free:.3e} of "
-        f"-Theta/16, which the documented normalisation does not give")
+    (pi_free,) = _records("shadow", "shadow_fd_theta_over_16")
+    closest, oracle = pi_free.parameters["closest"], -1 / SHADOW_CONSTANT
+    _accept("#3 shadow-fd-vs-theta/(16 pi)", _records("shadow", "shadow_fd_theta_over_16pi"), 30, [
+        (f"mpmath 16 pi {oracle:.15g}", abs(oracle - SHADOW_DENOMINATOR) <= 1e-12 * oracle),
+        (f"-Theta/16 misses by >= {closest:.2e} > 1e-2", not pi_free.passed and closest > 1e-2)])
 
 
 def test_03b_shadow_identity_fd_detected_constant():
-    worst = _shadow_worst(16.0 * pi)
-    _report("#3b shadow-fd-vs-theta/(16 pi)", worst < 1e-5,
-            f"max residual {worst:.3e} vs tol 1e-5")
-    assert worst < 1e-5
+    _accept("#3b shadow-fd-vs-theta/(16 pi)", _records("shadow", "shadow_fd_theta_over_16pi"))
 
 
 def test_04_shadow_analytic_stream():
-    stream = {c.exponent: c for c in xi_shadow_analytic(400)}
-    theta = {0: 1} | {n * n: 2 for n in range(1, 21)}
-    ok_support = set(stream) == set(theta)
-    ok_values = ok_support and all(
-        stream[n].mantissa == Fraction(-1, 16) * theta[n]
-        and stream[n].pi_power == -1
-        for n in theta)
-    _report("#4 shadow-analytic-vs-theta/(16 pi)", ok_values,
-            "exact rational comparison incl. pi power to exponent 400")
-    assert ok_support, (
-        f"shadow stream support {sorted(stream)} is not {{0}} and the "
-        f"squares up to 400, the support of Theta")
-    assert ok_values, (
-        "analytic shadow coefficients are not -Theta/(16 pi), i.e. "
-        "(-1/16) pi^-1 at exponent 0 and (-1/8) pi^-1 at n^2: c(0) = 1/(8 pi) "
-        "maps to (k-1) c(0) = -1/(16 pi) and c(-n^2) = n/(4 sqrt pi) to "
-        "-(4 pi)^(-1/2) (n/(4 sqrt pi)) / n = -1/(8 pi)")
+    (pi_free,) = _records("shadow", "shadow_analytic_theta_over_16")
+    _accept("#4 shadow-analytic-vs-theta/(16 pi)",
+            _records("shadow", "shadow_analytic_theta_over_16pi"),
+            extra=[("-Theta/16 stream fails", not pi_free.passed)])
 
 
 def test_04b_shadow_analytic_detected_stream():
-    stream = {c.exponent: c for c in xi_shadow_analytic(400)}
-    exponents = {0} | {n * n for n in range(1, 21)}
-    ok = set(stream) == exponents and all(
-        stream[n].mantissa == (Fraction(-1, 16) if n == 0 else Fraction(-1, 8))
-        and stream[n].pi_power == -1
-        for n in exponents)
-    _report("#4b shadow-analytic-vs-theta/(16 pi)", ok,
-            "exact rational equality incl. pi power, exponents <= 400")
-    assert ok
+    (rec,) = _records("shadow", "shadow_analytic_theta_over_16pi")
+    _accept("#4b shadow-analytic-vs-theta/(16 pi)", [rec], extra=[
+        (f"exact to q^{rec.parameters['max_exponent']}",
+         rec.tolerance == 0.0 and rec.parameters["max_exponent"] >= 400)])
 
 
 def test_05_harmonicity():
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for _ in range(10):
-        tau = complex(rng.uniform(0, 1), rng.uniform(0.5, 2.0))
-        worst = max(worst, abs(laplacian_fd(series_value, 1.5, tau, CFG)))
-    _report("#5 harmonicity", worst < 1e-4, f"max |Delta| = {worst:.3e} vs tol 1e-4")
-    assert worst < 1e-4
+    _accept("#5 harmonicity", _records("laplacian", "harmonicity"))
 
 
 def test_06_modularity():
-    t0 = time.perf_counter()
-    g41 = Gamma04Matrix(1, 0, 4, 1)
-    resid_e = modularity_residual(lambda t: eisenstein_direct("E", 2, 1.0, t, CFG),
-                                  2, 1.0, g41, 0.1 + 0.9j)
-    assert resid_e < 1e-3
-    cases = (
-        (Gamma04Matrix(1, 1, 0, 1), (0.13 + 1.1j, 0.4 + 0.9j, -0.22 + 1.3j)),
-        (g41, (-0.25 + 0.45j, -0.25 + 0.6j, -0.1 + 0.5j)),
-        (Gamma04Matrix(-3, -1, 4, 1), (-0.25 + 0.45j, -0.25 + 0.6j, -0.1 + 0.5j)),
-    )
-    worst = 0.0
-    for g, taus in cases:
-        for tau in taus:
-            assert min(tau.imag, g.apply(tau).imag) >= 0.08
-            worst = max(worst, modularity_residual(series_value, 1, 0.0, g, tau))
-    elapsed = time.perf_counter() - t0
-    _report("#6 modularity", resid_e < 1e-3 and worst < 1e-6,
-            f"Eisenstein {resid_e:.2e} < 1e-3; completed series {worst:.2e} < 1e-6; "
-            f"{elapsed:.1f}s")
-    assert worst < 1e-6
-    assert elapsed < 60.0
+    _accept("#6 modularity", _records("modularity", "eisenstein_transformation",
+                                      "completed_series_transformation"), 60)
 
 
 def test_07_dual_route():
-    worst = 0.0
-    taus = (0.2 + 0.8j, -0.3 + 1.1j, 0.45 + 1.0j, 0.05 + 0.9j, -0.15 + 1.25j)
-    for k, s in ((1, 1.0), (2, 1.0)):
-        for tau in taus:
-            direct = eisenstein_direct("H", k, s, tau, CFG)
-            fourier = eisenstein_fourier(k, s, tau, CFG)
-            rel = abs(direct - fourier) / abs(direct)
-            worst = max(worst, rel)
-            assert rel < 5e-3, (k, s, tau)
-    q = cmath.exp(2j * pi * 1j)
-    series = sum(float(cohen_class_number(2, n)) * q ** n for n in range(31))
-    match = abs(eisenstein_fourier(2, 0.0, 1j, CFG) - series)
-    _report("#7 dual-route", True,
-            f"worst relative {worst:.2e} < 5e-3; weight 5/2 q-expansion "
-            f"residual {match:.2e} < 1e-4")
-    assert match < 1e-4
+    _accept("#7 dual-route",
+            _records("fourier", "eisenstein_dual_route", "cohen_q_expansion_match"))
 
 
 def test_08_coefficient_limits():
-    worst = 0.0
-    for h in (3, 4, -1, -4, -5):
-        lim = s_limit_check(h, 1.0, [1e-3, 1e-4], CFG)
-        resid = abs(lim - alpha_limit(h, 1.0))
-        worst = max(worst, resid)
-        assert resid < 1e-3, h
-    mean = fourier_coefficient(series_value, 0, 1.0, 64)
-    h0 = abs(mean - alpha_limit(0, 1.0))
-    _report("#8 coefficient-limits", True,
-            f"worst s->0 residual {worst:.2e} < 1e-3; u-average residual "
-            f"{h0:.2e} < 1e-10")
-    assert h0 < 1e-10
+    _accept("#8 coefficient-limits",
+            _records("limits", "coefficient_limit", "constant_term_u_average"))
 
 
 def test_09_multiplier_identities():
-    rng = np.random.default_rng(SEED)
-    worst_top = max(multiplier_identity_residual(g)
-                    for g in random_words(rng, 1000, require_b=True))
-    assert worst_top < 1e-14
-    tau = 0.3 + 0.9j
-    worst_shift = 0.0
-    worst_j = 0.0
-    tested = 0
-    while tested < 100:
-        g1, g2 = random_words(rng, 2)
-        if g1.a < 0 and g1.c < 0:
-            g1 = -g1
-        if (g1 @ g2).a < 0 and (g1 @ g2).c < 0:
-            continue
-        worst_shift = max(worst_shift, sigma_shift_residual(g1, g2, tau))
-        worst_j = max(worst_j, abs(
-            automorphy_factor(g1 @ g2, tau)
-            - automorphy_factor(g1, g2.apply(tau)) * automorphy_factor(g2, tau)))
-        tested += 1
-    assert worst_shift < 1e-10 and worst_j < 1e-10
-    from mockform.arithmetic import epsilon_factor, kronecker_symbol
-    exact = True
-    for m in range(1, 100, 2):
-        eps = epsilon_factor(m)
-        i_pow = 1j ** (((1 - m) // 2) % 4)
-        exact &= i_pow * kronecker_symbol(2, m) == eps ** -3
-        exact &= i_pow * kronecker_symbol(-2, m) == eps ** -5
-        half = cmath.exp(1j * pi * (m % 8) / 4)
-        exact &= abs(2 ** 0.5 * kronecker_symbol(2, m) * 1j / eps - (1 + 1j) * half) < 1e-14
-        exact &= abs(2 ** 0.5 * kronecker_symbol(2, m) / eps - (1 - 1j) * half) < 1e-14
-    _report("#9 multiplier-identities", exact,
-            f"top-row {worst_top:.1e} < 1e-14 (1000 words); cocycle/shift "
-            f"{max(worst_shift, worst_j):.1e} < 1e-10 (100 pairs); "
-            f"eighth-root identities exact")
-    assert exact
+    _accept("#9 multiplier-identities", list(_suite("multiplier")))
 
 
 def test_10_weight_two_warm_up():
-    worst = 0.0
-    for tau in (1j, 1 + 1j, 0.5 + 0.5j):
-        worst = max(worst, abs(e2_star(-1 / tau, CFG) - tau ** 2 * e2_star(tau, CFG)))
-    _report("#10 weight-two-inversion", worst < 1e-8, f"max residual {worst:.2e} < 1e-8")
-    assert worst < 1e-8
+    _accept("#10 weight-two-inversion", _records("modularity", "weight_two_inversion"))
+
+
+def test_verify_all_matches_benchmark_reference(monkeypatch, capsys):
+    # the benchmark's verify workload accepts exactly these names, failures and exit code
+    ref = json.loads(REFERENCE.read_text())["full"]["verify"]
+    assert (ref["suite"], ref["seed"]) == ("all", DEFAULT_SEED)
+    monkeypatch.setattr(cli, "run_suite", lambda *_: [r for s in SUITES for r in _suite(s)])
+    rc = cli.main(["verify", "--suite", "all", "--format", "json"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [r["check_name"] for r in results] == ref["checks"]
+    assert sorted(r["check_name"] for r in results if not r["passed"]) == sorted(ref["failing"])
+    assert rc == ref["exit_code"] == 2

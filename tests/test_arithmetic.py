@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from mockform.arithmetic import (
     bernoulli_number,
-    bernoulli_polynomial,
     divisors,
     epsilon_factor,
     fundamental_discriminant,
@@ -135,14 +134,6 @@ def test_bernoulli_numbers():
     from math import comb
     for n in (6, 11, 20):
         assert sum(comb(n + 1, k) * bernoulli_number(k) for k in range(n + 1)) == 0
-
-
-def test_bernoulli_polynomial():
-    assert bernoulli_polynomial(1, Fraction(1, 4)) == Fraction(-1, 4)
-    assert bernoulli_polynomial(2, Fraction(0)) == Fraction(1, 6)
-    # B_n(1) - B_n(0) = 0 for n >= 2
-    for n in range(2, 8):
-        assert bernoulli_polynomial(n, Fraction(1)) == bernoulli_polynomial(n, Fraction(0))
 
 
 def test_zeta_exact():

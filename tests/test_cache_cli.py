@@ -169,6 +169,23 @@ def test_cli_eval_e2star_refuses_beyond_q_terms(capsys):
     assert captured.err.startswith("mockform: evaluation outside the convergence domain: ")
 
 
+def test_cli_eval_h_refuses_beyond_q_terms(capsys):
+    # v = 0.05 needs about 100 terms of sum H(n) q^n for a tail below 1e-10
+    assert main(["eval", "--target", "H", "--tau", "0,0.05", "--q-terms", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mockform: evaluation outside the convergence domain: ")
+
+
+def test_cli_eval_float_overflow_is_one_stderr_line(capsys):
+    # zeta(1 - 2k) at k = 200 exceeds the float range
+    assert main(["eval", "--target", "eisenstein", "--k", "200", "--s", "1", "--tau", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("mockform: evaluation overflows a float: ")
+
+
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 from mockform import cli

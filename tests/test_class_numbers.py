@@ -11,7 +11,6 @@ from mockform.class_numbers import (
     QuadraticForm,
     build_table,
     cohen_class_number,
-    first_formula_mismatch,
     formula_sixths,
     hurwitz_class_number,
     reduced_forms,
@@ -113,11 +112,11 @@ def test_one_pass_table_matches_per_n_enumeration():
 
 
 def test_formula_cross_check_reports_first_mismatch(monkeypatch):
-    values = list(build_table(40))
-    assert first_formula_mismatch(values) is None
-    values[23] = Fraction(4)                     # H(23) = 3
-    values[31] = Fraction(4)
-    assert first_formula_mismatch(values) == 23
+    formula = formula_sixths(40)
+    enumerated = class_numbers._sixths_by_forms(40)
+    assert class_numbers._first_mismatch(enumerated, formula) is None
+    enumerated[[23, 31]] = 24                    # 6 H(23) = 6 H(31) = 18
+    assert class_numbers._first_mismatch(enumerated, formula) == 23
 
     sixths = class_numbers._sixths_by_forms
 
@@ -149,16 +148,6 @@ def test_verify_dirichlet_cross_check_record(monkeypatch):
     monkeypatch.setattr(verify, "_sixths_by_forms", tampered)
     rec = record()
     assert not rec.passed and rec.parameters["first_mismatch"] == 23
-
-
-def test_first_formula_mismatch_counts_non_integral_sixths():
-    values = list(build_table(40))
-    values[12] = Fraction(1, 7)                  # 6/7 is no integer
-    assert first_formula_mismatch(values) == 12
-    values[0] = Fraction(1, 12)
-    assert first_formula_mismatch(values) == 0
-    assert first_formula_mismatch([]) is None
-    assert first_formula_mismatch([Fraction(-1, 12)]) is None
 
 
 def test_formula_sixths_matches_enumeration():
