@@ -1,25 +1,14 @@
-"""The scipy entry points mockform uses, each importing scipy on its first call.
+"""scipy's quad, imported on its first call; nothing in mockform calls it.
 
-Only the Omega quadrature and Gamma values away from the erfc orders need
-scipy.  Importing it lazily keeps ``import mockform``, class-number tables,
-Theta and the completed series on numpy alone; scipy's own module cache
-makes every later call a dictionary lookup.
+``special_functions`` binds it as ``special_functions.quad`` because the
+benchmark's tracer counts Omega quadratures by patching that name.  Omega
+now uses a numpy double-exponential rule, so the counter reads 0; this
+module and the binding go when the tracer counts ``omega`` calls instead.
+Importing scipy lazily keeps every mockform path on numpy alone.
 """
 
 
 def quad(func, a, b, **kwargs):
-    """scipy.integrate.quad.  Its IntegrationWarning is attributed to this module."""
+    """scipy.integrate.quad."""
     from scipy.integrate import quad as _quad
     return _quad(func, a, b, **kwargs)
-
-
-def gamma(z):
-    """scipy.special.gamma."""
-    from scipy.special import gamma as _gamma
-    return _gamma(z)
-
-
-def rgamma(z):
-    """scipy.special.rgamma, 1/Gamma(z), zero at the poles of Gamma."""
-    from scipy.special import rgamma as _rgamma
-    return _rgamma(z)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, exp, log, pi, sqrt
+from math import comb, exp, gamma, log, pi, sqrt
 
 import numpy as np
 
-from ._scipy import gamma as _gamma, rgamma as _rgamma
 from .arithmetic import (
     bernoulli_number,
     is_fundamental_discriminant,
@@ -25,6 +24,7 @@ from .arithmetic import (
     _em_tail_no_pole,
 )
 from .config import DEFAULT_CONFIG, EvalConfig
+from .special_functions import _rgamma
 
 
 class QuadraticCharacter:
@@ -162,8 +162,8 @@ def functional_equation_residual(chi: QuadraticCharacter, s: float,
     omega = root_number(chi)
     pref = N ** (s - 0.5) * pi ** (0.5 - s)
     if chi.is_even:
-        factor = _gamma(s / 2) * _rgamma((1 - s) / 2)
+        factor = gamma(s / 2) * _rgamma((1 - s) / 2)
     else:
-        factor = _gamma((s + 1) / 2) * _rgamma(1 - s / 2)
+        factor = gamma((s + 1) / 2) * _rgamma(1 - s / 2)
     rhs = l_numeric(chi, s, cfg) * pref * factor / omega
     return abs(lhs - rhs)

@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 
 from .cache import CacheError, default_cache_path, load_or_build
 from .class_numbers import build_table
@@ -204,13 +203,7 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     commands = {"hurwitz": _cmd_hurwitz, "eval": _cmd_eval, "verify": _cmd_verify}
-    # A failed quadrature is reported once, as the one-line QuadratureError;
-    # scipy's multi-line IntegrationWarning ahead of it would only repeat it.
-    # quad warns with stacklevel=2, so the warning is attributed to its caller
-    # mockform._scipy, and filtering by module keeps scipy unimported here.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", category=UserWarning, module=r"mockform\._scipy")
-        return commands[args.command](args)
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

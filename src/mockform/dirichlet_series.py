@@ -185,6 +185,13 @@ def series_odd_even(n: int, s: complex, M: int) -> tuple[complex, complex]:
     return complex(odd), complex(even)
 
 
+# A Fourier-route request calls series_closed for every |h| <= fourier_bound
+# with one s: the characters (with their cached value tables) and zeta(2s)
+# are kept between calls instead of rebuilt.
+_character = functools.lru_cache(maxsize=1024)(QuadraticCharacter)
+_zeta = functools.lru_cache(maxsize=256)(zeta_numeric)
+
+
 def series_closed(n: int, s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """Closed form of E_n(s) for real s > 1.
 
@@ -196,8 +203,8 @@ def series_closed(n: int, s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     if n % 4 in (2, 3):
         return 0.0
     if n == 0:
-        return zeta_numeric(2 * s - 1, cfg) / zeta_numeric(2 * s, cfg)
+        return _zeta(2 * s - 1, cfg) / _zeta(2 * s, cfg)
     d, f = fundamental_discriminant(n)
-    chi = QuadraticCharacter(d)
+    chi = _character(d)
     lval = l_numeric(chi, s, cfg)
-    return lval / zeta_numeric(2 * s, cfg) * t_chi(float(s), chi, f) / f ** (2.0 * s - 1.0)
+    return lval / _zeta(2 * s, cfg) * t_chi(float(s), chi, f) / f ** (2.0 * s - 1.0)

@@ -273,6 +273,8 @@ def eisenstein_fourier(k: int, s: float, tau: complex,
 
     The ingredient series need k + 2s > 1; the remaining s = 0, k = 1 corner
     is the analytic limit handled by the completed class number series.
+    All rho_h come from one rho_kernel call on the h-array, which makes one
+    Omega call per sign of h.
     """
     if k < 1:
         raise ValueError("eisenstein_fourier requires k >= 1")
@@ -284,14 +286,13 @@ def eisenstein_fourier(k: int, s: float, tau: complex,
     v = tau.imag
     zk = float(zeta_exact_neg(k))
     flip = 1 if k % 2 == 0 else -1
-    total = zk * 2.0 ** (4 * s)
     coeff = (1 + 1j ** (2 * k + 1)) * zk / 2 ** (2 * k)
-    for h in range(-cfg.fourier_bound, cfg.fourier_bound + 1):
-        e_n = series_closed(flip * h, k + 2.0 * s, cfg)
-        if e_n == 0.0:
-            continue
-        total += coeff * e_n * rho_kernel(h, k, s, v, cfg) * cmath.exp(2j * pi * h * tau)
-    return complex(total)
+    hs = np.arange(-cfg.fourier_bound, cfg.fourier_bound + 1)
+    e_n = np.array([series_closed(flip * int(h), k + 2.0 * s, cfg) for h in hs])
+    kept = e_n != 0.0                     # E_n vanishes for n = 2, 3 (mod 4)
+    hs, e_n = hs[kept], e_n[kept]
+    terms = e_n * rho_kernel(hs, k, s, v, cfg) * np.exp(2j * pi * hs * tau)
+    return complex(zk * 2.0 ** (4 * s) + coeff * terms.sum())
 
 
 def modularity_residual(f: Callable[[complex], complex], k: int, s: float,

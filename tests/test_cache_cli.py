@@ -189,6 +189,7 @@ def test_cli_eval_float_overflow_is_one_stderr_line(capsys):
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 from mockform import cli
+imported = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 def run(argv):
     out = io.StringIO()
@@ -201,23 +202,31 @@ cheap = [run(["hurwitz", "--max", "50", "--no-cache"])[0],
          run(["eval", "--target", "theta", "--tau", "0.1,0.8"])[0]]
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 code, out = run(["eval", "--target", "eisenstein", "--tau", "0.1,0.8", "--format", "json"])
-print(json.dumps({"cheap": cheap, "loaded": loaded, "code": code,
-                  "scipy_after": "scipy" in sys.modules,
+after_eisenstein = "scipy" in sys.modules
+verify_code = run(["verify", "--suite", "all"])[0]
+print(json.dumps({"imported": imported, "cheap": cheap, "loaded": loaded, "code": code,
+                  "after_eisenstein": after_eisenstein, "verify_code": verify_code,
+                  "after_verify": "scipy" in sys.modules,
                   "value": json.loads(out)["results"][0]["value"]}))
 """
 
 
 def test_cheap_paths_run_without_scipy():
-    # in a fresh interpreter, because this one has scipy loaded already
+    # in a fresh interpreter, because this one has scipy loaded already:
+    # import mockform, the cheap paths, the Eisenstein routes (Omega included)
+    # and every verify suite run on numpy alone
     src = str(Path(mockform.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=240)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout)
+    assert probe["imported"] == []
     assert probe["cheap"] == [0, 0, 0]
     assert probe["loaded"] == []
-    assert probe["code"] == 0 and probe["scipy_after"]
+    assert probe["code"] == 0 and not probe["after_eisenstein"]
+    # exit 2 is the reference outcome: the two pi-free -Theta/16 records fail by design
+    assert probe["verify_code"] == 2 and not probe["after_verify"]
     expected = eisenstein_direct("H", 2, 1.0, complex(0.1, 0.8))
     assert complex(*probe["value"]) == expected
 
@@ -311,7 +320,7 @@ def test_cli_verify_quadrature_failure_exits_2(capsys):
 
 
 def test_cli_quadrature_failure_is_one_stderr_line():
-    # in a fresh interpreter, so scipy's IntegrationWarning is not already filtered
+    # in a fresh interpreter, so nothing earlier in the session shapes stderr
     src = str(Path(mockform.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(

@@ -1,8 +1,11 @@
 import cmath
 from math import pi, sqrt
 
+import mpmath
 import numpy as np
 import pytest
+
+from mockform import special_functions
 
 from mockform.config import EvalConfig
 from mockform.class_numbers import cohen_class_number
@@ -190,6 +193,44 @@ def test_dual_route_agreement():
             direct = eisenstein_direct("H", k, s, tau, CFG)
             fourier = eisenstein_fourier(k, s, tau, CFG)
             assert abs(direct - fourier) / abs(direct) < 5e-3, (k, s, tau)
+
+
+# H by the Fourier route at tau = 0.2 + 0.8i and -0.3 + 1.1i, as the earlier
+# per-h loop computed it with Omega from two adaptive (scipy quad) quadratures
+_QUAD_ROUTE_VALUES = (
+    ((1, 1.0), ((-1.2749292322901342-0.0004226159514871624j), (-1.3070595243403376+2.88717800009037e-05j))),
+    ((2, 1.0), ((0.13219390877623663-0.0007459366905592739j), (0.13306402368611284+7.684527116778232e-05j))),
+    ((2, 0.5), ((0.03259554754207496-0.0005894257234302223j), (0.033111041099494455+7.421104402930563e-05j))),
+    ((3, 0.25), ((-0.007953370168927418+9.29170978175704e-08j), (-0.007943018426183793-1.9494656556550547e-09j))),
+    ((1, 0.75), ((-0.6122212178298213-0.0002555493992440566j), (-0.637918643157878+1.9133961188274326e-05j))),
+    ((2, 0.25), ((0.016168112253290484-0.0005384755380414465j), (0.016519742551941715+7.457861810408738e-05j))),
+)
+
+
+def test_fourier_route_matches_quadrature_route():
+    assert tuple(pair for pair, _ in _QUAD_ROUTE_VALUES) == WORKLOAD_PAIRS
+    for (k, s), values in _QUAD_ROUTE_VALUES:
+        for tau, before in zip((0.2 + 0.8j, -0.3 + 1.1j), values):
+            now = eisenstein_fourier(k, s, tau, CFG)
+            assert abs(now - before) <= 1e-13 * abs(before), (k, s, tau)
+
+
+def test_fourier_route_against_hyperu_omega(monkeypatch):
+    # with Omega from mpmath's U at 30 digits, H moves by rounding only, also
+    # at v = 0.6, the lowest v of the workload, where the quadrature route
+    # above was 1.2e-13 off
+    rule = {(k, s): eisenstein_fourier(k, s, 0.1 + 0.6j, CFG) for k, s in ((1, 1.0), (1, 0.75))}
+
+    def hyperu_omega(y, alpha, beta, cfg):
+        with mpmath.workdps(30):
+            value = np.array([float(mpmath.mpf(t) ** beta * mpmath.hyperu(beta, alpha + beta, t))
+                              for t in y])
+        return special_functions.OmegaValue(value, np.zeros_like(value))
+
+    monkeypatch.setattr(special_functions, "omega", hyperu_omega)
+    for (k, s), value in rule.items():
+        oracle = eisenstein_fourier(k, s, 0.1 + 0.6j, CFG)
+        assert abs(value - oracle) <= 1e-15 * abs(oracle), (k, s)
 
 
 def test_weight_five_halves_q_expansion():

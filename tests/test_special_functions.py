@@ -1,14 +1,18 @@
 import cmath
+import functools
 from math import exp, pi, sqrt
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erfc as scipy_erfc, gamma as Gamma, gammaincc, hyperu
+from scipy.special import erfc as scipy_erfc, gamma as Gamma, gammaincc
 
 from mockform import special_functions
 from mockform.config import EvalConfig
+from mockform.eisenstein import eisenstein_fourier
 from mockform.special_functions import (
+    MAX_ORDER,
     erfc_scalar,
     omega,
     rho_kernel,
@@ -60,55 +64,125 @@ def test_incomplete_gamma_domain():
 
 
 def test_omega_beta_zero_and_symmetry():
-    assert omega(3.0, 2.5, 0.0) == 1.0
+    assert omega(3.0, 2.5, 0.0) == (1.0, 0.0)
     for a in np.linspace(0.1, 0.9, 5):
         for b in np.linspace(0.1, 0.9, 5):
-            lhs = omega(2.0, 1.0 - b, 1.0 - a, CFG)
-            rhs = omega(2.0, a, b, CFG)
+            lhs = omega(2.0, 1.0 - b, 1.0 - a, CFG).value
+            rhs = omega(2.0, a, b, CFG).value
             assert abs(lhs - rhs) < 1e-9, (a, b)
 
 
+# The (alpha, beta) and y that rho_kernel hands to omega, measured by recording
+# every call: the eisenstein workload (k + 1/2 + s with its six (k, s) pairs,
+# v in [0.6, 1.5], |h| <= 40) reaches y in [7.56, 753.6]; verify --suite all
+# reaches y in [10.05, 628.3] with (1, 2.5), (1, 3.5), (2.5, 1), (3.5, 1), and
+# its limits suite s = 1e-3, 1e-4 at y in [12.6, 62.8]; the table and completed
+# workloads call no Omega.
+_WORKLOAD_ORDERS = ((0.25, 2.75), (0.25, 3.75), (0.5, 3.0), (0.75, 2.25), (1.0, 2.5),
+                    (1.0, 3.5), (2.25, 0.75), (2.5, 1.0), (2.75, 0.25), (3.0, 0.5),
+                    (3.5, 1.0), (3.75, 0.25))
+_LIMIT_ORDERS = ((1e-4, 1.5001), (1e-3, 1.501), (1.5001, 1e-4), (1.501, 1e-3))
+
+
+@functools.cache
+def _omega_against_hyperu():
+    """(y, alpha, beta, omega value, omega bound, y^beta U(beta, alpha + beta, y) at 30 digits)."""
+    rows = []
+    with mpmath.workdps(30):
+        for orders, ys in ((_WORKLOAD_ORDERS, np.geomspace(7.5, 760.0, 12)),
+                           (_LIMIT_ORDERS, np.geomspace(12.0, 65.0, 6))):
+            for a, b in orders:
+                result = omega(ys, a, b, CFG)
+                for y, val, bound in zip(ys, result.value, result.bound):
+                    ref = mpmath.mpf(y) ** b * mpmath.hyperu(b, a + b, y)
+                    rows.append((y, a, b, val, bound, ref))
+    return rows
+
+
 def test_omega_against_hyperu():
-    # Omega(y, a, b) = y^b U(b, a + b, y): independent special-function route.
-    # Comparison at 1e-9 because scipy's hyperu itself is only good to ~1e-10.
-    for (y, a, b) in ((4.0, 2.5, 1.0), (6.0, 1.501, 1e-3), (12.0, 1.5001, 1e-4),
-                      (2.0, -0.5, 1.0), (9.0, 0.0, 2.5), (0.8, 3.5, 2.0)):
-        ref = y ** b * hyperu(b, a + b, y)
-        assert abs(omega(y, a, b, CFG) - ref) < 1e-9 * max(1.0, abs(ref)), (y, a, b)
+    # Omega(y, a, b) = y^b U(b, a + b, y): mpmath's hypergeometric U is independent of the rule
+    for y, a, b, val, _, ref in _omega_against_hyperu():
+        assert abs(val - float(ref)) <= 1e-12 * abs(float(ref)), (y, a, b)
+
+
+def test_omega_bound_covers_error():
+    for y, a, b, val, bound, ref in _omega_against_hyperu():
+        with mpmath.workdps(30):
+            error = float(abs(mpmath.mpf(val) - ref))
+        assert error <= bound < 1e-13, (y, a, b, error, bound)
+
+
+def test_omega_array_matches_scalar_calls():
+    ys = np.geomspace(7.5, 760.0, 9)
+    result = omega(ys, 0.25, 3.75, CFG)
+    for y, val, bound in zip(ys, result.value, result.bound):
+        single = omega(y, 0.25, 3.75, CFG)
+        assert isinstance(single.value, float) and single.value == val
+        assert single.bound == pytest.approx(bound, rel=1e-6)
 
 
 def test_omega_incomplete_gamma_identity():
     # v^{-3/2} e^{4 pi h v} Omega(-4 pi h v, -1/2, 1) = (-4 pi h)^{3/2} Gamma(-1/2, -4 pi h v)
     for h, v in ((-1, 0.25), (-1, 0.5), (-4, 0.25), (-4, 1.0), (-9, 0.25), (-9, 1.0)):
         y = -4.0 * pi * h * v
-        lhs = v ** -1.5 * exp(4 * pi * h * v) * omega(y, -0.5, 1.0, CFG)
+        lhs = v ** -1.5 * exp(4 * pi * h * v) * omega(y, -0.5, 1.0, CFG).value
         rhs = (-4.0 * pi * h) ** 1.5 * upper_incomplete_gamma(-0.5, y)
         assert abs(lhs - rhs) < 1e-8, (h, v)
 
 
-def test_omega_looks_up_quad_at_call_time(monkeypatch):
-    # the benchmark's quadrature counter replaces special_functions.quad
+def test_omega_calls_are_looked_up_at_call_time(monkeypatch):
+    # the benchmark's tracer counts Omega evaluations by patching module
+    # attributes: rho_kernel looks omega up at call time, the Fourier route
+    # makes one omega call per sign of h, and special_functions.quad stays
+    # bound (the tracer patches it by name) but is never called
+    real = special_functions.omega
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return quad(*args, **kwargs)
+    def counted(y, alpha, beta, cfg=CFG):
+        calls.append((alpha, beta))
+        return real(y, alpha, beta, cfg)
 
-    monkeypatch.setattr(special_functions, "quad", counted)
-    for y, a, b in ((4.0, 2.5, 1.0), (12.0, 1.5001, 1e-4), (0.8, 3.5, 2.0)):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("special_functions.quad was called")
+
+    assert callable(special_functions.quad)
+    monkeypatch.setattr(special_functions, "omega", counted)
+    monkeypatch.setattr(special_functions, "quad", no_quad)
+    for k, s in ((1, 1.0), (2, 1.0), (2, 0.5), (3, 0.25), (1, 0.75), (2, 0.25)):
         del calls[:]
-        omega(y, a, b, CFG)
-        assert calls == [(0.0, 1.0), (1.0, np.inf)], (y, a, b)
+        eisenstein_fourier(k, s, complex(0.2, 0.8))
+        assert calls == [(k + 0.5 + s, s), (s, k + 0.5 + s)], (k, s)
     del calls[:]
-    assert omega(3.0, 2.5, 0.0) == 1.0
+    eisenstein_fourier(2, 0.0, 1j)
     assert calls == []
+    rho_kernel(-3, 1, 1e-3, 1.0, CFG)
+    assert calls == [(1e-3, 1.501)]
 
 
 def test_omega_domain():
     with pytest.raises(ValueError):
         omega(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
+        omega(np.array([1.0, 0.0]), 1.0, 1.0)
+    with pytest.raises(ValueError):
         omega(1.0, 1.0, -0.5)
+
+
+def test_orders_beyond_gamma_range_are_refused():
+    # math.gamma overflows above 171.62: such orders get a ValueError naming
+    # the limit, not an OverflowError, inf or nan
+    assert MAX_ORDER == 171.0
+    with pytest.raises(ValueError, match="<= 171"):
+        omega(1.0, 200.0, 1.0)
+    with pytest.raises(ValueError, match="<= 171"):
+        omega(1.0, 1.0, 180.0)
+    with pytest.raises(ValueError, match="<= 171"):
+        rho_kernel(1, 200, 1.0, 1.0)
+    with pytest.raises(ValueError, match="<= 171"):
+        rho_kernel(np.array([-1, 2]), 171, 0.5, 1.0)
+    # inside the limit a value beyond the float range is refused as well
+    with pytest.raises(ValueError, match="overflows a float"):
+        omega(1e-3, 171.0, 1.0)
 
 
 def test_xi_kernel_zero_frequency():
@@ -160,6 +234,19 @@ def test_rho_elementary_at_s_zero():
     assert rho_kernel(0, 1, 0.0, 1.0, CFG) == 0
     assert rho_kernel(-1, 1, 0.0, 1.0, CFG) == 0
     assert rho_kernel(-4, 2, 0.0, 0.5, CFG) == 0
+
+
+def test_rho_kernel_array_matches_scalar_calls():
+    hs = np.arange(-40, 41)
+    for k, s, v in ((1, 1.0, 0.8), (2, 0.5, 1.3), (1, 1e-3, 1.0), (2, 0.0, 0.7)):
+        values = rho_kernel(hs, k, s, v, CFG)
+        assert values.shape == hs.shape and values.dtype == complex
+        for h, val in zip(hs, values):
+            single = rho_kernel(int(h), k, s, v, CFG)
+            assert isinstance(single, complex)
+            assert abs(single - val) <= 1e-15 * abs(val), (k, s, v, h)
+    with pytest.raises(ValueError, match="integer"):
+        rho_kernel(1.0, 1, 1.0, 1.0)
 
 
 def test_rho_zero_frequency_zeta_limit():
