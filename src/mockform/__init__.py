@@ -3,10 +3,10 @@
 Library layout:
 
     arithmetic        Kronecker symbol and tables, Bernoulli numbers, zeta values
-    characters        quadratic characters chi_d, Gauss sums, L-functions
+    characters        quadratic characters chi_d and their L-functions
     class_numbers     Hurwitz / Cohen class numbers, reduced forms, tables
     dirichlet_series  gamma_c Gauss sums and the series E_n(s)
-    special_functions incomplete gamma, the Omega integral, the rho kernel
+    special_functions Gamma(+-1/2, x), the Omega integral, the rho kernel
     eisenstein        theta multiplier system, E / F / H series, two routes
     maass             the completed class number series, shadow, Laplacian
     verify            ReportRecord suites behind ``mockform verify``
@@ -14,7 +14,6 @@ Library layout:
 """
 
 from .arithmetic import (
-    DiscriminantFactorization,
     bernoulli_number,
     epsilon_factor,
     fundamental_discriminant,
@@ -26,8 +25,6 @@ from .arithmetic import (
 )
 from .characters import (
     QuadraticCharacter,
-    functional_equation_residual,
-    gauss_sum,
     l_exact_neg,
     l_numeric,
 )
@@ -38,7 +35,6 @@ from .class_numbers import (
     cohen_class_number,
     hurwitz_class_number,
     reduced_forms,
-    t_chi,
 )
 from .config import DEFAULT_CONFIG, EvalConfig
 from .dirichlet_series import (
@@ -46,22 +42,18 @@ from .dirichlet_series import (
     gauss_sum_gamma,
     lambda_factor,
     series_closed,
-    series_odd_even,
     series_partial,
     upsilon,
 )
 from .eisenstein import (
     Gamma04Matrix,
     automorphy_factor,
-    cocycle_sign,
     eisenstein_direct,
     eisenstein_fourier,
-    j_factor,
     lattice_tail_estimate,
     modularity_residual,
     multiplier_identity_residual,
     theta_multiplier,
-    theta_multiplier_top_row,
 )
 from .maass import (
     HarmonicFormValue,
@@ -78,11 +70,9 @@ from .maass import (
 )
 from .special_functions import (
     QuadratureError,
-    erfc_scalar,
     omega,
     rho_kernel,
     upper_incomplete_gamma,
-    xi_fourier_kernel,
 )
 
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@
 Kronecker symbol and the kernel that fills every symbol table (jacobi_row,
 kronecker_column), the eighth-root factor eps_d, a smallest-prime-factor
 sieve and the multiplicative rows built on it, multiplicative functions,
-Bernoulli numbers and polynomials, fundamental discriminants, and exact /
+Bernoulli numbers, fundamental discriminants, and exact /
 numeric values of the Riemann zeta function.  Everything exact is carried by
 ``fractions.Fraction`` (arbitrary-size rationals, always in lowest terms).
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -114,19 +114,8 @@ def epsilon_factor(d: int) -> complex:
 def moebius(n: int) -> int:
     if n < 1:
         raise ValueError("moebius requires n >= 1")
-    count = 0
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            count += 1
-        p += 1
-    if m > 1:
-        count += 1
-    return -1 if count % 2 else 1
+    exponents = factorize(n).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 def divisors(n: int) -> list[int]:
@@ -250,15 +239,12 @@ def fundamental_discriminant(n: int) -> DiscriminantFactorization:
     """
     if n == 0 or n % 4 in (2, 3):
         raise ValueError(f"need n = 0,1 (mod 4) and n != 0, got {n}")
-    f = 1
-    m = abs(n)
-    p = 2
-    while p * p <= m:
-        while m % (p * p) == 0:
-            m //= p * p
-            f *= p
-        p += 1 if p == 2 else 2
-    core = m if n > 0 else -m
+    # |n| = core f^2 with core squarefree: the odd exponents make core, the halves f
+    exponents = factorize(n).items()
+    core = prod(p for p, e in exponents if e % 2)
+    f = prod(p ** (e // 2) for p, e in exponents)
+    if n < 0:
+        core = -core
     if core % 4 == 1:
         return DiscriminantFactorization(core, f)
     # core = 2, 3 (mod 4): the factor 4 moves from f^2 into d

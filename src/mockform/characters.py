@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, exp, gamma, log, pi, sqrt
+from math import comb, exp, log
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .arithmetic import (
     _em_tail_no_pole,
 )
 from .config import DEFAULT_CONFIG, EvalConfig
-from .special_functions import _rgamma
 
 
 class QuadraticCharacter:
@@ -52,16 +51,6 @@ class QuadraticCharacter:
     @property
     def is_principal(self) -> bool:
         return self.d == 1
-
-
-def gauss_sum(chi: QuadraticCharacter) -> complex:
-    """tau_chi = sum_{b mod |d|} chi(b) e^{2 pi i b / |d|}, by direct summation.
-
-    Equals sqrt(d) for d > 0 and i sqrt(|d|) for d < 0.
-    """
-    q = chi.modulus
-    b = np.arange(q)
-    return complex((chi.values[b % q] * np.exp(2j * pi * b / q)).sum())
 
 
 def l_numeric(chi: QuadraticCharacter, s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -131,39 +120,3 @@ def l_exact_neg(chi: QuadraticCharacter, r: int) -> Fraction:
     if r < 1:
         raise ValueError("l_exact_neg requires r >= 1")
     return -generalized_bernoulli(chi, r) / r
-
-
-def root_number(chi: QuadraticCharacter) -> complex:
-    """omega_chi = tau_chi / sqrt(N) (even) or tau_chi / (i sqrt(N)) (odd)."""
-    t = gauss_sum(chi)
-    N = chi.modulus
-    return t / sqrt(N) if chi.is_even else t / (1j * sqrt(N))
-
-
-def functional_equation_residual(chi: QuadraticCharacter, s: float,
-                                 cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Consistency residual between L(s, chi) and the exact L(1-s, chi).
-
-    The completed-L functional equation is rearranged to express L(1-s)
-    through L(s); the reciprocal gamma factor makes the expression finite
-    even where the gamma prefactor of the forward direction has a pole
-    (there 1/Gamma = 0 and the exact side vanishes by Bernoulli parity).
-    Requires s in [1, 3] at an integer value so L(1-s) is an exact rational.
-    """
-    if chi.is_principal:
-        raise ValueError("functional equation residual needs a non-principal character")
-    if not 1 <= s <= 3:
-        raise ValueError("s must lie in [1, 3]")
-    r = round(s)
-    if abs(s - r) > 1e-12:
-        raise ValueError("exact reference values exist only at integer s")
-    N = chi.modulus
-    lhs = float(l_exact_neg(chi, r))
-    omega = root_number(chi)
-    pref = N ** (s - 0.5) * pi ** (0.5 - s)
-    if chi.is_even:
-        factor = gamma(s / 2) * _rgamma((1 - s) / 2)
-    else:
-        factor = gamma((s + 1) / 2) * _rgamma(1 - s / 2)
-    rhs = l_numeric(chi, s, cfg) * pref * factor / omega
-    return abs(lhs - rhs)

@@ -239,22 +239,19 @@ def _first_mismatch(sixths: np.ndarray, formula: np.ndarray) -> int | None:
     return int(bad[0]) + 1 if bad.size else None
 
 
-def build_table(max_n: int, cfg: EvalConfig = DEFAULT_CONFIG,
-                cross_check: bool = True) -> ClassNumberTable:
+def build_table(max_n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> ClassNumberTable:
     """Tabulate H(n) for 0 <= n <= max_n by one pass of form enumeration.
 
-    With cross_check, the enumeration's sixths are compared with
-    formula_sixths before any Fraction is built; the first disagreement
-    aborts construction.
+    The enumeration's sixths are compared with formula_sixths before any
+    Fraction is built; the first disagreement aborts construction.
     """
     if max_n < 0:
         raise ValueError("build_table requires max_n >= 0")
     sixths = _sixths_by_forms(max_n)
-    if cross_check:
-        formula = formula_sixths(max_n)
-        n = _first_mismatch(sixths, formula)
-        if n is not None:
-            raise ArithmeticError(
-                f"class number cross-check failed at n={n}: enumeration "
-                f"{Fraction(int(sixths[n]), 6)} vs formula {Fraction(int(formula[n]), 6)}")
+    formula = formula_sixths(max_n)
+    n = _first_mismatch(sixths, formula)
+    if n is not None:
+        raise ArithmeticError(
+            f"class number cross-check failed at n={n}: enumeration "
+            f"{Fraction(int(sixths[n]), 6)} vs formula {Fraction(int(formula[n]), 6)}")
     return ClassNumberTable([Fraction(-1, 12)] + [Fraction(h, 6) for h in sixths[1:].tolist()])

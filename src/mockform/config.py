@@ -15,7 +15,6 @@ class EvalConfig:
     fd_step         step (relative to v) for first-derivative stencils
     fd_step2        step (relative to v) for second-derivative stencils
     quad_tol        absolute tolerance for quadrature and series tails
-    target_tol      acceptance tolerance of the enclosing check
     """
 
     lattice_bound: int = 301
@@ -24,13 +23,12 @@ class EvalConfig:
     fd_step: float = 1e-5
     fd_step2: float = 2e-3
     quad_tol: float = 1e-10
-    target_tol: float = 1e-6
 
     def __post_init__(self):
         for name in ("lattice_bound", "fourier_bound", "q_terms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        for name in ("fd_step", "fd_step2", "quad_tol", "target_tol"):
+        for name in ("fd_step", "fd_step2", "quad_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

@@ -156,33 +156,21 @@ def _tail_bound(s_real: float, M: int) -> float:
 def series_partial(n: int, s: complex, M: int) -> DirichletSeriesValue:
     """Truncated E_n(s): odd moduli up to M plus even moduli up to 2M.
 
-    Requires Re(s) > 3/2 so the reported tail bound is rigorous.
+    Odd moduli c <= M weigh gamma_c(n) by c^{-s}, even moduli c <= 2M by
+    (c/2)^{-s}: two dot products with one gamma_row, averaged.  Requires
+    Re(s) > 3/2 so the reported tail bound is rigorous.
     """
     s = complex(s)
     if s.real <= 1.5:
         raise ValueError("series_partial requires Re(s) > 3/2 for a rigorous tail")
     if M < 1:
         raise ValueError("series_partial requires M >= 1")
-    odd, even = series_odd_even(n, s, M)
-    return DirichletSeriesValue(0.5 * (odd + even), (M + 1) // 2 + M, _tail_bound(s.real, M))
-
-
-def series_odd_even(n: int, s: complex, M: int) -> tuple[complex, complex]:
-    """Truncated (E_n^odd, E_n^even); their mean is the truncated E_n.
-
-    Odd moduli c <= M weigh gamma_c(n) by c^{-s}, even moduli c <= 2M by
-    (c/2)^{-s}: two dot products with one gamma_row.
-    """
-    s = complex(s)
-    if s.real <= 1.5:
-        raise ValueError("series_odd_even requires Re(s) > 3/2")
-    if M < 1:
-        raise ValueError("series_odd_even requires M >= 1")
     row = gamma_row(n, 2 * M)
     scale = np.arange(1, M + 1, dtype=float) ** -s   # k^{-s} at index k - 1
     odd = row[1:M + 1:2] @ scale[::2]
     even = row[2::2] @ scale
-    return complex(odd), complex(even)
+    return DirichletSeriesValue(complex(0.5 * (odd + even)), (M + 1) // 2 + M,
+                                _tail_bound(s.real, M))
 
 
 # A Fourier-route request calls series_closed for every |h| <= fourier_bound

@@ -61,9 +61,9 @@ LOWER = Gamma04Matrix(1, 0, 4, 1)              # generator with c = 4
 GENERATORS = (SHIFT, LOWER)
 
 
-def random_words(rng: np.random.Generator, count: int, max_length: int = 12,
+def random_words(rng: np.random.Generator, count: int,
                  require_b: bool = False) -> list[Gamma04Matrix]:
-    """Random Gamma_0(4) members as bounded words in the generators and inverses.
+    """Random Gamma_0(4) members as words of 1 to 12 generators and inverses.
 
     Sign of the whole matrix is randomized; with require_b, words with b = 0
     are redrawn so the top-row multiplier identity applies.
@@ -73,7 +73,7 @@ def random_words(rng: np.random.Generator, count: int, max_length: int = 12,
     out: list[Gamma04Matrix] = []
     while len(out) < count:
         g = IDENTITY
-        for _ in range(rng.integers(1, max_length + 1)):
+        for _ in range(rng.integers(1, 13)):
             g = g @ alphabet[rng.integers(0, 4)]
         if rng.random() < 0.5:
             g = -g
@@ -156,6 +156,15 @@ def sigma_shift_residual(g1: Gamma04Matrix, g2: Gamma04Matrix, tau: complex) -> 
 
 Kind = Literal["E", "F", "H"]
 
+# zeta(1 - 2k) leaves the float range from k = 131 on, so both routes refuse k > MAX_K
+MAX_K = 130
+
+
+def _check_k(k: int) -> None:
+    if k > MAX_K:
+        raise ValueError(f"the Eisenstein routes support k <= {MAX_K}, beyond which "
+                         f"zeta(1 - 2k) overflows a float; got k={k}")
+
 
 def lattice_tail_estimate(k: int, s: float, tau: complex, M: int, kind: Kind = "E") -> float:
     """Integral-comparison estimate of the truncation error of eisenstein_direct.
@@ -209,26 +218,31 @@ def _lattice_sum(k: int, s: float, tau: complex, M: int) -> complex:
     u, v = tau.real, tau.imag
     root = np.empty(ns.size, dtype=complex)
     re, im = root.real, root.imag
-    for m in range(1, M + 1, 2):
-        x = ns + m * u                         # ascending in n
-        y = m * v
-        r2 = x * x
-        r2 += y * y
-        big = np.sqrt(r2)
-        big += np.abs(x)
-        big *= 0.5
-        np.sqrt(big, out=big)
-        small = (0.5 * y) / big
-        j = int(np.searchsorted(x, 0.0))       # x < 0 exactly before j
-        re[:j], im[:j] = small[:j], big[:j]
-        re[j:], im[j:] = big[j:], small[j:]
-        z = ns + m * tau
-        terms = root
-        for _ in range(k):
-            terms = terms * z
-        weights = r2 ** expo
-        weights *= np.take(_symbol_row(m), ints, mode="wrap")
-        total += epsilon_factor(m) ** (-2 * k - 1) * np.conj(terms @ weights)
+    # past k ~ 110 the powers z^k overflow and the weights underflow: inf * 0
+    # gives nan, which is refused below instead of warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, M + 1, 2):
+            x = ns + m * u                     # ascending in n
+            y = m * v
+            r2 = x * x
+            r2 += y * y
+            big = np.sqrt(r2)
+            big += np.abs(x)
+            big *= 0.5
+            np.sqrt(big, out=big)
+            small = (0.5 * y) / big
+            j = int(np.searchsorted(x, 0.0))   # x < 0 exactly before j
+            re[:j], im[:j] = small[:j], big[:j]
+            re[j:], im[j:] = big[j:], small[j:]
+            z = ns + m * tau
+            terms = root
+            for _ in range(k):
+                terms = terms * z
+            weights = r2 ** expo
+            weights *= np.take(_symbol_row(m), ints, mode="wrap")
+            total += epsilon_factor(m) ** (-2 * k - 1) * np.conj(terms @ weights)
+    if not np.isfinite(total):
+        raise ValueError(f"the lattice sum at k={k}, s={s}, tau={tau} overflows a float")
     return complex(total)
 
 
@@ -245,6 +259,7 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
     """
     if k < 0:
         raise ValueError(f"lattice sum needs k >= 0, got k={k}")
+    _check_k(k)
     if k + 0.5 + 2 * s <= 2:
         raise ValueError(f"lattice sum diverges at k={k}, s={s}: need k + 2s > 3/2")
     tau = require_upper_half(tau)
@@ -278,6 +293,7 @@ def eisenstein_fourier(k: int, s: float, tau: complex,
     """
     if k < 1:
         raise ValueError("eisenstein_fourier requires k >= 1")
+    _check_k(k)
     if s < 0:
         raise ValueError("eisenstein_fourier requires s >= 0")
     if k + 2 * s <= 1:
@@ -296,19 +312,10 @@ def eisenstein_fourier(k: int, s: float, tau: complex,
 
 
 def modularity_residual(f: Callable[[complex], complex], k: int, s: float,
-                        g: Gamma04Matrix, tau: complex,
-                        normalized: bool = False) -> float:
-    """|f(g tau) - (c/d) eps_d^{-2k-1} (c tau + d)^{k+1/2} |c tau + d|^{2s} f(tau)|.
-
-    With normalized=True the residual is divided by max(1, |f(g tau)|),
-    which keeps the check meaningful where the Fricke-type F series is huge.
-    """
+                        g: Gamma04Matrix, tau: complex) -> float:
+    """|f(g tau) - (c/d) eps_d^{-2k-1} (c tau + d)^{k+1/2} |c tau + d|^{2s} f(tau)|."""
     tau = require_upper_half(tau)
     z = complex(g.c * tau + g.d)
     factor = (kronecker_symbol(g.c, g.d) * epsilon_factor(g.d) ** (-2 * k - 1)
               * cmath.exp((k + 0.5) * cmath.log(z)) * abs(z) ** (2.0 * s))
-    lhs = f(g.apply(tau))
-    resid = abs(lhs - factor * f(tau))
-    if normalized:
-        resid /= max(1.0, abs(lhs))
-    return resid
+    return abs(f(g.apply(tau)) - factor * f(tau))

@@ -1,4 +1,4 @@
-"""Incomplete gamma, the Omega integral, and the Fourier kernel rho.
+"""Incomplete gamma at the orders +-1/2, the Omega integral, and the Fourier kernel rho.
 
 These feed the Fourier expansions of the half-integral weight Eisenstein
 series and the nonholomorphic part of the completed class number series.
@@ -8,7 +8,7 @@ the upper half plane maps to the first quadrant under the square root.
 
 from __future__ import annotations
 
-from math import exp, gamma, lgamma, log1p, pi, sqrt
+from math import erfc, exp, gamma, lgamma, log1p, pi, sqrt
 from typing import NamedTuple
 import cmath
 
@@ -38,93 +38,21 @@ def _rgamma(x: float) -> float:
     return 1.0 / gamma(x)
 
 
-def erfc_scalar(x: float) -> float:
-    """Complementary error function, series below 1.5 and continued fraction above.
-
-    Relative accuracy target 1e-13; the switch sits at 1.5 because the
-    1 - erf subtraction in the series branch costs about 2e-16 absolute,
-    which stays below 1e-13 relative only while erfc is not too small.
-    """
-    if x < 0:
-        return 2.0 - erfc_scalar(-x)
-    if x < 1.5:
-        # erf series: (2/sqrt(pi)) sum (-1)^n x^{2n+1} / (n! (2n+1))
-        term = x
-        total = x
-        n = 0
-        xx = x * x
-        while abs(term) > 1e-18 * abs(total) + 1e-300:
-            n += 1
-            term *= -xx / n
-            total += term / (2 * n + 1)
-        return 1.0 - 2.0 / _SQRT_PI * total
-    # erfc(x) = e^{-x^2}/sqrt(pi) * 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    t = 0.0
-    for k in range(120, 1, -1):
-        t = ((k - 1) / 2.0) / (x + t)
-    t = 1.0 / (x + t)
-    return exp(-x * x) / _SQRT_PI * t
-
-
-def _upper_gamma_positive(s: float, x: float) -> float:
-    """Gamma(s, x) for s > 0, x >= 0, series/continued-fraction split at x = s+1."""
-    if x == 0.0:
-        return gamma(s)
-    if x < s + 1.0:
-        # lower series: gamma(s,x) = x^s e^{-x} sum_n x^n / (s (s+1) ... (s+n))
-        term = 1.0 / s
-        total = term
-        n = 0
-        while abs(term) > 1e-17 * abs(total):
-            n += 1
-            term *= x / (s + n)
-            total += term
-        return gamma(s) - exp(-x + s * np.log(x)) * total
-    # Lentz continued fraction for the upper tail
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for i in range(1, 300):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return exp(-x + s * np.log(x)) * f
-    raise QuadratureError("incomplete gamma continued fraction stalled", abs(delta - 1.0))
-
-
 def upper_incomplete_gamma(s: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(s, x) = int_x^inf e^{-t} t^{s-1} dt, real s.
+    """Upper incomplete gamma Gamma(s, x) = int_x^inf e^{-t} t^{s-1} dt at s = 1/2 or -1/2.
 
-    Half-integer orders go through erfc; other non-positive orders use the
-    downward recurrence Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s.
+    Gamma(1/2, x) = sqrt(pi) erfc(sqrt x), and integration by parts gives
+    Gamma(-1/2, x) = 2 e^{-x} / sqrt(x) - 2 Gamma(1/2, x).  The completed
+    series needs s = -1/2 only; other orders are refused.
     """
-    if x < 0 or (x == 0 and s <= 0):
-        raise ValueError(f"Gamma(s, x) needs x > 0 when s <= 0, got s={s}, x={x}")
+    if s not in (0.5, -0.5):
+        raise ValueError(f"upper_incomplete_gamma supports the orders s = 1/2 and s = -1/2, "
+                         f"got s={s}")
+    if x < 0 or (x == 0 and s < 0):
+        raise ValueError(f"Gamma(s, x) needs x >= 0, and x > 0 at s = -1/2; got s={s}, x={x}")
     if s == 0.5:
-        return _SQRT_PI * erfc_scalar(sqrt(x))
-    if s == -0.5:
-        return -2.0 * _SQRT_PI * erfc_scalar(sqrt(x)) + 2.0 * exp(-x) / sqrt(x)
-    if s > 0:
-        return _upper_gamma_positive(s, x)
-    steps = int(np.floor(1.0 - s))
-    base = s + steps  # in (0, 1]
-    val = _upper_gamma_positive(base, x)
-    sj = base
-    for _ in range(steps):
-        sj -= 1.0
-        val = (val - x ** sj * exp(-x)) / sj
-    return val
+        return _SQRT_PI * erfc(sqrt(x))
+    return -2.0 * _SQRT_PI * erfc(sqrt(x)) + 2.0 * exp(-x) / sqrt(x)
 
 
 class OmegaValue(NamedTuple):
@@ -217,44 +145,12 @@ def _principal_power(z: complex, w: complex) -> complex:
     return cmath.exp(w * cmath.log(z))
 
 
-def xi_fourier_kernel(y: float, alpha: float, beta: float, t: float,
-                      cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """The Fourier transform int e^{-2 pi i t x} (x+iy)^{-alpha} (x-iy)^{-beta} dx.
-
-    Takes real alpha and beta.  Evaluated through its meromorphic continuation: three closed branches in
-    the sign of t, built from Omega; reciprocal gamma prefactors give exact
-    zeros where 1/Gamma vanishes.
-    """
-    if y <= 0:
-        raise ValueError("xi_fourier_kernel requires y > 0")
-    phase = _principal_power(1j, beta - alpha)
-    if t > 0:
-        ra = _rgamma(alpha)
-        if ra == 0:
-            return 0j
-        return (phase * _principal_power(2 * pi, alpha) * ra
-                * _principal_power(2 * y, -beta) * _principal_power(t, alpha - 1)
-                * exp(-2 * pi * y * t) * omega(4 * pi * y * t, alpha, beta, cfg).value)
-    if t == 0:
-        ra, rb = _rgamma(alpha), _rgamma(beta)
-        if ra == 0 or rb == 0:
-            return 0j
-        return (phase * _principal_power(2 * pi, alpha + beta) * ra * rb
-                * gamma(alpha + beta - 1)
-                * _principal_power(4 * pi * y, 1 - alpha - beta))
-    rb = _rgamma(beta)
-    if rb == 0:
-        return 0j
-    return (phase * _principal_power(2 * pi, beta) * rb
-            * _principal_power(2 * y, -alpha) * _principal_power(abs(t), beta - 1)
-            * exp(-2 * pi * y * abs(t)) * omega(4 * pi * y * abs(t), beta, alpha, cfg).value)
-
-
 def rho_kernel(h, k: int, s: float, v: float,
                cfg: EvalConfig = DEFAULT_CONFIG):
     """Fourier kernel rho_h^{k+1/2}(s, v) of the weight k+1/2 Poisson summation.
 
-    rho is v^{-k+1/2-2s} e^{2 pi h v} xi(1; k+1/2+s, s; h v) in closed form:
+    rho is v^{-k+1/2-2s} e^{2 pi h v} xi(1; k+1/2+s, s; h v) in closed form, where
+    xi(y; alpha, beta; t) = int e^{-2 pi i t x} (x+iy)^{-alpha} (x-iy)^{-beta} dx:
 
       h > 0:  (-2 i pi)^{k+1/2} pi^s Gamma(k+1/2+s)^{-1} h^{k-1/2+s} v^{-s}
               * Omega(4 pi h v, k+1/2+s, s)

@@ -178,8 +178,15 @@ def test_cli_eval_h_refuses_beyond_q_terms(capsys):
 
 
 def test_cli_eval_float_overflow_is_one_stderr_line(capsys):
-    # zeta(1 - 2k) at k = 200 exceeds the float range
+    # zeta(1 - 2k) at k = 200 exceeds the float range: refused, naming the limit
     assert main(["eval", "--target", "eisenstein", "--k", "200", "--s", "1", "--tau", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("mockform: evaluation outside the convergence domain: ")
+    assert "k <= 130" in captured.err
+    # at s = 150 the Fourier route's divisor sums sigma_{2k+4s-1}(f) overflow
+    assert main(["eval", "--target", "eisenstein", "--k", "2", "--s", "150", "--tau", "0,1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1

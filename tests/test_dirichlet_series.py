@@ -19,7 +19,6 @@ from mockform.dirichlet_series import (
     gauss_sum_gamma,
     lambda_factor,
     series_closed,
-    series_odd_even,
     series_partial,
     upsilon,
 )
@@ -133,15 +132,14 @@ def test_series_square_argument_uses_zeta():
 
 
 def test_series_odd_even_split():
-    odd, even = series_odd_even(1, 3.0, 500)
-    assert abs(0.5 * (odd + even) - series_partial(1, 3.0, 500).value) < 1e-12
-    odd0, _ = series_odd_even(0, 3.0, 300)
-    direct = sum(gauss_sum_gamma(c, 0) * c ** -3.0 for c in range(1, 301, 2))
-    assert abs(odd0 - direct) < 1e-12
-    odd3, even3 = series_odd_even(-3, 3.0, 400)
-    mean = 0.5 * (odd3 + even3)
-    part = series_partial(-3, 3.0, 400)
-    assert abs(mean - series_closed(-3, 3.0)) <= part.tail_bound
+    # series_partial averages the odd moduli c <= M, weighted c^{-s}, and the
+    # even moduli c <= 2M, weighted (c/2)^{-s}: summed here term by term
+    for n, M in ((1, 500), (0, 300), (-3, 400)):
+        odd = sum(gauss_sum_gamma(c, n) * c ** -3.0 for c in range(1, M + 1, 2))
+        even = sum(gauss_sum_gamma(c, n) * (c / 2) ** -3.0 for c in range(2, 2 * M + 1, 2))
+        part = series_partial(n, 3.0, M)
+        assert abs(0.5 * (odd + even) - part.value) < 1e-12, n
+        assert abs(part.value - series_closed(n, 3.0)) <= part.tail_bound, n
 
 
 def test_series_domain_checks():
@@ -150,7 +148,7 @@ def test_series_domain_checks():
     with pytest.raises(ValueError):
         series_closed(1, 1.0)
     with pytest.raises(ValueError, match="M >= 1"):
-        series_odd_even(1, 3.0, 0)
+        series_partial(1, 3.0, 0)
 
 
 def test_tail_bound_formula():

@@ -13,22 +13,19 @@ from mockform.config import EvalConfig
 from mockform.eisenstein import eisenstein_fourier
 from mockform.special_functions import (
     MAX_ORDER,
-    erfc_scalar,
     omega,
     rho_kernel,
     upper_incomplete_gamma,
-    xi_fourier_kernel,
 )
 
 CFG = EvalConfig(quad_tol=1e-12)
 
 
 def test_erfc_against_scipy():
-    for x in np.concatenate([np.linspace(0.0, 6.0, 121),
-                             np.linspace(1.40, 1.60, 41), [1e-8, 9.5, 15.0]]):
-        ref = scipy_erfc(x)
-        assert abs(erfc_scalar(float(x)) - ref) <= 1e-13 * max(ref, 1e-300), x
-    assert abs(erfc_scalar(-1.0) - scipy_erfc(-1.0)) < 1e-13
+    # Gamma(1/2, x) = sqrt(pi) erfc(sqrt x), with math.erfc against scipy's erfc
+    for x in np.concatenate([np.linspace(0.0, 36.0, 121), [1e-8, 90.25, 225.0]]):
+        ref = sqrt(pi) * scipy_erfc(sqrt(x))
+        assert abs(upper_incomplete_gamma(0.5, float(x)) - ref) <= 1e-14 * ref, x
 
 
 def test_incomplete_gamma_half_orders():
@@ -41,26 +38,46 @@ def test_incomplete_gamma_half_orders():
     assert abs(upper_incomplete_gamma(-0.5, 1.0) - 0.17814771178156069) < 1e-13
 
 
+def test_incomplete_gamma_against_mpmath():
+    # every x = 4 pi n^2 v <= 700 with v in [0.05, 3.5]: the range of the completed
+    # series.  The rounding of x costs about x eps relative in erfc(sqrt x), and
+    # Gamma(-1/2, x) = 2 e^{-x}/sqrt(x) - 2 sqrt(pi) erfc(sqrt x) cancels a
+    # further factor 2x.  Measured worst: 1.95 eps (1+x)^2 for s = -1/2 (1.0e-10
+    # at x = 684) and 0.98 eps (1+x) for s = 1/2 (8.2e-14 at x = 583).
+    eps = np.finfo(float).eps
+    xs = sorted({4 * pi * n * n * v for v in np.linspace(0.05, 3.5, 24)
+                 for n in range(1, 60) if 4 * pi * n * n * v <= 700})
+    with mpmath.workdps(30):
+        for x in xs:
+            for s, tol in ((-0.5, 4 * eps * (1 + x) ** 2), (0.5, 2 * eps * (1 + x))):
+                ref = mpmath.gammainc(s, x)
+                assert float(abs(upper_incomplete_gamma(s, x) - ref) / ref) <= tol, (s, x)
+
+
 def test_incomplete_gamma_recurrence():
-    # Gamma(s+1, x) = s Gamma(s, x) + x^s e^{-x}
-    for s, x in ((-0.5, 2.0), (0.5, 0.7), (1.5, 4.0), (-1.5, 1.3)):
-        lhs = upper_incomplete_gamma(s + 1.0, x)
-        rhs = s * upper_incomplete_gamma(s, x) + x ** s * exp(-x)
-        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs)), (s, x)
+    # Gamma(1/2, x) = -1/2 Gamma(-1/2, x) + x^{-1/2} e^{-x}
+    for x in (0.05, 0.7, 2.0, 9.0):
+        lhs = upper_incomplete_gamma(0.5, x)
+        rhs = -0.5 * upper_incomplete_gamma(-0.5, x) + x ** -0.5 * exp(-x)
+        assert abs(lhs - rhs) < 1e-14 * lhs, x
 
 
 def test_incomplete_gamma_positive_orders_against_scipy():
-    for s in (0.25, 1.0, 2.5, 7.0):
-        for x in (0.1, 1.0, 5.0, 20.0):
-            ref = gammaincc(s, x) * Gamma(s)
-            assert abs(upper_incomplete_gamma(s, x) - ref) <= 1e-12 * max(ref, 1e-300)
+    # s = 1/2 is the one positive order left; the others are refused by name
+    for x in (0.1, 1.0, 5.0, 20.0):
+        ref = gammaincc(0.5, x) * Gamma(0.5)
+        assert abs(upper_incomplete_gamma(0.5, x) - ref) <= 1e-12 * ref
+    for s in (0.25, 1.0, 2.5, 7.0, -1.5):
+        with pytest.raises(ValueError, match="s = 1/2 and s = -1/2"):
+            upper_incomplete_gamma(s, 1.0)
 
 
 def test_incomplete_gamma_domain():
     with pytest.raises(ValueError):
         upper_incomplete_gamma(-0.5, 0.0)
     with pytest.raises(ValueError):
-        upper_incomplete_gamma(1.0, -1.0)
+        upper_incomplete_gamma(0.5, -1.0)
+    assert upper_incomplete_gamma(0.5, 0.0) == sqrt(pi)
 
 
 def test_omega_beta_zero_and_symmetry():
@@ -185,46 +202,40 @@ def test_orders_beyond_gamma_range_are_refused():
         omega(1e-3, 171.0, 1.0)
 
 
-def test_xi_kernel_zero_frequency():
-    # direct substitution in the middle branch at y=1, alpha=2, beta=1
-    val = xi_fourier_kernel(1.0, 2.0, 1.0, 0.0, CFG)
-    expect = (1j ** -1) * (2 * pi) ** 3 / (Gamma(2.0) * Gamma(1.0)) * Gamma(2.0) * (4 * pi) ** -2
-    assert abs(val - expect) < 1e-12
+def _fourier_integral(alpha, beta, t):
+    """xi(1; alpha, beta; t) = int e^{-2 pi i t x} (x+i)^{-alpha} (x-i)^{-beta} dx.
+
+    The oracle rho_kernel is derived from: QUADPACK on [0, inf) of the even
+    and odd parts of the integrand, with the oscillatory QAWF rule at t != 0.
+    """
+    def f(x):
+        return cmath.exp(-alpha * cmath.log(complex(x, 1.0)) - beta * cmath.log(complex(x, -1.0)))
+
+    w = 2 * pi * abs(t)
+    opts = dict(weight="cos", wvar=w, epsabs=1e-13, limlst=100) if w else dict(
+        epsabs=1e-14, epsrel=1e-13, limit=200)
+    halves = []
+    for g in (lambda x: f(x) + f(-x), lambda x: f(x) - f(-x)):
+        re, _ = quad(lambda x: g(x).real, 0, np.inf, **opts)
+        im, _ = quad(lambda x: g(x).imag, 0, np.inf, **opts)
+        halves.append(complex(re, im))
+        if not w:
+            return halves[0]
+        opts["weight"] = "sin"
+    return halves[0] - 1j * np.sign(t) * halves[1]
 
 
-def test_xi_kernel_positive_t_against_fourier_integral():
-    # beta = 0 branch collapses to an elementary form; oracle is the
-    # oscillatory Fourier integral of (x + iy)^{-alpha} computed by QAWF
-    y, alpha, t = 1.0, 2.5, 1.0
-
-    def f(x, part):
-        z = complex(x, y) ** -alpha
-        return z.real if part == "re" else z.imag
-
-    w = 2 * pi * t
-    # int_-inf^inf e^{-iwx} f(x) dx assembled from cosine and sine halves
-    re_cos_p, _ = quad(lambda x: f(x, "re"), 0, np.inf, weight="cos", wvar=w)
-    re_cos_m, _ = quad(lambda x: f(-x, "re"), 0, np.inf, weight="cos", wvar=w)
-    re_sin_p, _ = quad(lambda x: f(x, "re"), 0, np.inf, weight="sin", wvar=w)
-    re_sin_m, _ = quad(lambda x: f(-x, "re"), 0, np.inf, weight="sin", wvar=w)
-    im_cos_p, _ = quad(lambda x: f(x, "im"), 0, np.inf, weight="cos", wvar=w)
-    im_cos_m, _ = quad(lambda x: f(-x, "im"), 0, np.inf, weight="cos", wvar=w)
-    im_sin_p, _ = quad(lambda x: f(x, "im"), 0, np.inf, weight="sin", wvar=w)
-    im_sin_m, _ = quad(lambda x: f(-x, "im"), 0, np.inf, weight="sin", wvar=w)
-    cos_int = complex(re_cos_p + re_cos_m, im_cos_p + im_cos_m)
-    sin_int = complex(re_sin_p - re_sin_m, im_sin_p - im_sin_m)
-    oracle = cos_int - 1j * sin_int
-    val = xi_fourier_kernel(y, alpha, 0.0, t, CFG)
-    assert abs(val - oracle) < 1e-8
-    # and the elementary closed form itself
-    elementary = cmath.exp((0 - alpha) * cmath.log(1j)) * (2 * pi) ** alpha \
-        / Gamma(alpha) * t ** (alpha - 1) * exp(-2 * pi * y * t)
-    assert abs(val - elementary) < 1e-12
-
-
-def test_xi_kernel_reciprocal_gamma_zeros():
-    assert xi_fourier_kernel(1.0, 1.5, 0.0, -1.0, CFG) == 0
-    assert xi_fourier_kernel(1.0, 0.0, 1.5, 2.0, CFG) == 0
+def test_rho_kernel_against_fourier_integral():
+    # rho_h = v^{-k+1/2-2s} e^{2 pi h v} xi(1; k+1/2+s, s; h v) on every branch
+    # of the closed form; measured agreement 3e-13 relative, and 5e-17 where
+    # 1/Gamma(0) makes rho vanish
+    for k, s, h, v in ((1, 1.0, 1, 0.5), (3, 0.0, 2, 0.4), (3, 1.0, 3, 0.3), (2, 1.0, 0, 1.0),
+                       (1, 0.25, 0, 0.7), (2, 0.25, -1, 0.8), (1, 0.25, -2, 0.3),
+                       (2, 0.0, -1, 0.5)):
+        oracle = (v ** (-k + 0.5 - 2 * s) * exp(2 * pi * h * v)
+                  * _fourier_integral(k + 0.5 + s, s, h * v))
+        val = rho_kernel(h, k, s, v, CFG)
+        assert abs(val - oracle) <= 1e-11 * abs(val) + 1e-15, (k, s, h, v)
 
 
 def test_rho_elementary_at_s_zero():
