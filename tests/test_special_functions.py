@@ -238,6 +238,44 @@ def test_rho_kernel_against_fourier_integral():
         assert abs(val - oracle) <= 1e-11 * abs(val) + 1e-15, (k, s, h, v)
 
 
+def _xi(k, s, h, v):
+    """xi(1; k+1/2+s, s; h v), read off rho_kernel through its defining relation."""
+    return rho_kernel(h, k, s, v, CFG) * v ** (k - 0.5 + 2 * s) * exp(-2 * pi * h * v)
+
+
+def test_xi_kernel_zero_frequency():
+    # direct substitution in the t = 0 branch at y = 1, alpha = k+1/2+s, beta = s:
+    # i^{beta-alpha} (2 pi)^{alpha+beta} Gamma(alpha+beta-1) (4 pi)^{1-alpha-beta}
+    # / (Gamma(alpha) Gamma(beta))
+    for k, s, v in ((1, 1.0, 1.0), (2, 0.5, 0.7), (1, 0.25, 1.6)):
+        alpha, beta = k + 0.5 + s, s
+        expect = (1j ** (beta - alpha) * (2 * pi) ** (alpha + beta) / (Gamma(alpha) * Gamma(beta))
+                  * Gamma(alpha + beta - 1) * (4 * pi) ** (1 - alpha - beta))
+        assert abs(_xi(k, s, 0, v) - expect) < 1e-12 * abs(expect), (k, s, v)
+
+
+def test_xi_kernel_positive_t_against_fourier_integral():
+    # the beta = 0 branch collapses to an elementary form; oracle is the
+    # oscillatory Fourier integral of (x + i)^{-alpha} computed by QAWF
+    k, h, v = 2, 1, 1.0
+    alpha, t = k + 0.5, h * v
+    val = _xi(k, 0.0, h, v)
+    assert abs(val - _fourier_integral(alpha, 0.0, t)) < 1e-8
+    # and the elementary closed form itself
+    elementary = cmath.exp(-alpha * cmath.log(1j)) * (2 * pi) ** alpha \
+        / Gamma(alpha) * t ** (alpha - 1) * exp(-2 * pi * t)
+    assert abs(val - elementary) < 1e-12
+
+
+def test_xi_kernel_reciprocal_gamma_zeros():
+    # beta = s = 0: 1/Gamma(0) makes xi vanish exactly for t <= 0, scalar and array
+    for k in (1, 2, 3):
+        for h in (0, -1, -5):
+            assert rho_kernel(h, k, 0.0, 0.8, CFG) == 0, (k, h)
+        values = rho_kernel(np.arange(-6, 1), k, 0.0, 0.8, CFG)
+        assert np.all(values == 0), k
+
+
 def test_rho_elementary_at_s_zero():
     expect = 1j ** -1.5 * 8 * pi / sqrt(2)
     for v in (0.3, 0.7, 1.0, 2.5):
