@@ -49,7 +49,7 @@ for g, tau in ((Gamma04Matrix(1, 1, 0, 1), 0.4 + 0.9j),
     resid = modularity_residual(series, 1, 0.0, g, tau)
     print(f"  g = {g.entries()}: transformation residual {resid:.2e}")
 for tau in (0.3 + 0.8j, 0.7 + 1.4j):
-    print(f"  |Delta_3/2 at {tau}| = {abs(laplacian_fd(series, 1.5, tau, cfg)):.2e}")
+    print(f"  |Delta_3/2 at {tau}| = {abs(laplacian_fd(series, 1.5, tau)):.2e}")
 
 print()
 print("=" * 70)

@@ -17,8 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, EvalConfig
-
 
 def kronecker_symbol(a: int, n: int) -> int:
     """Kronecker symbol (a/n), fully extended: n may be 0, +-1, even, negative.
@@ -295,10 +293,11 @@ def hurwitz_zeta_numeric(s: float, a: float, terms: int = 60) -> float:
     return acc + x ** (1.0 - s) / (s - 1.0) + _em_tail_no_pole(s, x)
 
 
-def zeta_numeric(s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def zeta_numeric(s: float) -> float:
     """Riemann zeta(s) for real s > 1 (accurate arbitrarily close to the pole)."""
     if s <= 1:
         raise ValueError(f"zeta_numeric requires s > 1, got {s}")
-    # truncation point chosen so the Euler-Maclaurin remainder is far below quad_tol
+    # 60 direct terms (8 from s = 40 on) put the Euler-Maclaurin remainder far
+    # below double rounding
     terms = 60 if s < 40 else 8
     return hurwitz_zeta_numeric(s, 1.0, terms=terms)

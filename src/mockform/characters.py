@@ -23,7 +23,6 @@ from .arithmetic import (
     zeta_numeric,
     _em_tail_no_pole,
 )
-from .config import DEFAULT_CONFIG, EvalConfig
 
 
 class QuadraticCharacter:
@@ -53,7 +52,7 @@ class QuadraticCharacter:
         return self.d == 1
 
 
-def l_numeric(chi: QuadraticCharacter, s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def l_numeric(chi: QuadraticCharacter, s: float) -> float:
     """L(s, chi_d) for real s.
 
     Principal character: zeta(s), s > 1 only.  Non-principal: any s > 0; the
@@ -63,7 +62,7 @@ def l_numeric(chi: QuadraticCharacter, s: float, cfg: EvalConfig = DEFAULT_CONFI
     cancel exactly because the character sums to zero over a period.
     """
     if chi.is_principal:
-        return zeta_numeric(s, cfg)
+        return zeta_numeric(s)
     if s <= 0:
         raise ValueError("l_numeric requires s > 0 for non-principal characters")
     q = chi.modulus

@@ -35,7 +35,6 @@ from .arithmetic import (
     zeta_exact_neg,
 )
 from .characters import QuadraticCharacter, l_exact_neg
-from .config import DEFAULT_CONFIG, EvalConfig
 
 
 class QuadraticForm(NamedTuple):
@@ -239,7 +238,7 @@ def _first_mismatch(sixths: np.ndarray, formula: np.ndarray) -> int | None:
     return int(bad[0]) + 1 if bad.size else None
 
 
-def build_table(max_n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> ClassNumberTable:
+def build_table(max_n: int) -> ClassNumberTable:
     """Tabulate H(n) for 0 <= n <= max_n by one pass of form enumeration.
 
     The enumeration's sixths are compared with formula_sixths before any

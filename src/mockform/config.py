@@ -1,4 +1,4 @@
-"""Evaluation configuration threaded through every numerical routine."""
+"""Evaluation configuration, passed to the numerical routines that read it."""
 
 from __future__ import annotations
 
@@ -7,13 +7,12 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Truncation bounds, finite-difference steps and tolerances.
+    """Truncation bounds, the finite-difference step and the tolerance.
 
     lattice_bound   largest odd modulus m in direct lattice sums
     fourier_bound   largest |h| kept in Fourier expansions
-    q_terms         cap on q-series terms (and default class-number table size)
+    q_terms         cap on q-series terms
     fd_step         step (relative to v) for first-derivative stencils
-    fd_step2        step (relative to v) for second-derivative stencils
     quad_tol        absolute tolerance for quadrature and series tails
     """
 
@@ -21,14 +20,13 @@ class EvalConfig:
     fourier_bound: int = 40
     q_terms: int = 4000
     fd_step: float = 1e-5
-    fd_step2: float = 2e-3
     quad_tol: float = 1e-10
 
     def __post_init__(self):
         for name in ("lattice_bound", "fourier_bound", "q_terms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        for name in ("fd_step", "fd_step2", "quad_tol"):
+        for name in ("fd_step", "quad_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

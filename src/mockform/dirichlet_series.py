@@ -59,7 +59,6 @@ from .arithmetic import (
 )
 from .characters import QuadraticCharacter, l_numeric
 from .class_numbers import t_chi
-from .config import DEFAULT_CONFIG, EvalConfig
 
 _EIGHTH_ROOTS = np.exp(1j * pi * np.arange(16) / 4)  # i^{a/2} = e^{i pi a/4}, period 16 in a
 
@@ -173,14 +172,11 @@ def series_partial(n: int, s: complex, M: int) -> DirichletSeriesValue:
                                 _tail_bound(s.real, M))
 
 
-# A Fourier-route request calls series_closed for every |h| <= fourier_bound
-# with one s: the characters (with their cached value tables) and zeta(2s)
-# are kept between calls instead of rebuilt.
-_character = functools.lru_cache(maxsize=1024)(QuadraticCharacter)
-_zeta = functools.lru_cache(maxsize=256)(zeta_numeric)
-
-
-def series_closed(n: int, s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+# E_n(s) depends on n and s alone, and a Fourier-route evaluation asks for the
+# 2 fourier_bound + 1 coefficients of one s: repeated evaluations at that s
+# (any tau) read them back instead of recomputing L(s, chi_d) and zeta(2s).
+@functools.lru_cache(maxsize=4096)
+def series_closed(n: int, s: float) -> float:
     """Closed form of E_n(s) for real s > 1.
 
     Zero for n = 2, 3 (mod 4); zeta(2s-1)/zeta(2s) at n = 0; otherwise
@@ -191,8 +187,8 @@ def series_closed(n: int, s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     if n % 4 in (2, 3):
         return 0.0
     if n == 0:
-        return _zeta(2 * s - 1, cfg) / _zeta(2 * s, cfg)
+        return zeta_numeric(2 * s - 1) / zeta_numeric(2 * s)
     d, f = fundamental_discriminant(n)
-    chi = _character(d)
-    lval = l_numeric(chi, s, cfg)
-    return lval / _zeta(2 * s, cfg) * t_chi(float(s), chi, f) / f ** (2.0 * s - 1.0)
+    chi = QuadraticCharacter(d)
+    return (l_numeric(chi, s) / zeta_numeric(2 * s) * t_chi(float(s), chi, f)
+            / f ** (2.0 * s - 1.0))

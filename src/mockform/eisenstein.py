@@ -304,7 +304,7 @@ def eisenstein_fourier(k: int, s: float, tau: complex,
     flip = 1 if k % 2 == 0 else -1
     coeff = (1 + 1j ** (2 * k + 1)) * zk / 2 ** (2 * k)
     hs = np.arange(-cfg.fourier_bound, cfg.fourier_bound + 1)
-    e_n = np.array([series_closed(flip * int(h), k + 2.0 * s, cfg) for h in hs])
+    e_n = np.array([series_closed(flip * int(h), k + 2.0 * s) for h in hs])
     kept = e_n != 0.0                     # E_n vanishes for n = 2, 3 (mod 4)
     hs, e_n = hs[kept], e_n[kept]
     terms = e_n * rho_kernel(hs, k, s, v, cfg) * np.exp(2j * pi * hs * tau)

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .arithmetic import sigma_divisor
-from .class_numbers import ClassNumberTable, hurwitz_class_number
+from .class_numbers import hurwitz_class_number
 from .config import DEFAULT_CONFIG, EvalConfig, require_upper_half
 from .dirichlet_series import series_closed
 from .special_functions import rho_kernel, upper_incomplete_gamma
@@ -73,15 +73,15 @@ def theta_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     return complex(1.0 + 2.0 * np.exp(2j * pi * tau * n * n).sum())
 
 
-def completed_hurwitz_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG,
-                             table: ClassNumberTable | None = None) -> HarmonicFormValue:
+def completed_hurwitz_series(tau: complex,
+                             cfg: EvalConfig = DEFAULT_CONFIG) -> HarmonicFormValue:
     """Evaluate the completed class number series at tau (v >= 0.05).
 
-    The holomorphic part is read from the supplied table (or computed and
-    memoized on the fly); the nonholomorphic part sums incomplete gamma
-    terms that decay like e^{-2 pi n^2 v}.  Reported truncation_tail bounds
-    everything dropped from both series.  Raises ValueError when the
-    holomorphic part needs more than q_terms terms for a tail below quad_tol.
+    The holomorphic part reads H(n) from hurwitz_class_number (memoized);
+    the nonholomorphic part sums incomplete gamma terms that decay like
+    e^{-2 pi n^2 v}.  Reported truncation_tail bounds everything dropped
+    from both series.  Raises ValueError when the holomorphic part needs
+    more than q_terms terms for a tail below quad_tol.
     """
     tau = require_upper_half(tau)
     v = tau.imag
@@ -93,18 +93,13 @@ def completed_hurwitz_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG,
     N, holo_tail = _truncate("completed_hurwitz_series",
                              lambda N: (N + 1) * r ** (N + 1) / (1 - r) ** 2,
                              4, cfg.q_terms, v, tol)
-    if table is not None and table.max_n < N:
-        raise ValueError(
-            f"class number table holds n <= {table.max_n} but v={v} "
-            f"needs n <= {N} for tail {tol:.1e}")
-    lookup = table.value if table is not None else hurwitz_class_number
 
     q = cmath.exp(2j * pi * tau)
     holo = complex(-1.0 / 12.0)
     qn = 1.0 + 0j
     for n in range(1, N + 1):
         qn *= q
-        h = lookup(n)
+        h = hurwitz_class_number(n)
         if h:
             holo += float(h) * qn
 
@@ -168,15 +163,18 @@ def _stencil_1d(f, x, h):
     return f0, d1, d2
 
 
-def laplacian_fd(f: Callable[[complex], complex], k_weight: float, tau: complex,
-                 cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+# step, relative to v, of the second-derivative stencils
+FD_STEP2 = 2e-3
+
+
+def laplacian_fd(f: Callable[[complex], complex], k_weight: float, tau: complex) -> complex:
     """Weight-k hyperbolic Laplacian -v^2 (f_uu + f_vv) + i k v (f_u + i f_v).
 
-    Second derivatives use 5-point stencils with step scaled by v.
+    Second derivatives use 5-point stencils with step FD_STEP2 * v.
     """
     tau = require_upper_half(tau)
     u, v = tau.real, tau.imag
-    h = cfg.fd_step2 * v
+    h = FD_STEP2 * v
     _, fu, fuu = _stencil_1d(lambda x: f(complex(x, v)), u, h)
     _, fv, fvv = _stencil_1d(lambda y: f(complex(u, y)), v, h)
     return -v * v * (fuu + fvv) + 1j * k_weight * v * (fu + 1j * fv)
@@ -273,7 +271,7 @@ def s_limit_check(h: int, v: float, s_samples: list[float],
     samples = sorted(set(float(s) for s in s_samples), reverse=True)
 
     def g(s):
-        return (-(1 - 1j) / 48.0 * series_closed(-h, 1.0 + 2.0 * s, cfg)
+        return (-(1 - 1j) / 48.0 * series_closed(-h, 1.0 + 2.0 * s)
                 * rho_kernel(h, 1, s, v, cfg))
 
     values = [g(s) for s in samples]

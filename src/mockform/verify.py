@@ -154,7 +154,7 @@ def verify_dirichlet(cfg: EvalConfig = DEFAULT_CONFIG,
     for n in (0, 1, 4, 5, 8, -3, -4, -7):
         t0 = time.perf_counter()
         part = series_partial(n, 3.0, 2000)
-        closed = series_closed(n, 3.0, cfg)
+        closed = series_closed(n, 3.0)
         out.append(_record("dirichlet_series_closed_form",
                            {"n": n, "s": 3, "M": 2000, "tail_bound": part.tail_bound},
                            abs(part.value - closed), min(part.tail_bound, 1e-2), t0))
@@ -302,7 +302,7 @@ def verify_laplacian(cfg: EvalConfig = DEFAULT_CONFIG,
     for _ in range(10):
         tau = complex(rng.uniform(0.0, 1.0), rng.uniform(0.5, 2.0))
         worst = max(worst, abs(laplacian_fd(
-            lambda t: completed_hurwitz_series(t, cfg).value, 1.5, tau, cfg)))
+            lambda t: completed_hurwitz_series(t, cfg).value, 1.5, tau)))
     return [_record("harmonicity", {"samples": 10, "v": "[0.5, 2]"}, worst, 1e-4, t0)]
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.special import gamma as Gamma
 
-from mockform.class_numbers import build_table
 from mockform.config import EvalConfig
 from mockform.eisenstein import Gamma04Matrix, modularity_residual
 from mockform.maass import (
@@ -77,13 +76,6 @@ def test_completed_series_values():
 def test_completed_series_guards():
     with pytest.raises(ValueError):
         completed_hurwitz_series(0.5 + 0.02j, CFG)
-    small = build_table(5)
-    with pytest.raises(ValueError, match=r"needs n <= \d+"):
-        completed_hurwitz_series(0.3 + 0.2j, CFG, table=small)
-    big = build_table(400)
-    a = completed_hurwitz_series(0.3 + 0.6j, CFG, table=big)
-    b = completed_hurwitz_series(0.3 + 0.6j, CFG)
-    assert a == b
 
 
 def test_alpha_limit_cases():
@@ -126,15 +118,15 @@ def test_laplacian_annihilates_completed_series():
     rng = np.random.default_rng(31)
     for _ in range(10):
         tau = complex(rng.uniform(0, 1), rng.uniform(0.5, 2.0))
-        assert abs(laplacian_fd(series_value, 1.5, tau, CFG)) < 1e-4
+        assert abs(laplacian_fd(series_value, 1.5, tau)) < 1e-4
 
 
 def test_laplacian_kernel_functions():
     tau = 0.2 + 0.8j
-    assert abs(laplacian_fd(lambda t: t.imag ** -0.5, 1.5, tau, CFG)) < 1e-6
+    assert abs(laplacian_fd(lambda t: t.imag ** -0.5, 1.5, tau)) < 1e-6
     for n in (1, 3):
         fn = lambda t: cmath.exp(2j * pi * n * t)
-        assert abs(laplacian_fd(fn, 1.5, tau, CFG)) < 1e-6
+        assert abs(laplacian_fd(fn, 1.5, tau)) < 1e-6
 
 
 def test_analytic_shadow_stream():
