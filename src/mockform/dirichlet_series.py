@@ -42,7 +42,7 @@ modulus is a product of integers.
 from __future__ import annotations
 
 import functools
-from math import pi, sqrt
+from math import log2, pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -172,6 +172,11 @@ def series_partial(n: int, s: complex, M: int) -> DirichletSeriesValue:
                                 _tail_bound(s.real, M))
 
 
+# Float powers are refused past 2^MAX_POWER_LOG2, 2^24 below the float maximum,
+# which leaves room for the sums and products they enter.
+MAX_POWER_LOG2 = 1000
+
+
 # E_n(s) depends on n and s alone, and a Fourier-route evaluation asks for the
 # 2 fourier_bound + 1 coefficients of one s: repeated evaluations at that s
 # (any tau) read them back instead of recomputing L(s, chi_d) and zeta(2s).
@@ -180,7 +185,9 @@ def series_closed(n: int, s: float) -> float:
     """Closed form of E_n(s) for real s > 1.
 
     Zero for n = 2, 3 (mod 4); zeta(2s-1)/zeta(2s) at n = 0; otherwise
-    L(s, chi_d) / zeta(2s) * T_s(f) / f^{2s-1} with n = d f^2.
+    L(s, chi_d) / zeta(2s) * T_s(f) / f^{2s-1} with n = d f^2.  Raises
+    ValueError where f^{2s-1} passes 2^MAX_POWER_LOG2: the divisor sum
+    sigma_{2s-1}(f) inside T_s(f) would overflow a float.
     """
     if s <= 1:
         raise ValueError("series_closed requires s > 1")
@@ -189,6 +196,9 @@ def series_closed(n: int, s: float) -> float:
     if n == 0:
         return zeta_numeric(2 * s - 1) / zeta_numeric(2 * s)
     d, f = fundamental_discriminant(n)
+    if (2 * s - 1) * log2(f) > MAX_POWER_LOG2:
+        raise ValueError(f"E_n(s) needs f^(2s-1) <= 2^{MAX_POWER_LOG2} for n = d f^2, beyond "
+                         f"which sigma_(2s-1)(f) overflows a float; got n={n} (f={f}), s={s}")
     chi = QuadraticCharacter(d)
     return (l_numeric(chi, s) / zeta_numeric(2 * s) * t_chi(float(s), chi, f)
             / f ** (2.0 * s - 1.0))

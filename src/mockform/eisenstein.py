@@ -13,14 +13,14 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import log2, pi, sqrt
 from typing import Callable, Literal
 
 import numpy as np
 
 from .arithmetic import epsilon_factor, jacobi_row, kronecker_symbol, zeta_exact_neg
 from .config import DEFAULT_CONFIG, EvalConfig, require_upper_half
-from .dirichlet_series import series_closed
+from .dirichlet_series import MAX_POWER_LOG2, series_closed
 from .special_functions import rho_kernel
 
 
@@ -191,6 +191,11 @@ def lattice_tail_estimate(k: int, s: float, tau: complex, M: int, kind: Kind = "
     raise ValueError(f"unknown kind {kind!r}")
 
 
+# Longer rows are refused before anything is allocated; at M = 301 the points
+# of verify and of the perfbench pool need at most about 1.6k points per row.
+MAX_LATTICE_ROW = 2 ** 20
+
+
 # Every lattice sum revisits the odd m <= M; the cache holds the rows of
 # m < 4096, at most 34 MB of floats.
 @functools.lru_cache(maxsize=2048)
@@ -207,11 +212,17 @@ def _lattice_sum(k: int, s: float, tau: complex, M: int) -> complex:
     arithmetic: sqrt z from real square roots on the branch that does not
     cancel (t = sqrt((|z| + |x|)/2) and y/(2t), swapped where x = Re z < 0),
     k complex products and one real power per point.  The symbols and
-    powers are real, so each row's sum is conjugated once.
+    powers are real, so each row's sum is conjugated once.  Raises
+    ValueError when a row would hold more than MAX_LATTICE_ROW points.
     """
     tau = require_upper_half(tau)
     total = 0j
-    n_max = int(np.ceil(M * (1.0 + abs(tau))))
+    reach = np.ceil(M * (1.0 + abs(tau)))
+    if 2 * reach + 1 > MAX_LATTICE_ROW:
+        raise ValueError(f"the lattice sum at the point {tau} with M={M} needs rows of "
+                         f"{2 * reach + 1:.4g} points, more than "
+                         f"MAX_LATTICE_ROW = {MAX_LATTICE_ROW}")
+    n_max = int(reach)
     ints = np.arange(-n_max, n_max + 1)
     ns = ints.astype(float)
     expo = -(k + s + 0.5)
@@ -256,6 +267,7 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
     law (and by the tau-independence of the constant Fourier term).  H is
     the combination zeta(1-2k)/2^{2k+1} [(1 + i^{2k+1}) E + i^{2k+1} F].
     The truncation error is roughly lattice_tail_estimate(k, s, tau, M, kind).
+    F and H raise ValueError where |tau|^{-(k+1/2+2s)} passes 2^MAX_POWER_LOG2.
     """
     if k < 0:
         raise ValueError(f"lattice sum needs k >= 0, got k={k}")
@@ -263,6 +275,9 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
     if k + 0.5 + 2 * s <= 2:
         raise ValueError(f"lattice sum diverges at k={k}, s={s}: need k + 2s > 3/2")
     tau = require_upper_half(tau)
+    if kind in ("F", "H") and -(k + 0.5 + 2 * s) * log2(abs(tau)) > MAX_POWER_LOG2:
+        raise ValueError(f"F needs |tau|^-(k+1/2+2s) <= 2^{MAX_POWER_LOG2}, beyond which it "
+                         f"overflows a float; got k={k}, s={s}, |tau|={abs(tau):.3g}")
     M = cfg.lattice_bound
     if kind == "E":
         return _lattice_sum(k, s, tau, M)

@@ -104,16 +104,17 @@ def completed_hurwitz_series(tau: complex,
             holo += float(h) * qn
 
     nonholo = complex(1.0 / (8.0 * pi * sqrt(v)))
+    # |term n| < (n / (4 sqrt(pi))) x^{-3/2} e^{-2 pi n^2 v} with x = 4 pi n^2 v, from
+    # Gamma(-1/2, x) < e^{-x} x^{-3/2} and |q^{-n^2}| = e^{2 pi n^2 v}.  Terms are
+    # added while that bound reaches tol, which keeps e^{2 pi n^2 v} below about
+    # 1/tol, in the float range; at large v no term is added at all.
     n = 1
     while True:
         x = 4.0 * pi * n * n * v
-        term = _QUARTER_ROOT * n * upper_incomplete_gamma(-0.5, x) * cmath.exp(-2j * pi * n * n * tau)
-        nonholo += term
-        # next-term bound via Gamma(-1/2, x) < e^{-x} x^{-3/2}
-        m = n + 1
-        xm = 4.0 * pi * m * m * v
-        if _QUARTER_ROOT * m * exp(-xm) * xm ** -1.5 * exp(2 * pi * m * m * v) < tol or n >= 50:
+        if _QUARTER_ROOT * n * x ** -1.5 * exp(-2 * pi * n * n * v) < tol:
             break
+        nonholo += (_QUARTER_ROOT * n * upper_incomplete_gamma(-0.5, x)
+                    * cmath.exp(-2j * pi * n * n * tau))
         n += 1
     # dropped incomplete-gamma terms decay superexponentially; with v >= 0.05
     # the term ratio stays below e^{-0.3 pi}, so twice the next-term bound

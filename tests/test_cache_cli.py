@@ -185,12 +185,24 @@ def test_cli_eval_float_overflow_is_one_stderr_line(capsys):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("mockform: evaluation outside the convergence domain: ")
     assert "k <= 130" in captured.err
-    # at s = 150 the Fourier route's divisor sums sigma_{2k+4s-1}(f) overflow
-    assert main(["eval", "--target", "eisenstein", "--k", "2", "--s", "150", "--tau", "0,1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("mockform: evaluation overflows a float: ")
+    # at s = 150 the Fourier route's divisor sums sigma_{2k+4s-1}(f) would overflow,
+    # at k = 130 and |tau| = 1e-3 the power |tau|^{-(k+1/2+2s)} of F would, and at
+    # tau = 1e-9 i the lattice rows of F would hold 1.5e11 points: all three are refused
+    for argv, limit in ((["--k", "2", "--s", "150", "--tau", "0,1"], "2^1000"),
+                        (["--k", "130", "--s", "1", "--tau", "0,0.001"], "2^1000"),
+                        (["--tau", "0,1e-9"], "MAX_LATTICE_ROW")):
+        assert main(["eval", "--target", "eisenstein"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("mockform: evaluation outside the convergence domain: ")
+        assert limit in captured.err
+
+
+def test_cli_eval_h_at_large_v(capsys):
+    assert main(["eval", "--target", "H", "--tau", "0,200", "--format", "json"]) == 0
+    value = json.loads(capsys.readouterr().out)["results"][0]["value"]
+    assert abs(value[0] - (-1 / 12 + 1 / (8 * pi * sqrt(200)))) < 1e-15
 
 
 _SCIPY_PROBE = """

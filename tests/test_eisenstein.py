@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 import warnings
 from math import pi, sqrt
 
@@ -6,12 +7,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from mockform import special_functions
+from mockform import dirichlet_series, special_functions
 
 from mockform.config import EvalConfig
 from mockform.class_numbers import cohen_class_number
 from mockform.arithmetic import epsilon_factor, jacobi_row
+from mockform.dirichlet_series import series_closed
 from mockform.eisenstein import (
+    MAX_LATTICE_ROW,
     Gamma04Matrix,
     IDENTITY,
     _lattice_sum,
@@ -140,6 +143,48 @@ def test_large_orders_are_refused_without_warnings():
                       lambda k: eisenstein_fourier(k, 1.0, tau, CFG)):
             with pytest.raises(ValueError, match="k <= 130"):
                 route(131)
+
+
+def test_float_range_limits_are_typed_errors():
+    # sigma_{2k+4s-1}(f) of the Fourier coefficients and |tau|^{-(k+1/2+2s)} of F
+    # would overflow a float: both are refused up front, naming the limit
+    with pytest.raises(ValueError, match=r"f\^\(2s-1\) <= 2\^1000"):
+        eisenstein_fourier(2, 150.0, 1j, CFG)
+    for kind in ("F", "H"):
+        with pytest.raises(ValueError, match=r"\|tau\|\^-\(k\+1/2\+2s\) <= 2\^1000"):
+            eisenstein_direct(kind, 130, 1.0, 0.001j, CFG)
+
+
+def test_lattice_refuses_long_rows_before_allocating():
+    # F at tau = 1e-9 i sums at -1/(4 tau) = 2.5e8 i: rows of 1.5e11 points
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"MAX_LATTICE_ROW = {MAX_LATTICE_ROW}"):
+            eisenstein_direct("F", 2, 1.0, 1e-9j, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_fourier_route_computes_each_coefficient_once(monkeypatch):
+    calls = []
+    real = dirichlet_series.l_numeric
+
+    def counted(chi, s):
+        calls.append((chi.d, s))
+        return real(chi, s)
+
+    monkeypatch.setattr(dirichlet_series, "l_numeric", counted)
+    series_closed.cache_clear()
+    first = eisenstein_fourier(2, 1.0, 0.1 + 0.6j, CFG)
+    once = len(calls)
+    # one call per kept h != 0 with n = h = 0, 1 (mod 4)
+    assert once == 40
+    for tau in (0.3 + 0.9j, -0.2 + 1.4j, 0.1 + 0.6j):
+        eisenstein_fourier(2, 1.0, tau, CFG)
+    assert len(calls) == once
+    assert eisenstein_fourier(2, 1.0, 0.1 + 0.6j, CFG) == first
 
 
 def test_f_defining_relation():

@@ -73,6 +73,14 @@ def test_completed_series_values():
     assert completed_hurwitz_series(1j, CFG).truncation_tail < 1e-9
 
 
+def test_completed_series_at_large_v():
+    # every nonholomorphic term is below quad_tol: none is formed, and the
+    # value is the constant term (the parent overflowed in e^{2 pi n^2 v} here)
+    val = completed_hurwitz_series(200j, CFG)
+    assert abs(val.value - (-1 / 12 + 1 / (8 * pi * sqrt(200)))) < 1e-15
+    assert val.truncation_tail <= 3 * CFG.quad_tol
+
+
 def test_completed_series_guards():
     with pytest.raises(ValueError):
         completed_hurwitz_series(0.5 + 0.02j, CFG)
