@@ -74,8 +74,8 @@ def test_completed_series_values():
 
 
 def test_completed_series_at_large_v():
-    # every nonholomorphic term is below quad_tol: none is formed, and the
-    # value is the constant term (the parent overflowed in e^{2 pi n^2 v} here)
+    # every nonholomorphic term is below quad_tol, so none is formed (its factor
+    # e^{2 pi n^2 v} would overflow) and the value is the constant term
     val = completed_hurwitz_series(200j, CFG)
     assert abs(val.value - (-1 / 12 + 1 / (8 * pi * sqrt(200)))) < 1e-15
     assert val.truncation_tail <= 3 * CFG.quad_tol
