@@ -4,6 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+# Series cut where a term bound reaches quad_tol form factors up to about
+# 1/quad_tol, such as e^{2 pi n^2 v} in the completed Hurwitz series; below
+# this floor they would leave the float range.
+MIN_QUAD_TOL = 1e-300
+
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -13,7 +18,8 @@ class EvalConfig:
     fourier_bound   largest |h| kept in Fourier expansions
     q_terms         cap on q-series terms
     fd_step         step (relative to v) for first-derivative stencils
-    quad_tol        absolute tolerance for quadrature and series tails
+    quad_tol        absolute tolerance for quadrature and series tails,
+                    at least MIN_QUAD_TOL
     """
 
     lattice_bound: int = 301
@@ -29,6 +35,9 @@ class EvalConfig:
         for name in ("fd_step", "quad_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not self.quad_tol >= MIN_QUAD_TOL:
+            raise ValueError(f"quad_tol must be at least {MIN_QUAD_TOL:g}, "
+                             f"got {self.quad_tol!r}")
 
     def with_(self, **kwargs) -> "EvalConfig":
         return replace(self, **kwargs)

@@ -11,9 +11,8 @@ the Fourier expansion through the Dirichlet series E_n and the kernel rho.
 from __future__ import annotations
 
 import cmath
-import functools
 from dataclasses import dataclass
-from math import log2, pi, sqrt
+from math import ceil, log2, pi, sqrt
 from typing import Callable, Literal
 
 import numpy as np
@@ -196,62 +195,91 @@ def lattice_tail_estimate(k: int, s: float, tau: complex, M: int, kind: Kind = "
 MAX_LATTICE_ROW = 2 ** 20
 
 
-# Every lattice sum revisits the odd m <= M; the cache holds the rows of
-# m < 4096, at most 34 MB of floats.
-@functools.lru_cache(maxsize=2048)
-def _symbol_row(m: int) -> np.ndarray:
-    """(n/m) for n mod m, as floats that weight the real powers in place."""
-    return jacobi_row(m).astype(float)
+# Row m weights its points by (n/m), read as a slice of a tile of whole periods
+# of jacobi_row(m): Q = m * max(1, _TILE_POINTS // m) points plus one period, so a
+# slice of Q points may start at any residue.  A row is multiplied in blocks of Q
+# points through reshape, then its remainder, so no row indexes or copies its
+# symbols.  The tiles stay int8 (the multiply casts them as it goes), and one
+# holds at most max(_TILE_POINTS, m) + m bytes whatever tau is: M = 301 keeps
+# 46 kB, and the cache is emptied past _TILE_BUDGET bytes.
+_TILE_POINTS = 64
+_TILE_BUDGET = 1 << 22
+_tiles: dict[int, np.ndarray] = {}
+
+
+def _symbol_tile(m: int) -> np.ndarray:
+    """(n/m) for n = 0 .. Q + m - 1, Q = tile.size - m a multiple of m."""
+    tile = _tiles.get(m)
+    if tile is None:
+        tile = np.tile(jacobi_row(m), max(1, _TILE_POINTS // m) + 1)
+        if tile.nbytes + sum(t.nbytes for t in _tiles.values()) > _TILE_BUDGET:
+            _tiles.clear()
+        _tiles[m] = tile
+    return tile
 
 
 def _lattice_sum(k: int, s: float, tau: complex, M: int) -> complex:
     """E_{k+1/2,s}(tau) truncated to odd m <= M and |n| <= M (1 + |tau|).
 
-    The terms are (n/m) eps_m^{-2k-1} z^{-k-1/2} |z|^{-2s} with z = m tau + n.
-    Each term is conj(z^k sqrt z) (|z|^2)^{-(k+s+1/2)}, built from real
-    arithmetic: sqrt z from real square roots on the branch that does not
-    cancel (t = sqrt((|z| + |x|)/2) and y/(2t), swapped where x = Re z < 0),
-    k complex products and one real power per point.  The symbols and
-    powers are real, so each row's sum is conjugated once.  Raises
-    ValueError when a row would hold more than MAX_LATTICE_ROW points.
+    The terms are (n/m) eps_m^{-2k-1} z^{-k-1/2} |z|^{-2s} with z = m tau + n,
+    that is conj(z^k sqrt z) (|z|^2)^{-(k+s+1/2)}, built from real arithmetic
+    on z' = |x| + iy (x = Re z, y = Im z): sqrt z' = (t + iy/t)/sqrt 2 with
+    t = sqrt(|z| + |x|), which does not cancel, then k complex products in
+    place and one real power per point.  Where x < 0, z = -conj(z'), so
+    z^k sqrt z = (-1)^k i conj(z'^k sqrt z'): the partial sum over those
+    points (a prefix, as x ascends in n) is turned by (-1)^k (-i), and the
+    rest is conjugated.  Symbols and powers are real, so each part is one
+    real product of the weights with the (Re, Im) pairs of z'^k sqrt z'.
+    Raises ValueError when a row would hold more than MAX_LATTICE_ROW points.
     """
     tau = require_upper_half(tau)
-    total = 0j
     reach = np.ceil(M * (1.0 + abs(tau)))
     if 2 * reach + 1 > MAX_LATTICE_ROW:
         raise ValueError(f"the lattice sum at the point {tau} with M={M} needs rows of "
                          f"{2 * reach + 1:.4g} points, more than "
                          f"MAX_LATTICE_ROW = {MAX_LATTICE_ROW}")
     n_max = int(reach)
-    ints = np.arange(-n_max, n_max + 1)
-    ns = ints.astype(float)
+    size = 2 * n_max + 1
+    ns = np.arange(-n_max, n_max + 1, dtype=float)
     expo = -(k + s + 0.5)
     u, v = tau.real, tau.imag
-    root = np.empty(ns.size, dtype=complex)
-    re, im = root.real, root.imag
+    x, r2, w = np.empty(size), np.empty(size), np.empty(size)
+    root, z = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    pairs = root.view(float).reshape(size, 2)      # (Re, Im) of each term
+    z_re, z_im, root_re, root_im = z.real, z.imag, root.real, root.imag
+    rows = range(1, M + 1, 2)
+    sums = np.empty((len(rows), 2, 2))             # per row: prefix and rest, (Re, Im)
     # past k ~ 110 the powers z^k overflow and the weights underflow: inf * 0
     # gives nan, which is refused below instead of warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, M + 1, 2):
-            x = ns + m * u                     # ascending in n
-            y = m * v
-            r2 = x * x
+        for row, m in enumerate(rows):
+            mu, y = m * u, m * v
+            np.add(ns, mu, out=x)                  # ascending in n
+            np.multiply(x, x, out=r2)
             r2 += y * y
-            big = np.sqrt(r2)
-            big += np.abs(x)
-            big *= 0.5
-            np.sqrt(big, out=big)
-            small = (0.5 * y) / big
-            j = int(np.searchsorted(x, 0.0))   # x < 0 exactly before j
-            re[:j], im[:j] = small[:j], big[:j]
-            re[j:], im[j:] = big[j:], small[j:]
-            z = ns + m * tau
-            terms = root
+            np.abs(x, out=z_re)
+            z_im.fill(y)
+            np.sqrt(r2, out=x)
+            x += z_re
+            np.sqrt(x, out=root_re)
+            np.divide(y, root_re, out=root_im)
             for _ in range(k):
-                terms = terms * z
-            weights = r2 ** expo
-            weights *= np.take(_symbol_row(m), ints, mode="wrap")
-            total += epsilon_factor(m) ** (-2 * k - 1) * np.conj(terms @ weights)
+                root *= z
+            np.power(r2, expo, out=w)
+            tile = _symbol_tile(m)
+            period, start = tile.size - m, -n_max % m
+            whole = size - size % period
+            blocks = w[:whole].reshape(-1, period)
+            np.multiply(blocks, tile[start:start + period], out=blocks)
+            w[whole:] *= tile[start:start + size - whole]
+            j = min(max(ceil(-mu) + n_max, 0), size)   # x < 0 exactly before j
+            np.dot(w[:j], pairs[:j], out=sums[row, 0])
+            np.dot(w[j:], pairs[j:], out=sums[row, 1])
+        # eps_m^{-2k-1} depends on m mod 4 only; 1/sqrt 2 completes sqrt z'
+        eps = np.array([epsilon_factor(m) ** (-2 * k - 1) for m in rows[:2]]) / sqrt(2.0)
+        head = sums[:, 0, 0] + 1j * sums[:, 0, 1]
+        rest = sums[:, 1, 0] - 1j * sums[:, 1, 1]
+        total = (np.resize(eps, len(rows)) * ((-1) ** k * -1j * head + rest)).sum()
     if not np.isfinite(total):
         raise ValueError(f"the lattice sum at k={k}, s={s}, tau={tau} overflows a float")
     return complex(total)

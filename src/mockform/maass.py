@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import exp, expm1, pi, sqrt
+from math import ceil, exp, expm1, log, pi, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,15 +39,33 @@ class HarmonicFormValue(NamedTuple):
 
 
 def _truncate(series: str, tail: Callable[[int], float], first: int, max_terms: int,
-              v: float, tol: float) -> tuple[int, float]:
-    """The first N >= first with tail(N) <= tol, and tail(N); ValueError past max_terms."""
-    N = first
+              v: float, tol: float, r: float,
+              terms_at: Callable[[float], float]) -> tuple[int, float]:
+    """The first N >= first with tail(N) <= tol, and tail(N); ValueError past max_terms.
+
+    Every tail(N) is at least r^{g(N)}, with g increasing and terms_at its
+    inverse.  With r^e = tol, each N < terms_at(e) - 1 has g(N) < e - 1, so
+    tail(N) > tol/r: the scan starts there and steps one term at a time.
+    It does not bisect, because a tail may rise before it falls.
+    """
+    if r == 0.0 or tol >= 1.0:
+        N = first
+    elif r == 1.0:
+        N = max_terms
+    else:
+        N = ceil(terms_at(log(tol) / log(r))) - 1
+    N = max(first, min(N, max_terms))
     while tail(N) > tol:
         if N >= max_terms:
             raise ValueError(f"{series} needs more than {max_terms} terms "
                              f"at v = {v} for a tail below {tol}")
         N += 1
     return N, tail(N)
+
+
+def _after_power(e: float) -> float:
+    """The N with N + 1 = e: inverse of the leading power r^{N+1}."""
+    return e - 1.0
 
 
 _THETA_MAX_TERMS = 400
@@ -62,7 +80,7 @@ def theta_truncation(v: float, tol: float) -> tuple[int, float]:
     r = exp(-2 * pi * v)
     one_minus_r = -expm1(-2 * pi * v)
     return _truncate("theta_series", lambda N: 2 * r ** (N * N) / one_minus_r,
-                     2, _THETA_MAX_TERMS, v, tol)
+                     2, _THETA_MAX_TERMS, v, tol, r, sqrt)
 
 
 def theta_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -71,6 +89,19 @@ def theta_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     N, _ = theta_truncation(tau.imag, cfg.quad_tol)
     n = np.arange(1, N + 1)
     return complex(1.0 + 2.0 * np.exp(2j * pi * tau * n * n).sum())
+
+
+def hurwitz_truncation(v: float, tol: float, max_terms: int) -> tuple[int, float]:
+    """Terms N and tail bound (N+1) r^{N+1}/(1-r)^2, r = e^{-2 pi v}, of sum H(n) q^n.
+
+    As H(n) <= n, sum_{n>N} H(n) r^n <= sum_{n>N} n r^n <= (N+1) r^{N+1}/(1-r)^2.
+    N >= 4 is the first whose bound is at most tol.  Raises ValueError when
+    that takes more than max_terms terms: the series is not truncated silently.
+    """
+    r = exp(-2 * pi * v)
+    return _truncate("completed_hurwitz_series",
+                     lambda N: (N + 1) * r ** (N + 1) / (1 - r) ** 2,
+                     4, max_terms, v, tol, r, _after_power)
 
 
 def completed_hurwitz_series(tau: complex,
@@ -88,11 +119,7 @@ def completed_hurwitz_series(tau: complex,
     if v < 0.05:
         raise ValueError(f"truncation floor: require v >= 0.05, got v={v}")
     tol = cfg.quad_tol
-    r = exp(-2 * pi * v)
-    # sum_{n>N} H(n) r^n <= sum_{n>N} n r^n <= (N+1) r^{N+1} / (1-r)^2, as H(n) <= n
-    N, holo_tail = _truncate("completed_hurwitz_series",
-                             lambda N: (N + 1) * r ** (N + 1) / (1 - r) ** 2,
-                             4, cfg.q_terms, v, tol)
+    N, holo_tail = hurwitz_truncation(v, tol, cfg.q_terms)
 
     q = cmath.exp(2j * pi * tau)
     holo = complex(-1.0 / 12.0)
@@ -107,7 +134,8 @@ def completed_hurwitz_series(tau: complex,
     # |term n| < (n / (4 sqrt(pi))) x^{-3/2} e^{-2 pi n^2 v} with x = 4 pi n^2 v, from
     # Gamma(-1/2, x) < e^{-x} x^{-3/2} and |q^{-n^2}| = e^{2 pi n^2 v}.  Terms are
     # added while that bound reaches tol, which keeps e^{2 pi n^2 v} below about
-    # 1/tol, in the float range; at large v no term is added at all.
+    # 1/tol, in the float range as tol >= MIN_QUAD_TOL; at large v no term is
+    # added at all.
     n = 1
     while True:
         x = 4.0 * pi * n * n * v
@@ -245,7 +273,7 @@ def e2_truncation(v: float, tol: float, max_terms: int) -> tuple[int, float]:
         M = N + 1
         return 24 * r ** M * w * (M * M + 2 * M * r * w + r * (1 + r) * w * w)
 
-    return _truncate("e2_star", tail, 1, max_terms, v, tol)
+    return _truncate("e2_star", tail, 1, max_terms, v, tol, r, _after_power)
 
 
 def e2_star(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:

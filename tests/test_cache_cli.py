@@ -14,6 +14,7 @@ from mockform.class_numbers import build_table
 import mockform
 from mockform import verify
 from mockform.cli import main
+from mockform.config import MIN_QUAD_TOL, EvalConfig
 from mockform.eisenstein import eisenstein_direct, lattice_tail_estimate
 from mockform.maass import e2_truncation, theta_truncation
 
@@ -327,6 +328,21 @@ def test_cli_bad_config_is_usage_error(capsys):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err.strip() == "mockform: bad configuration: lattice_bound must be positive"
+
+
+def test_cli_quad_tol_below_floor_is_usage_error(capsys):
+    # at v = 113 the first nonholomorphic term bound is about 1e-314: a subnormal
+    # quad_tol would admit that term, whose e^{2 pi v} overflows a float
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--target", "H", "--tau", "0,113", "--quad-tol", "1e-320"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "mockform: bad configuration: quad_tol must be at least 1e-300, got 1e-320"]
+    with pytest.raises(ValueError, match="quad_tol must be at least 1e-300"):
+        EvalConfig(quad_tol=float("nan"))
+    assert EvalConfig(quad_tol=MIN_QUAD_TOL).quad_tol == 1e-300
 
 
 def test_cli_verify_quadrature_failure_exits_2(capsys):

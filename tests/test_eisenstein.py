@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from mockform import dirichlet_series, special_functions
+from mockform import dirichlet_series, eisenstein, special_functions
 
 from mockform.config import EvalConfig
 from mockform.class_numbers import cohen_class_number
@@ -216,13 +216,40 @@ def test_lattice_sum_matches_complex_log_formula():
     # F points -1/(4 tau) with |tau| up to 2: Im z is small and Re z < 0 dominates
     big = [2.0 * cmath.exp(1j * rng.uniform(0.3, pi - 0.3)) for _ in range(2)]
     taus += [-1.0 / (4.0 * t) for t in taus[:2] + big]
-    for k, s in WORKLOAD_PAIRS:
-        for tau in taus:
-            expected = _lattice_sum_complex_log(k, s, tau, 61)
-            got = _lattice_sum(k, s, tau, 61)
-            assert abs(got - expected) < 1e-13 * abs(expected), (k, s, tau)
+    # k = 0 makes no complex product and k = 5 makes five; the last two share
+    # M with rows of 229 and 1589 points, so the second reuses every
+    # symbol tile of the first over more whole periods
+    cases = [(k, s, tau) for k, s in WORKLOAD_PAIRS + ((0, 1.0), (5, 0.5)) for tau in taus]
+    cases += [(2, 1.0, 0.3 + 0.8j), (2, 1.0, 0.1 + 12j)]
+    for k, s, tau in cases:
+        expected = _lattice_sum_complex_log(k, s, tau, 61)
+        got = _lattice_sum(k, s, tau, 61)
+        assert abs(got - expected) < 1e-13 * abs(expected), (k, s, tau)
     with pytest.raises(ValueError):
         eisenstein_direct("E", -1, 2.0, 1j, CFG)
+
+
+def _tile_bytes():
+    return sum(tile.nbytes for tile in eisenstein._tiles.values())
+
+
+def test_lattice_sum_memory_is_bounded():
+    # the row buffers are allocated once per sum, and the symbol tiles do not
+    # grow with |tau|: this keeps the benchmark's peak_rss_mb flat
+    _lattice_sum(2, 1.0, 0.5 + 1.5j, 301)
+    tracemalloc.start()
+    try:
+        _lattice_sum(2, 1.0, 0.5 + 1.5j, 301)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    eisenstein._tiles.clear()
+    _lattice_sum(2, 1.0, 0.5 + 1j, 61)
+    near = _tile_bytes()
+    eisenstein._tiles.clear()
+    _lattice_sum(2, 1.0, 200j, 61)                # rows of 24 523 points
+    assert _tile_bytes() == near > 0
 
 
 def test_lattice_tail_estimate_bounds_refinement():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as Gamma
 
+from mockform import maass
 from mockform.config import EvalConfig
 from mockform.eisenstein import Gamma04Matrix, modularity_residual
 from mockform.maass import (
@@ -15,6 +16,7 @@ from mockform.maass import (
     e2_star,
     e2_truncation,
     fourier_coefficient,
+    hurwitz_truncation,
     laplacian_fd,
     s_limit_check,
     theta_series,
@@ -203,6 +205,63 @@ def test_e2star_refuses_beyond_q_terms():
     # the same point is fine once q_terms admits the tail
     N, tail = e2_truncation(1e-3, CFG.quad_tol, 10_000)
     assert 4000 < N <= 10_000 and tail <= CFG.quad_tol
+
+
+def _one_step_truncate(series, tail, first, max_terms, v, tol):
+    """The scan that tries every N from first on, one term at a time (the oracle)."""
+    N = first
+    while tail(N) > tol:
+        if N >= max_terms:
+            raise ValueError(f"{series} needs more than {max_terms} terms "
+                             f"at v = {v} for a tail below {tol}")
+        N += 1
+    return N, tail(N)
+
+
+def test_truncation_skips_ahead_to_the_same_terms(monkeypatch):
+    # each truncation runs both scans on its own tail: the same N, the same tail
+    # and the same refusal, with fewer than half the tail evaluations
+    real = maass._truncate
+    seen = []
+
+    def counted(tail, calls):
+        def wrapped(N):
+            calls[0] += 1
+            return tail(N)
+        return wrapped
+
+    def both(series, tail, first, max_terms, v, tol, *lead):
+        outcomes, counts = [], []
+        for scan, extra in ((_one_step_truncate, ()), (real, lead)):
+            calls = [0]
+            try:
+                outcomes.append(scan(series, counted(tail, calls), first, max_terms, v, tol,
+                                     *extra))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+            counts.append(calls[0])
+        seen.append((series, v, tol, *outcomes, *counts))
+        return outcomes[1]
+
+    monkeypatch.setattr(maass, "_truncate", both)
+    for v in np.geomspace(1e-3, 5.0, 31):
+        for tol in (1e-6, 1e-10, 1e-14):
+            for truncation in (theta_truncation,
+                               lambda v, tol: hurwitz_truncation(v, tol, CFG.q_terms),
+                               lambda v, tol: e2_truncation(v, tol, CFG.q_terms)):
+                try:
+                    truncation(float(v), tol)
+                except ValueError:
+                    pass
+    assert len(seen) == 31 * 3 * 3
+    for series, v, tol, oracle, got, _, _ in seen:
+        assert got == oracle, (series, v, tol)
+    # at v = 1e-3 both q-series need more than q_terms terms; theta never does
+    refused = {series for series, *_, got, _, _ in seen if isinstance(got, str)}
+    assert refused == {"completed_hurwitz_series", "e2_star"}
+    oracle_calls = sum(row[-2] for row in seen)
+    calls = sum(row[-1] for row in seen)
+    assert calls < oracle_calls / 2, (calls, oracle_calls)
 
 
 def test_s_limit_check():
