@@ -9,38 +9,32 @@ exactly what the Fourier expansion of the half-integral weight Eisenstein
 series consumes.
 """
 
-from math import pi, sqrt
+from math import sqrt
 
 from mockform.arithmetic import zeta_numeric
 from mockform.dirichlet_series import (
+    gamma_row,
     gauss_sum_gamma,
-    lambda_factor,
     series_closed,
     series_partial,
-    upsilon,
 )
 
 print("=" * 70)
-print("The weight lambda(a, c) and the Gauss sum gamma_c(n)")
+print("The Gauss sum gamma_c(n)")
 print("=" * 70)
-print(f"  lambda(2, 1) = {lambda_factor(2, 1):.4f}")
-print(f"  lambda(1, 2) = {lambda_factor(1, 2):.4f}  (eighth root of unity)")
-print(f"  lambda(1, 1) = {lambda_factor(1, 1):.4f}  (both odd: zero)")
-print()
 for c in (1, 3, 4, 5, 12):
     vals = ", ".join(f"{gauss_sum_gamma(c, n):6.3f}" for n in range(4))
     print(f"  gamma_{c}(0..3) = {vals}   (|gamma| <= 2 sqrt({c}) = {2*sqrt(c):.2f})")
 
 print()
 print("=" * 70)
-print("The odd-modulus sums in two guises")
+print("gamma_c(n) is an integer, multiplicative over coprime moduli")
 print("=" * 70)
-for (m, k, h) in ((3, 1, 1), (5, 2, 2), (9, 1, -4)):
-    lhs = upsilon(m, k, h)
-    rhs = gauss_sum_gamma(m, (-1) ** k * h)
-    print(f"  upsilon({m}, k={k}, h={h}) = {lhs:.6f} = gamma_{m}({(-1)**k*h}) "
-          f"(diff {abs(lhs-rhs):.1e})")
-
+for n, (c1, c2) in ((1, (3, 4)), (-4, (5, 8)), (-3, (7, 9))):
+    row = gamma_row(n, c1 * c2)
+    product = gauss_sum_gamma(c1, n) * gauss_sum_gamma(c2, n)
+    print(f"  gamma_{c1 * c2}({n}) = {row[c1 * c2]} = gamma_{c1}({n}) gamma_{c2}({n}) "
+          f"= {product.real:.6f}")
 print()
 print("=" * 70)
 print("E_n(s): truncated series vs closed forms at s = 3")

@@ -4,13 +4,19 @@ Library layout:
 
     arithmetic        Kronecker symbol and tables, Bernoulli numbers, zeta values
     characters        quadratic characters chi_d and their L-functions
-    class_numbers     Hurwitz / Cohen class numbers, reduced forms, tables
+    class_numbers     Hurwitz H(N) from one certified row of 6 H (reduced forms
+                      checked against the class number formula), tables,
+                      Cohen H(r, N)
     dirichlet_series  gamma_c Gauss sums and the series E_n(s)
     special_functions Gamma(+-1/2, x), the Omega integral, the rho kernel
     eisenstein        theta multiplier system, E / F / H series, two routes
     maass             the completed class number series, shadow, Laplacian
     verify            ReportRecord suites behind ``mockform verify``
     cache, cli        persistent table cache and the command line tool
+
+The per-N reduced-form enumeration, the Gauss-sum weights lambda(a, c) and
+the odd-modulus character sums live in the tests, as the definitions the
+library's one-pass routes are checked against.
 """
 
 from .arithmetic import (
@@ -30,20 +36,16 @@ from .characters import (
 )
 from .class_numbers import (
     ClassNumberTable,
-    QuadraticForm,
     build_table,
     cohen_class_number,
     hurwitz_class_number,
-    reduced_forms,
 )
 from .config import DEFAULT_CONFIG, EvalConfig
 from .dirichlet_series import (
     DirichletSeriesValue,
     gauss_sum_gamma,
-    lambda_factor,
     series_closed,
     series_partial,
-    upsilon,
 )
 from .eisenstein import (
     Gamma04Matrix,

@@ -4,15 +4,16 @@ Hurwitz class numbers H(N) are computed two independent ways: by enumerating
 reduced binary quadratic forms of discriminant -N with the weights 1/2 and
 1/3 for forms equivalent to multiples of x^2+y^2 and x^2+xy+y^2, and through
 Dirichlet's class number formula H(N) = L(0, chi_d) T_1(f) where -N = d f^2.
-Single values enumerate the forms of one N; the table builder enumerates the
-forms of every N <= max_n in one pass, cross-checks the result against the
-formula route and refuses to hand out a table that disagrees.
+Both run for every N <= max_n in one pass, as int64 sixths 6 H(N), and
+_certified_sixths refuses a row on which they disagree.  Tables and single
+values (hurwitz_class_number, read from one module-level row) both come from
+that certified row; Cohen's H(r, N) is the scalar formula route.
 
-The formula route for a whole table is one pass as well (formula_sixths): the
-fundamental d < 0 come from squarefree flags of one smallest-prime-factor
-sieve, each gets one row of chi_d from the Kronecker kernel, 6 L(0, chi_d) is
-an exact int64 dot product, and T_1(f) is multiplicative, so every
-N = |d| f^2 is reached in int64 sixths without a Fraction.
+The formula route for a whole table (formula_sixths): the fundamental d < 0
+come from squarefree flags of one smallest-prime-factor sieve, each gets one
+row of chi_d from the Kronecker kernel, 6 L(0, chi_d) is an exact int64 dot
+product, and T_1(f) is multiplicative, so every N = |d| f^2 is reached in
+int64 sixths without a Fraction.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,64 +35,6 @@ from .arithmetic import (
     zeta_exact_neg,
 )
 from .characters import QuadraticCharacter, l_exact_neg
-
-
-class QuadraticForm(NamedTuple):
-    """Reduced integral form a x^2 + b xy + c y^2."""
-
-    a: int
-    b: int
-    c: int
-
-    @property
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-
-def reduced_forms(N: int) -> list[QuadraticForm]:
-    """All reduced forms of discriminant -N, for N = 0, 3 (mod 4), N > 0.
-
-    Reduced means a > 0, |b| <= a <= c, with b >= 0 whenever |b| = a or a = c.
-    Enumeration runs b over |b| <= sqrt(N/3) in the parity class b^2 = -N
-    (mod 4) and factors (b^2 + N)/4 = a c.
-    """
-    if N <= 0 or N % 4 in (1, 2):
-        raise ValueError(f"need N = 0,3 (mod 4), N > 0, got {N}")
-    forms = []
-    b = N % 2
-    while 3 * b * b <= N:
-        m = (b * b + N) // 4
-        for a in divisors(m):
-            if a * a > m:
-                break
-            c = m // a
-            if a < max(b, 1):
-                continue
-            forms.append(QuadraticForm(a, b, c))
-            if 0 < b < a and a < c:
-                forms.append(QuadraticForm(a, -b, c))
-        b += 2
-    return sorted(forms)
-
-
-@functools.lru_cache(maxsize=100_000)
-def hurwitz_class_number(N: int) -> Fraction:
-    """Hurwitz class number H(N); H(0) = -1/12, zero for N = 1, 2 (mod 4)."""
-    if N < 0:
-        raise ValueError("hurwitz_class_number requires N >= 0")
-    if N == 0:
-        return Fraction(-1, 12)
-    if N % 4 in (1, 2):
-        return Fraction(0)
-    total = Fraction(0)
-    for fm in reduced_forms(N):
-        if fm.b == 0 and fm.a == fm.c:
-            total += Fraction(1, 2)
-        elif fm.a == fm.b == fm.c:
-            total += Fraction(1, 3)
-        else:
-            total += 1
-    return total
 
 
 def t_chi(s: int | float, chi: QuadraticCharacter, f: int) -> Fraction | float:
@@ -238,14 +180,11 @@ def _first_mismatch(sixths: np.ndarray, formula: np.ndarray) -> int | None:
     return int(bad[0]) + 1 if bad.size else None
 
 
-def build_table(max_n: int) -> ClassNumberTable:
-    """Tabulate H(n) for 0 <= n <= max_n by one pass of form enumeration.
+def _certified_sixths(max_n: int) -> np.ndarray:
+    """6 H(N) for N = 0..max_n (entry 0 left 0) by form enumeration, checked by formula_sixths.
 
-    The enumeration's sixths are compared with formula_sixths before any
-    Fraction is built; the first disagreement aborts construction.
+    Raises ArithmeticError at the first N where the two routes disagree.
     """
-    if max_n < 0:
-        raise ValueError("build_table requires max_n >= 0")
     sixths = _sixths_by_forms(max_n)
     formula = formula_sixths(max_n)
     n = _first_mismatch(sixths, formula)
@@ -253,4 +192,36 @@ def build_table(max_n: int) -> ClassNumberTable:
         raise ArithmeticError(
             f"class number cross-check failed at n={n}: enumeration "
             f"{Fraction(int(sixths[n]), 6)} vs formula {Fraction(int(formula[n]), 6)}")
+    return sixths
+
+
+def build_table(max_n: int) -> ClassNumberTable:
+    """Tabulate H(n) for 0 <= n <= max_n from one certified row of sixths."""
+    if max_n < 0:
+        raise ValueError("build_table requires max_n >= 0")
+    sixths = _certified_sixths(max_n)
     return ClassNumberTable([Fraction(-1, 12)] + [Fraction(h, 6) for h in sixths[1:].tolist()])
+
+
+# 6 H(n) for n < len(_sixths_row), read by hurwitz_class_number; entry 0 left 0.
+_sixths_row = np.zeros(0, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=100_000)
+def hurwitz_class_number(N: int) -> Fraction:
+    """Hurwitz class number H(N); H(0) = -1/12, zero for N = 1, 2 (mod 4).
+
+    Every N > 0 is read from one certified row of 6 H (_certified_sixths),
+    which grows on a miss past its end to the next power of two >= N + 1.
+    A lone large N pays for the whole row, mostly its formula cross-check:
+    H(65535) alone takes about 10 s on a shared 2-core Xeon.  Callers that
+    need H(1..N) ask for H(N) first, so the row is built once.
+    """
+    global _sixths_row
+    if N < 0:
+        raise ValueError("hurwitz_class_number requires N >= 0")
+    if N == 0:
+        return Fraction(-1, 12)
+    if N >= len(_sixths_row):
+        _sixths_row = _certified_sixths((1 << int(N).bit_length()) - 1)
+    return Fraction(int(_sixths_row[N]), 6)

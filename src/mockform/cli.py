@@ -179,6 +179,8 @@ def _cmd_verify(args) -> int:
     cfg = _config_from(args)
     try:
         records = run_suite(args.suite, cfg, args.seed)
+    except ValueError as exc:
+        return _fail(2, f"check outside the convergence domain: {exc}")
     except QuadratureError as exc:
         return _fail(2, str(exc))
     n_passed = sum(r.passed for r in records)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
 
 # Series cut where a term bound reaches quad_tol form factors up to about
 # 1/quad_tol, such as e^{2 pi n^2 v} in the completed Hurwitz series; below
@@ -17,9 +18,10 @@ class EvalConfig:
     lattice_bound   largest odd modulus m in direct lattice sums
     fourier_bound   largest |h| kept in Fourier expansions
     q_terms         cap on q-series terms
-    fd_step         step (relative to v) for first-derivative stencils
+    fd_step         step (relative to v) for first-derivative stencils,
+                    positive and finite
     quad_tol        absolute tolerance for quadrature and series tails,
-                    at least MIN_QUAD_TOL
+                    at least MIN_QUAD_TOL and finite
     """
 
     lattice_bound: int = 301
@@ -32,12 +34,13 @@ class EvalConfig:
         for name in ("lattice_bound", "fourier_bound", "q_terms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        for name in ("fd_step", "quad_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if not self.quad_tol >= MIN_QUAD_TOL:
             raise ValueError(f"quad_tol must be at least {MIN_QUAD_TOL:g}, "
                              f"got {self.quad_tol!r}")
+        for name in ("fd_step", "quad_tol"):
+            if not 0 < getattr(self, name) < inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)!r}")
 
     def with_(self, **kwargs) -> "EvalConfig":
         return replace(self, **kwargs)

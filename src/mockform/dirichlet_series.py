@@ -1,7 +1,10 @@
 """Quadratic Gauss sums gamma_c(n) and the Dirichlet series E_n(s) built on them.
 
 The weight factor lambda(a, c) mixes the Jacobi symbol with eighth roots of
-unity; gamma_c(n) is its twisted average over a mod 2c.  E_n(s) sums
+unity: i^{(1-c)/2} (a/c) for odd c and even a, i^{a/2} = e^{i pi a/4} times
+(c/a) for odd a and even c, and 0 otherwise.  gamma_c(n) is its twisted
+average over a mod 2c; the tests keep lambda and the 2c-term sum as the
+definition gauss_sum_gamma is checked against.  E_n(s) sums
 gamma_c(n) over odd and even moduli with the even moduli rescaled by c/2.
 For n = d f^2 the series collapses to L(s, chi_d) / zeta(2s) times an
 elementary divisor factor, which is the closed form used by the Fourier
@@ -48,34 +51,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .arithmetic import (
-    epsilon_factor,
     fundamental_discriminant,
     jacobi_row,
     kronecker_column,
-    kronecker_symbol,
     multiplicative_row,
     smallest_prime_factors,
     zeta_numeric,
 )
 from .characters import QuadraticCharacter, l_numeric
 from .class_numbers import t_chi
-
-_EIGHTH_ROOTS = np.exp(1j * pi * np.arange(16) / 4)  # i^{a/2} = e^{i pi a/4}, period 16 in a
-
-
-def lambda_factor(a: int, c: int) -> complex:
-    """lambda(a, c): i^{(1-c)/2} (a/c) for odd c / even a, i^{a/2} (c/a) for odd a / even c, else 0.
-
-    Half-integral powers of i are principal: i^{a/2} = e^{i pi a / 4}.
-    """
-    if a < 1 or c < 1:
-        raise ValueError("lambda_factor requires positive arguments")
-    if c % 2 == 1 and a % 2 == 0:
-        return 1j ** ((1 - c) // 2) * kronecker_symbol(a, c)
-    if a % 2 == 1 and c % 2 == 0:
-        return complex(_EIGHTH_ROOTS[a % 16]) * kronecker_symbol(c, a)
-    return 0j
-
 
 # gamma_c revisits every modulus c for each n, so its symbol rows are cached (bounded).
 _odd_row = functools.lru_cache(maxsize=8192)(jacobi_row)
@@ -125,20 +109,6 @@ def gamma_row(n: int, L: int) -> np.ndarray:
     if L < 1:
         raise ValueError("gamma_row requires L >= 1")
     return multiplicative_row(L, lambda p, q: _exact_gamma(q, n), smallest_prime_factors(L))
-
-
-def upsilon(m: int, k: int, h: int) -> complex:
-    """Character sum eps_m^{-2k-1} m^{-1/2} sum_{n mod m} (n/m) e^{2 pi i n h / m}, m odd.
-
-    Satisfies upsilon(m, k, h) = gamma_m((-1)^k h); for m = 1 the n = 0 term
-    carries (0/1) = 1 so the value is 1.
-    """
-    if m % 2 == 0 or m < 1:
-        raise ValueError("upsilon requires odd positive m")
-    table = _odd_row(m)
-    n = np.arange(m)
-    phase = np.exp(2j * pi * (n * (h % m) % m) / m)   # the residue n h mod m, as in gauss_sum_gamma
-    return complex(epsilon_factor(m) ** (-2 * k - 1) * (table * phase).sum() / sqrt(m))
 
 
 class DirichletSeriesValue(NamedTuple):

@@ -108,7 +108,8 @@ def completed_hurwitz_series(tau: complex,
                              cfg: EvalConfig = DEFAULT_CONFIG) -> HarmonicFormValue:
     """Evaluate the completed class number series at tau (v >= 0.05).
 
-    The holomorphic part reads H(n) from hurwitz_class_number (memoized);
+    The holomorphic part reads H(n) from hurwitz_class_number, asking for
+    H(N) first so that its certified row is built at most once;
     the nonholomorphic part sums incomplete gamma terms that decay like
     e^{-2 pi n^2 v}.  Reported truncation_tail bounds everything dropped
     from both series.  Raises ValueError when the holomorphic part needs
@@ -120,6 +121,7 @@ def completed_hurwitz_series(tau: complex,
         raise ValueError(f"truncation floor: require v >= 0.05, got v={v}")
     tol = cfg.quad_tol
     N, holo_tail = hurwitz_truncation(v, tol, cfg.q_terms)
+    hurwitz_class_number(N)
 
     q = cmath.exp(2j * pi * tau)
     holo = complex(-1.0 / 12.0)

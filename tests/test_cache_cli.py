@@ -345,6 +345,34 @@ def test_cli_quad_tol_below_floor_is_usage_error(capsys):
     assert EvalConfig(quad_tol=MIN_QUAD_TOL).quad_tol == 1e-300
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--suite", "shadow", "--fd-step", "inf"], "fd_step must be positive and finite, got inf"),
+    (["verify", "--suite", "laplacian", "--fd-step", "nan"], "fd_step must be positive and finite, got nan"),
+    (["eval", "--target", "H", "--tau", "0,0.06", "--quad-tol", "inf"],
+     "quad_tol must be positive and finite, got inf"),
+], ids=["shadow-fd-inf", "laplacian-fd-nan", "eval-quad-tol-inf"])
+def test_cli_non_finite_float_config_is_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"mockform: bad configuration: {message}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "modularity", "--q-terms", "5"],
+    ["verify", "--suite", "fourier", "--lattice-bound", "2000000"],
+], ids=["q-terms", "lattice-bound"])
+def test_cli_verify_domain_violation_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("mockform: check outside the convergence domain: ")
+
+
 def test_cli_verify_quadrature_failure_exits_2(capsys):
     code = main(["verify", "--suite", "limits", "--quad-tol", "1e-16"])
     captured = capsys.readouterr()

@@ -1,21 +1,79 @@
+import cmath
 from fractions import Fraction
+from math import pi
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from mockform import class_numbers, verify
-from mockform.arithmetic import is_fundamental_discriminant
+from mockform.arithmetic import divisors, is_fundamental_discriminant
 from mockform.characters import QuadraticCharacter, l_exact_neg
 from mockform.class_numbers import (
     ClassNumberTable,
-    QuadraticForm,
     build_table,
     cohen_class_number,
     formula_sixths,
     hurwitz_class_number,
-    reduced_forms,
     t_chi,
 )
+from mockform.maass import completed_hurwitz_series, hurwitz_truncation
+
+
+class QuadraticForm(NamedTuple):
+    """Reduced integral form a x^2 + b xy + c y^2."""
+
+    a: int
+    b: int
+    c: int
+
+    @property
+    def discriminant(self) -> int:
+        return self.b * self.b - 4 * self.a * self.c
+
+
+def reduced_forms(N: int) -> list[QuadraticForm]:
+    """All reduced forms of discriminant -N, for N = 0, 3 (mod 4), N > 0.
+
+    Reduced means a > 0, |b| <= a <= c, with b >= 0 whenever |b| = a or a = c.
+    Enumeration runs b over |b| <= sqrt(N/3) in the parity class b^2 = -N
+    (mod 4) and factors (b^2 + N)/4 = a c.
+    """
+    if N <= 0 or N % 4 in (1, 2):
+        raise ValueError(f"need N = 0,3 (mod 4), N > 0, got {N}")
+    forms = []
+    b = N % 2
+    while 3 * b * b <= N:
+        m = (b * b + N) // 4
+        for a in divisors(m):
+            if a * a > m:
+                break
+            c = m // a
+            if a < max(b, 1):
+                continue
+            forms.append(QuadraticForm(a, b, c))
+            if 0 < b < a and a < c:
+                forms.append(QuadraticForm(a, -b, c))
+        b += 2
+    return sorted(forms)
+
+
+def hurwitz_by_forms(N: int) -> Fraction:
+    """H(N) from the reduced forms of discriminant -N alone, the per-N oracle."""
+    if N == 0:
+        return Fraction(-1, 12)
+    if N % 4 in (1, 2):
+        return Fraction(0)
+    total = Fraction(0)
+    for fm in reduced_forms(N):
+        if fm.b == 0 and fm.a == fm.c:
+            total += Fraction(1, 2)
+        elif fm.a == fm.b == fm.c:
+            total += Fraction(1, 3)
+        else:
+            total += 1
+    return total
+
 
 # classical values H(0..24)
 KNOWN = {0: Fraction(-1, 12), 3: Fraction(1, 3), 4: Fraction(1, 2), 7: 1, 8: 1,
@@ -46,6 +104,7 @@ def test_reduced_forms_invariants():
 def test_hurwitz_known_values():
     for n, value in KNOWN.items():
         assert hurwitz_class_number(n) == value
+        assert hurwitz_by_forms(n) == value
     assert hurwitz_class_number(1) == 0
     assert hurwitz_class_number(2) == 0
 
@@ -104,10 +163,67 @@ def test_table_validation():
 
 
 def test_one_pass_table_matches_per_n_enumeration():
-    # hurwitz_class_number enumerates reduced_forms(N) for each N separately
+    # the oracle enumerates reduced_forms(N) for each N separately
     sixths = class_numbers._sixths_by_forms(2000)
     for n in range(1, 2001):
-        assert sixths[n] == 6 * hurwitz_class_number(n), n
+        assert sixths[n] == 6 * hurwitz_by_forms(n), n
+        assert hurwitz_class_number(n) == hurwitz_by_forms(n), n
+
+
+@pytest.fixture
+def empty_row(monkeypatch):
+    """An empty certified row and an empty hurwitz_class_number cache, restored afterwards."""
+    monkeypatch.setattr(class_numbers, "_sixths_row", np.zeros(0, dtype=np.int64))
+    hurwitz_class_number.cache_clear()
+    yield
+    hurwitz_class_number.cache_clear()
+
+
+def test_single_values_refuse_a_faulty_enumeration(monkeypatch, empty_row):
+    sixths = class_numbers._sixths_by_forms
+
+    def tampered(max_n):
+        out = sixths(max_n)
+        out[23] += 6
+        return out
+
+    monkeypatch.setattr(class_numbers, "_sixths_by_forms", tampered)
+    with pytest.raises(ArithmeticError, match="n=23: enumeration 4 vs formula 3"):
+        hurwitz_class_number(23)
+    with pytest.raises(ArithmeticError, match="n=23"):
+        completed_hurwitz_series(0.1 + 0.05j)
+    assert len(class_numbers._sixths_row) == 0
+
+
+def test_one_evaluation_builds_the_row_once(monkeypatch, empty_row):
+    calls = []
+    sixths = class_numbers._sixths_by_forms
+
+    def counted(max_n):
+        calls.append(max_n)
+        return sixths(max_n)
+
+    monkeypatch.setattr(class_numbers, "_sixths_by_forms", counted)
+    N, _ = hurwitz_truncation(0.05, 1e-10, 4000)
+    completed_hurwitz_series(0.3 + 0.05j)
+    assert calls == [127] and N == 96          # the next power of two >= N + 1, once
+    completed_hurwitz_series(0.1 + 0.05j)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tau", [0.05j, 0.3 + 0.05j, -0.4 + 0.2j, 0.25 + 1j, 2.0 + 3j])
+def test_holomorphic_part_matches_per_n_oracle(tau):
+    # the loop of completed_hurwitz_series, with H(n) from the per-N oracle
+    N, _ = hurwitz_truncation(tau.imag, 1e-10, 4000)
+    q = cmath.exp(2j * pi * tau)
+    holo = complex(-1.0 / 12.0)
+    qn = 1.0 + 0j
+    for n in range(1, N + 1):
+        qn *= q
+        h = hurwitz_by_forms(n)
+        if h:
+            holo += float(h) * qn
+    assert completed_hurwitz_series(tau).holomorphic_part == holo
 
 
 def test_formula_cross_check_reports_first_mismatch(monkeypatch):

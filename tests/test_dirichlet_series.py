@@ -17,11 +17,38 @@ from mockform import dirichlet_series
 from mockform.dirichlet_series import (
     gamma_row,
     gauss_sum_gamma,
-    lambda_factor,
     series_closed,
     series_partial,
-    upsilon,
 )
+
+_EIGHTH_ROOTS = np.exp(1j * pi * np.arange(16) / 4)  # i^{a/2} = e^{i pi a/4}, period 16 in a
+
+
+def lambda_factor(a: int, c: int) -> complex:
+    """lambda(a, c): i^{(1-c)/2} (a/c) for odd c / even a, i^{a/2} (c/a) for odd a / even c, else 0.
+
+    Half-integral powers of i are principal: i^{a/2} = e^{i pi a / 4}.
+    """
+    if a < 1 or c < 1:
+        raise ValueError("lambda_factor requires positive arguments")
+    if c % 2 == 1 and a % 2 == 0:
+        return 1j ** ((1 - c) // 2) * kronecker_symbol(a, c)
+    if a % 2 == 1 and c % 2 == 0:
+        return complex(_EIGHTH_ROOTS[a % 16]) * kronecker_symbol(c, a)
+    return 0j
+
+
+def upsilon(m: int, k: int, h: int) -> complex:
+    """Character sum eps_m^{-2k-1} m^{-1/2} sum_{n mod m} (n/m) e^{2 pi i n h / m}, m odd.
+
+    Satisfies upsilon(m, k, h) = gamma_m((-1)^k h); for m = 1 the n = 0 term
+    carries (0/1) = 1 so the value is 1.
+    """
+    if m % 2 == 0 or m < 1:
+        raise ValueError("upsilon requires odd positive m")
+    n = np.arange(m)
+    phase = np.exp(2j * pi * (n * (h % m) % m) / m)   # the residue n h mod m, as in gauss_sum_gamma
+    return complex(epsilon_factor(m) ** (-2 * k - 1) * (jacobi_row(m) * phase).sum() / sqrt(m))
 
 
 def gamma_by_definition(c, n):
