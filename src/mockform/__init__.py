@@ -4,15 +4,16 @@ Library layout:
 
     arithmetic        Kronecker symbol and tables, Bernoulli numbers, zeta values
     characters        quadratic characters chi_d and their L-functions
-    class_numbers     Hurwitz H(N) from one certified row of 6 H (reduced forms
-                      checked against the class number formula), tables,
+    class_numbers     Hurwitz H(N) from one row of 6 H (reduced forms, certified
+                      by the Kronecker-Hurwitz class number relations), tables,
                       Cohen H(r, N)
     dirichlet_series  gamma_c Gauss sums and the series E_n(s)
     special_functions Gamma(+-1/2, x), the Omega integral, the rho kernel
     eisenstein        theta multiplier system, E / F / H series, two routes
     maass             the completed class number series, shadow, Laplacian
     verify            ReportRecord suites behind ``mockform verify``
-    cache, cli        persistent table cache and the command line tool
+    cache, cli        persistent table cache (certified on every load) and the
+                      command line tool
 
 The per-N reduced-form enumeration, the Gauss-sum weights lambda(a, c) and
 the odd-modulus character sums live in the tests, as the definitions the

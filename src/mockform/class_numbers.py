@@ -1,19 +1,18 @@
 """Hurwitz and Cohen class numbers.
 
-Hurwitz class numbers H(N) are computed two independent ways: by enumerating
-reduced binary quadratic forms of discriminant -N with the weights 1/2 and
-1/3 for forms equivalent to multiples of x^2+y^2 and x^2+xy+y^2, and through
-Dirichlet's class number formula H(N) = L(0, chi_d) T_1(f) where -N = d f^2.
-Both run for every N <= max_n in one pass, as int64 sixths 6 H(N), and
-_certified_sixths refuses a row on which they disagree.  Tables and single
-values (hurwitz_class_number, read from one module-level row) both come from
-that certified row; Cohen's H(r, N) is the scalar formula route.
+Hurwitz class numbers H(N) come from enumerating reduced binary quadratic
+forms of discriminant -N, with the weights 1/2 and 1/3 for forms equivalent
+to multiples of x^2+y^2 and x^2+xy+y^2, for every N <= max_n in one pass, as
+int64 sixths 6 H(N).  The class number relations of Kronecker and Hurwitz pin
+every entry, and _first_wrong_entry checks them on every row that becomes a
+table or a value, enumerated (_certified_sixths, behind build_table and
+hurwitz_class_number) or loaded (ClassNumberTable).  Cohen's H(r, N) is the
+scalar formula route.
 
-The formula route for a whole table (formula_sixths): the fundamental d < 0
-come from squarefree flags of one smallest-prime-factor sieve, each gets one
-row of chi_d from the Kronecker kernel, 6 L(0, chi_d) is an exact int64 dot
-product, and T_1(f) is multiplicative, so every N = |d| f^2 is reached in
-int64 sixths without a Fraction.
+Dirichlet's formula H(N) = L(0, chi_d) T_1(f), -N = d f^2, gives the row a
+second way (formula_sixths, compared with the forms in verify): one sieve finds
+the fundamental d < 0, each gets one row of chi_d from the Kronecker kernel,
+6 L(0, chi_d) is an exact int64 dot product, and T_1(f) is multiplicative.
 """
 
 from __future__ import annotations
@@ -71,22 +70,19 @@ def cohen_class_number(r: int, N: int) -> Fraction:
 class ClassNumberTable:
     """Immutable table of Hurwitz class numbers H(0..max_n).
 
-    Construction enforces the structural invariants: H(0) = -1/12, zero in
-    the residue classes 1, 2 (mod 4), positive values with denominator
-    dividing 12 elsewhere.  Cache loading relies on these checks.
+    Construction checks every entry: H(0) = -1/12, and _first_wrong_entry
+    must pass H(1..max_n).  Cache loading relies on this check.
     """
 
     def __init__(self, values: list[Fraction]):
         if not values or values[0] != Fraction(-1, 12):
             raise ValueError("table must start with H(0) = -1/12")
-        for n, value in enumerate(values):
-            if n == 0:
-                continue
-            if n % 4 in (1, 2):
-                if value != 0:
-                    raise ValueError(f"H({n}) must vanish, got {value}")
-            elif value <= 0 or 12 % value.denominator != 0:
-                raise ValueError(f"H({n}) = {value} violates the table invariants")
+        # -1 (no 6 H(n) is) stands for a value that is not an int64 number of sixths
+        six = np.array([0] + [v.numerator * 6 // v.denominator if 6 % v.denominator == 0 else -1
+                              for v in values[1:]], dtype=object)
+        n = _first_wrong_entry(np.where(six < 2 ** 63, six, -1).astype(np.int64))
+        if n is not None:
+            raise ValueError(f"H({n}) = {values[n]} is not the Hurwitz class number")
         self._values = tuple(values)
 
     @property
@@ -97,9 +93,6 @@ class ClassNumberTable:
         if not 0 <= n <= self.max_n:
             raise ValueError(f"n={n} outside table range 0..{self.max_n}")
         return self._values[n]
-
-    def __len__(self):
-        return len(self._values)
 
     def __iter__(self):
         return iter(self._values)
@@ -174,29 +167,62 @@ def formula_sixths(max_n: int) -> np.ndarray:
     return sixths
 
 
-def _first_mismatch(sixths: np.ndarray, formula: np.ndarray) -> int | None:
-    """The first n >= 1 with sixths[n] != formula[n], else None."""
-    bad = np.flatnonzero(sixths[1:] != formula[1:])
+def _first_wrong_entry(sixths: np.ndarray) -> int | None:
+    """The first n >= 1 where a row of 6 H (entry 0 left 0) is not the Hurwitz table, else None.
+
+    H(n) is 0 for n = 1, 2 (mod 4), positive elsewhere, and in twelfths (12 H(0) = -1,
+    lambda(n) = sum_{d|n} min(d, n/d), t over Z) the relations of Kronecker and Hurwitz hold:
+    (R1) sum_t 12 H(4n - t^2) = 24 sigma_1(n) - 12 lambda(n) for n >= 1;
+    (R2) sum_t 12 H(n - t^2) = 4 sigma_1(n) - 6 lambda(n) for odd n.
+    R2 at n = 3 (mod 4) pins H(n) given H below n, and R1 at n pins H(4n), so the first
+    failure (R1 indexed by 4n) is the first wrong entry; a pinned entry counts twice in
+    twelfths, so int64 wraparound hides no positive value.  One loop over t <= sqrt(N)
+    builds the theta sum and adds the divisor pairs (t, e), e >= t, into sigma_1 and lambda.
+    """
+    N = len(sixths) - 1
+    twelfths = np.concatenate(([-1], 2 * sixths[1:]))
+    theta_sum, pair = twelfths.copy(), 2 * twelfths     # pair: the terms of t and -t
+    sigma, lam = np.zeros((2, N + 1), dtype=np.int64)
+    for t in range(1, isqrt(N) + 1):
+        theta_sum[t * t:] += pair[:N + 1 - t * t]
+        sigma[t * t::t] += t + np.arange(t, N // t + 1)
+        lam[t * t::t] += 2 * t
+        sigma[t * t] -= t                                # e = t is one divisor, not two
+        lam[t * t] -= t
+    n = np.arange(N + 1)
+    residue = n % 4
+    relation = np.where(residue == 0, 24 * sigma[n // 4] - 12 * lam[n // 4], 4 * sigma - 6 * lam)
+    wrong = np.where(np.isin(residue, (0, 3)), sixths <= 0, sixths != 0)
+    wrong |= (residue != 2) & (theta_sum != relation)
+    bad = np.flatnonzero(wrong[1:])
     return int(bad[0]) + 1 if bad.size else None
 
 
-def _certified_sixths(max_n: int) -> np.ndarray:
-    """6 H(N) for N = 0..max_n (entry 0 left 0) by form enumeration, checked by formula_sixths.
+# Longer rows are refused before anything is allocated.  At 2^20 entries the row
+# peaks at about 80 MB above the interpreter, build_table at 160 MB, and
+# `mockform hurwitz` at 210-260 MB in 8-13 s (shared 2-core Xeon).  Rows of
+# hurwitz_class_number have 2^k - 1 entries, so N <= MAX_TABLE_N stays inside.
+MAX_TABLE_N = 2 ** 20 - 1
 
-    Raises ArithmeticError at the first N where the two routes disagree.
+
+def _certified_sixths(max_n: int) -> np.ndarray:
+    """6 H(N) for N = 0..max_n (entry 0 left 0) by form enumeration, certified by the class number relations.
+
+    Raises ArithmeticError at the first N where the row breaks them, and
+    ValueError, before allocating, when max_n exceeds MAX_TABLE_N.
     """
+    if max_n > MAX_TABLE_N:
+        raise ValueError(f"a table of H(n) to n={max_n} is longer than MAX_TABLE_N = {MAX_TABLE_N}")
     sixths = _sixths_by_forms(max_n)
-    formula = formula_sixths(max_n)
-    n = _first_mismatch(sixths, formula)
+    n = _first_wrong_entry(sixths)
     if n is not None:
-        raise ArithmeticError(
-            f"class number cross-check failed at n={n}: enumeration "
-            f"{Fraction(int(sixths[n]), 6)} vs formula {Fraction(int(formula[n]), 6)}")
+        raise ArithmeticError(f"class number relations fail at n={n}: "
+                              f"enumeration gives H({n}) = {Fraction(int(sixths[n]), 6)}")
     return sixths
 
 
 def build_table(max_n: int) -> ClassNumberTable:
-    """Tabulate H(n) for 0 <= n <= max_n from one certified row of sixths."""
+    """Tabulate H(n) for 0 <= n <= max_n <= MAX_TABLE_N from one certified row of sixths."""
     if max_n < 0:
         raise ValueError("build_table requires max_n >= 0")
     sixths = _certified_sixths(max_n)
@@ -213,9 +239,10 @@ def hurwitz_class_number(N: int) -> Fraction:
 
     Every N > 0 is read from one certified row of 6 H (_certified_sixths),
     which grows on a miss past its end to the next power of two >= N + 1.
-    A lone large N pays for the whole row, mostly its formula cross-check:
-    H(65535) alone takes about 10 s on a shared 2-core Xeon.  Callers that
-    need H(1..N) ask for H(N) first, so the row is built once.
+    A lone large N pays for the whole row: H(65535) alone takes about 0.07 s
+    on a shared 2-core Xeon, H(MAX_TABLE_N) about 4 s, and a larger N is
+    refused with a ValueError.  Callers that need H(1..N) ask for H(N)
+    first, so the row is built once.
     """
     global _sixths_row
     if N < 0:

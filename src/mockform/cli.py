@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from .cache import CacheError, default_cache_path, load_or_build
+from .cache import default_cache_path, load_or_build
 from .class_numbers import build_table
 from .config import DEFAULT_CONFIG
 from .eisenstein import eisenstein_direct, eisenstein_fourier, lattice_tail_estimate
@@ -113,7 +113,7 @@ def _cmd_hurwitz(args) -> int:
         else:
             path = args.cache or default_cache_path()
             table = load_or_build(path, args.max_n, rebuild=args.rebuild_cache)
-    except (CacheError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:   # CacheError is a ValueError
         return _fail(2, str(exc))
     rows = [(n, table.value(n)) for n in range(args.max_n + 1)]
     if args.format == "csv":

@@ -39,21 +39,22 @@ class HarmonicFormValue(NamedTuple):
 
 
 def _truncate(series: str, tail: Callable[[int], float], first: int, max_terms: int,
-              v: float, tol: float, r: float,
+              v: float, tol: float, r: float, lead: float,
               terms_at: Callable[[float], float]) -> tuple[int, float]:
     """The first N >= first with tail(N) <= tol, and tail(N); ValueError past max_terms.
 
-    Every tail(N) is at least r^{g(N)}, with g increasing and terms_at its
-    inverse.  With r^e = tol, each N < terms_at(e) - 1 has g(N) < e - 1, so
-    tail(N) > tol/r: the scan starts there and steps one term at a time.
-    It does not bisect, because a tail may rise before it falls.
+    Every tail(N) is at least lead r^{g(N)}, with g increasing and terms_at
+    its inverse.  With lead r^e = tol, each N < terms_at(e) - 1 has
+    g(N) < e - 1, so tail(N) > tol/r: the scan starts there and steps one
+    term at a time.  It does not bisect, because a tail may rise before it
+    falls.
     """
-    if r == 0.0 or tol >= 1.0:
+    if r == 0.0 or tol >= lead:
         N = first
     elif r == 1.0:
         N = max_terms
     else:
-        N = ceil(terms_at(log(tol) / log(r))) - 1
+        N = ceil(terms_at(log(tol / lead) / log(r))) - 1
     N = max(first, min(N, max_terms))
     while tail(N) > tol:
         if N >= max_terms:
@@ -80,7 +81,7 @@ def theta_truncation(v: float, tol: float) -> tuple[int, float]:
     r = exp(-2 * pi * v)
     one_minus_r = -expm1(-2 * pi * v)
     return _truncate("theta_series", lambda N: 2 * r ** (N * N) / one_minus_r,
-                     2, _THETA_MAX_TERMS, v, tol, r, sqrt)
+                     2, _THETA_MAX_TERMS, v, tol, r, 2 / one_minus_r, sqrt)
 
 
 def theta_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -101,7 +102,7 @@ def hurwitz_truncation(v: float, tol: float, max_terms: int) -> tuple[int, float
     r = exp(-2 * pi * v)
     return _truncate("completed_hurwitz_series",
                      lambda N: (N + 1) * r ** (N + 1) / (1 - r) ** 2,
-                     4, max_terms, v, tol, r, _after_power)
+                     4, max_terms, v, tol, r, 1 / (1 - r) ** 2, _after_power)
 
 
 def completed_hurwitz_series(tau: complex,
@@ -275,7 +276,8 @@ def e2_truncation(v: float, tol: float, max_terms: int) -> tuple[int, float]:
         M = N + 1
         return 24 * r ** M * w * (M * M + 2 * M * r * w + r * (1 + r) * w * w)
 
-    return _truncate("e2_star", tail, 1, max_terms, v, tol, r, _after_power)
+    # tail(N) >= 24 r^{N+1} w (N+1)^2 >= 24 w r^{N+1}
+    return _truncate("e2_star", tail, 1, max_terms, v, tol, r, 24 * w, _after_power)
 
 
 def e2_star(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:

@@ -31,7 +31,7 @@ from .arithmetic import (
     hurwitz_zeta_numeric,
     kronecker_symbol,
 )
-from .class_numbers import _first_mismatch, _sixths_by_forms, cohen_class_number, formula_sixths
+from .class_numbers import _sixths_by_forms, cohen_class_number, formula_sixths
 from .config import DEFAULT_CONFIG, EvalConfig
 from .dirichlet_series import series_closed, series_partial
 from .eisenstein import (
@@ -145,8 +145,9 @@ def verify_dirichlet(cfg: EvalConfig = DEFAULT_CONFIG,
     out = []
 
     t0 = time.perf_counter()
-    # entry 0 is H(0) = -1/12 by definition; the comparison starts at n = 1
-    first_bad = _first_mismatch(_sixths_by_forms(max_n), formula_sixths(max_n))
+    # the formula route against the forms from n = 1 on (H(0) = -1/12 by definition)
+    bad = np.flatnonzero(_sixths_by_forms(max_n)[1:] != formula_sixths(max_n)[1:])
+    first_bad = int(bad[0]) + 1 if bad.size else None
     out.append(_record("hurwitz_formula_cross_check",
                        {"max_n": max_n, "first_mismatch": first_bad},
                        0.0 if first_bad is None else 1.0, 0.0, t0))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from mockform.cache import CacheError, default_cache_path, load_or_build, read_table, write_table
-from mockform.class_numbers import build_table
+from mockform.class_numbers import MAX_TABLE_N, build_table
 import mockform
 from mockform import verify
 from mockform.cli import main
@@ -72,6 +72,20 @@ def test_cache_rejects_garbage(tmp_path):
         read_table(path)
 
 
+def test_cache_rejects_a_wrong_class_number(tmp_path, capsys):
+    # signs and denominators are fine, but H(23) is 3: the relations catch it on load
+    path = tmp_path / "table.txt"
+    write_table(path, build_table(50))
+    path.write_text(path.read_text().replace("\n23 3/1\n", "\n23 4/1\n"))
+    with pytest.raises(CacheError, match=r"H\(23\) = 4 is not the Hurwitz class number"):
+        read_table(path)
+    assert main(["hurwitz", "--max", "30", "--cache", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mockform: invalid table data in ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cache_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("MOCKFORM_CACHE", str(tmp_path / "custom.txt"))
     assert default_cache_path() == tmp_path / "custom.txt"
@@ -113,6 +127,15 @@ def test_cli_hurwitz_json_schema(tmp_path, capsys):
 
 def test_cli_hurwitz_usage_error(capsys):
     assert main(["hurwitz", "--max", "-1", "--no-cache"]) == 1
+
+
+def test_cli_hurwitz_refuses_an_oversized_table(capsys):
+    assert main(["hurwitz", "--max", "1000000000000000", "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "mockform: a table of H(n) to n=1000000000000000 is longer than "
+        f"MAX_TABLE_N = {MAX_TABLE_N}"]
 
 
 def test_cli_hurwitz_bad_cache_version(tmp_path, capsys):

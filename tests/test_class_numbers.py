@@ -1,6 +1,7 @@
 import cmath
+import tracemalloc
 from fractions import Fraction
-from math import pi
+from math import isqrt, pi
 from typing import NamedTuple
 
 import numpy as np
@@ -10,6 +11,7 @@ from mockform import class_numbers, verify
 from mockform.arithmetic import divisors, is_fundamental_discriminant
 from mockform.characters import QuadraticCharacter, l_exact_neg
 from mockform.class_numbers import (
+    MAX_TABLE_N,
     ClassNumberTable,
     build_table,
     cohen_class_number,
@@ -160,6 +162,15 @@ def test_build_table():
 def test_table_validation():
     with pytest.raises(ValueError):
         ClassNumberTable([Fraction(0)])
+    good = list(build_table(40))
+    assert ClassNumberTable(good) == build_table(40)
+    # a wrong class number, sixths that are not integers or not int64, a sign
+    for n, value in ((23, Fraction(4)), (3, Fraction(1, 12)), (5, Fraction(1, 6)),
+                     (8, Fraction(-1)), (7, Fraction(2 ** 70))):
+        values = good.copy()
+        values[n] = value
+        with pytest.raises(ValueError, match=rf"^H\({n}\) = {value} is not the Hurwitz class number$"):
+            ClassNumberTable(values)
 
 
 def test_one_pass_table_matches_per_n_enumeration():
@@ -168,6 +179,48 @@ def test_one_pass_table_matches_per_n_enumeration():
     for n in range(1, 2001):
         assert sixths[n] == 6 * hurwitz_by_forms(n), n
         assert hurwitz_class_number(n) == hurwitz_by_forms(n), n
+
+
+def test_relations_report_every_single_entry_change_at_its_index():
+    sixths = class_numbers._sixths_by_forms(1000)
+    assert class_numbers._first_wrong_entry(sixths) is None
+    # +-2^62 sixths make the twelfths wrap around int64; the pinned entry still shows
+    for n in range(1, 1001):
+        for delta in (1, -1, 6, 2 ** 62, -(2 ** 62)):
+            tampered = sixths.copy()
+            tampered[n] += delta
+            assert class_numbers._first_wrong_entry(tampered) == n, (n, delta)
+
+
+def test_forms_row_satisfies_the_class_number_relations():
+    # both sides by definition: sum_t 12 H(m - t^2) as one convolution with theta
+    N = 20000
+    twelfths = 2 * class_numbers._sixths_by_forms(N)
+    twelfths[0] = -1
+    theta = np.zeros(N + 1, dtype=np.int64)
+    theta[np.arange(isqrt(N) + 1) ** 2] = 2
+    theta[0] = 1
+    lhs = np.convolve(twelfths, theta)[:N + 1]
+    sigma = np.zeros(N + 1, dtype=np.int64)
+    lam = np.zeros(N + 1, dtype=np.int64)
+    for d in range(1, N + 1):
+        m = np.arange(d, N + 1, d)
+        sigma[m] += d
+        lam[m] += np.minimum(d, m // d)
+    n = np.arange(1, N // 4 + 1)
+    assert np.array_equal(lhs[4 * n], 24 * sigma[n] - 12 * lam[n])         # R1
+    odd = np.arange(1, N + 1, 2)
+    assert np.array_equal(lhs[odd], 4 * sigma[odd] - 6 * lam[odd])         # R2
+
+
+def test_oversized_tables_are_refused_before_allocating():
+    tracemalloc.start()
+    for build in (build_table, hurwitz_class_number):
+        with pytest.raises(ValueError, match=f"MAX_TABLE_N = {MAX_TABLE_N}"):
+            build(10 ** 15)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.fixture
@@ -188,7 +241,7 @@ def test_single_values_refuse_a_faulty_enumeration(monkeypatch, empty_row):
         return out
 
     monkeypatch.setattr(class_numbers, "_sixths_by_forms", tampered)
-    with pytest.raises(ArithmeticError, match="n=23: enumeration 4 vs formula 3"):
+    with pytest.raises(ArithmeticError, match=r"fail at n=23: enumeration gives H\(23\) = 4$"):
         hurwitz_class_number(23)
     with pytest.raises(ArithmeticError, match="n=23"):
         completed_hurwitz_series(0.1 + 0.05j)
@@ -227,11 +280,22 @@ def test_holomorphic_part_matches_per_n_oracle(tau):
 
 
 def test_formula_cross_check_reports_first_mismatch(monkeypatch):
-    formula = formula_sixths(40)
-    enumerated = class_numbers._sixths_by_forms(40)
-    assert class_numbers._first_mismatch(enumerated, formula) is None
-    enumerated[[23, 31]] = 24                    # 6 H(23) = 6 H(31) = 18
-    assert class_numbers._first_mismatch(enumerated, formula) == 23
+    def record():
+        (rec,) = [r for r in verify.verify_dirichlet(max_n=40)
+                  if r.check_name == "hurwitz_formula_cross_check"]
+        return rec
+
+    formula = verify.formula_sixths
+
+    def tampered_formula(max_n):
+        out = formula(max_n)
+        out[[23, 31]] = 24                      # 6 H(23) = 6 H(31) = 18
+        return out
+
+    monkeypatch.setattr(verify, "formula_sixths", tampered_formula)
+    rec = record()
+    assert not rec.passed and rec.parameters == {"max_n": 40, "first_mismatch": 23}
+    monkeypatch.undo()
 
     sixths = class_numbers._sixths_by_forms
 
@@ -241,7 +305,7 @@ def test_formula_cross_check_reports_first_mismatch(monkeypatch):
         return out
 
     monkeypatch.setattr(class_numbers, "_sixths_by_forms", tampered)
-    with pytest.raises(ArithmeticError, match="n=23: enumeration 4 vs formula 3"):
+    with pytest.raises(ArithmeticError, match=r"fail at n=23: enumeration gives H\(23\) = 4$"):
         build_table(40)
 
 
@@ -287,13 +351,13 @@ def test_formula_sixths_l_values():
             assert formula[-d] == 6 * l_exact_neg(QuadraticCharacter(d), 1), d
 
 
-@pytest.mark.parametrize("d, p, message", [
+@pytest.mark.parametrize("d, p", [
     # chi_{-3}(2) enters only T_1(2): H(12) = L(0) (3 - chi(2)) becomes 2/3
-    (-3, 2, "n=12: enumeration 4/3 vs formula 2/3"),
+    (-3, 2),
     # chi_{-7}(2) enters L(0, chi_{-7}) itself, which stops being a multiple of 1/6
-    (-7, 2, r"n=7: 6 L\(0, chi_-7\) = 6/7 is not an integer"),
+    (-7, 2),
 ], ids=["T1", "L0"])
-def test_build_table_refuses_a_flipped_character(monkeypatch, d, p, message):
+def test_formula_cross_check_refuses_a_flipped_character(monkeypatch, d, p):
     kernel = class_numbers.kronecker_column
 
     def flipped(m, a):
@@ -302,7 +366,13 @@ def test_build_table_refuses_a_flipped_character(monkeypatch, d, p, message):
             col[np.asarray(a) == p] *= -1
         return col
 
-    assert build_table(40).value(12) == Fraction(4, 3)
     monkeypatch.setattr(class_numbers, "kronecker_column", flipped)
-    with pytest.raises(ArithmeticError, match=message):
-        build_table(40)
+    # the table never runs the formula route: the relations certify it
+    assert build_table(40).value(12) == Fraction(4, 3)
+    if d == -3:
+        (rec,) = [r for r in verify.verify_dirichlet(max_n=40)
+                  if r.check_name == "hurwitz_formula_cross_check"]
+        assert not rec.passed and rec.parameters["first_mismatch"] == 12
+    else:
+        with pytest.raises(ArithmeticError, match=r"n=7: 6 L\(0, chi_-7\) = 6/7 is not an integer"):
+            verify.verify_dirichlet(max_n=40)
