@@ -4,9 +4,9 @@ Library layout:
 
     arithmetic        Kronecker symbol and tables, Bernoulli numbers, zeta values
     characters        quadratic characters chi_d and their L-functions
-    class_numbers     Hurwitz H(N) from one row of 6 H (reduced forms, certified
-                      by the Kronecker-Hurwitz class number relations), tables,
-                      Cohen H(r, N)
+    class_numbers     ClassNumberTable, one row of 6 H (reduced forms, certified
+                      by the Kronecker-Hurwitz class number relations), read by
+                      hurwitz_class_number; Cohen H(r, N)
     dirichlet_series  gamma_c Gauss sums and the series E_n(s)
     special_functions Gamma(+-1/2, x), the Omega integral, the rho kernel
     eisenstein        theta multiplier system, E / F / H series, two routes

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import os
 import re
-from fractions import Fraction
 from pathlib import Path
 
-from .class_numbers import ClassNumberTable
+from .class_numbers import ClassNumberTable, build_table
 
 CACHE_VERSION = 1
 _HEADER_RE = re.compile(r"^MOCKFORM-CACHE v(\d+) max_n=(\d+)$")
@@ -71,18 +70,23 @@ def read_table(path) -> ClassNumberTable:
         raise CacheError(
             f"truncated cache {path}: header promises {max_n + 1} entries, "
             f"found {len(lines) - 1}")
-    values = []
-    for n, line in enumerate(lines[1:]):
+    if lines[1].split() != ["0", "-1/12"]:
+        raise CacheError(f"invalid table data in {path}: the table must start with H(0) = -1/12")
+    sixths = [0]
+    for n, line in enumerate(lines[2:], 1):
         try:
             idx, frac = line.split()
             num, den = frac.split("/")
             if int(idx) != n:
                 raise ValueError(f"entry out of order: expected n={n}")
-            values.append(Fraction(int(num), int(den)))
-        except ValueError as exc:
-            raise CacheError(f"malformed cache line {n + 1} in {path}: {line!r}") from exc
+            six, rem = divmod(6 * int(num), int(den))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CacheError(f"malformed cache line {n + 2} in {path}: {line!r}") from exc
+        if rem or not -2 ** 63 <= six < 2 ** 63:
+            raise CacheError(f"invalid table data in {path}: H({n}) = {frac} is not the Hurwitz class number")
+        sixths.append(six)
     try:
-        return ClassNumberTable(values)
+        return ClassNumberTable(sixths)
     except ValueError as exc:
         raise CacheError(f"invalid table data in {path}: {exc}") from exc
 
@@ -93,8 +97,6 @@ def load_or_build(path, max_n: int, rebuild: bool = False) -> ClassNumberTable:
     A corrupted or version-mismatched file is an error, never silently
     rebuilt; an absent or merely too-small cache is extended and rewritten.
     """
-    from .class_numbers import build_table
-
     path = Path(path)
     if not rebuild and path.exists():
         table = read_table(path)

@@ -4,10 +4,10 @@ Hurwitz class numbers H(N) come from enumerating reduced binary quadratic
 forms of discriminant -N, with the weights 1/2 and 1/3 for forms equivalent
 to multiples of x^2+y^2 and x^2+xy+y^2, for every N <= max_n in one pass, as
 int64 sixths 6 H(N).  The class number relations of Kronecker and Hurwitz pin
-every entry, and _first_wrong_entry checks them on every row that becomes a
-table or a value, enumerated (_certified_sixths, behind build_table and
-hurwitz_class_number) or loaded (ClassNumberTable).  Cohen's H(r, N) is the
-scalar formula route.
+every entry: ClassNumberTable holds such a row and checks it with
+_first_wrong_entry once, on construction, whether the row was enumerated
+(build_table, behind hurwitz_class_number) or loaded from a cache.  Cohen's
+H(r, N) is the scalar formula route.
 
 Dirichlet's formula H(N) = L(0, chi_d) T_1(f), -N = d f^2, gives the row a
 second way (formula_sixths, compared with the forms in verify): one sieve finds
@@ -18,6 +18,7 @@ the fundamental d < 0, each gets one row of chi_d from the Kronecker kernel,
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 from math import isqrt
 
@@ -68,37 +69,41 @@ def cohen_class_number(r: int, N: int) -> Fraction:
 
 
 class ClassNumberTable:
-    """Immutable table of Hurwitz class numbers H(0..max_n).
+    """Immutable table of Hurwitz class numbers H(0..max_n), held as one read-only int64 row of 6 H.
 
-    Construction checks every entry: H(0) = -1/12, and _first_wrong_entry
-    must pass H(1..max_n).  Cache loading relies on this check.
+    Entry 0 of the row is ignored (H(0) = -1/12).  Construction runs
+    _first_wrong_entry once and raises ValueError naming the first wrong H(n);
+    built and loaded tables alike pass through here.
     """
 
-    def __init__(self, values: list[Fraction]):
-        if not values or values[0] != Fraction(-1, 12):
-            raise ValueError("table must start with H(0) = -1/12")
-        # -1 (no 6 H(n) is) stands for a value that is not an int64 number of sixths
-        six = np.array([0] + [v.numerator * 6 // v.denominator if 6 % v.denominator == 0 else -1
-                              for v in values[1:]], dtype=object)
-        n = _first_wrong_entry(np.where(six < 2 ** 63, six, -1).astype(np.int64))
+    def __init__(self, sixths):
+        row = np.array(sixths, dtype=np.int64)
+        if row.ndim != 1 or not row.size:
+            raise ValueError("a table needs a row of 6 H(n) for n = 0..max_n")
+        row[0] = 0
+        n = _first_wrong_entry(row)
         if n is not None:
-            raise ValueError(f"H({n}) = {values[n]} is not the Hurwitz class number")
-        self._values = tuple(values)
+            raise ValueError(f"H({n}) = {Fraction(int(row[n]), 6)} is not the Hurwitz class number")
+        row.flags.writeable = False
+        self._sixths = row
 
     @property
     def max_n(self) -> int:
-        return len(self._values) - 1
+        return len(self._sixths) - 1
 
     def value(self, n: int) -> Fraction:
+        n = operator.index(n)
         if not 0 <= n <= self.max_n:
             raise ValueError(f"n={n} outside table range 0..{self.max_n}")
-        return self._values[n]
+        return Fraction(int(self._sixths[n]), 6) if n else Fraction(-1, 12)
 
     def __iter__(self):
-        return iter(self._values)
+        yield Fraction(-1, 12)
+        for six in self._sixths[1:].tolist():
+            yield Fraction(six, 6)
 
     def __eq__(self, other):
-        return isinstance(other, ClassNumberTable) and self._values == other._values
+        return isinstance(other, ClassNumberTable) and np.array_equal(self._sixths, other._sixths)
 
 
 def _sixths_by_forms(max_n: int) -> np.ndarray:
@@ -205,50 +210,42 @@ def _first_wrong_entry(sixths: np.ndarray) -> int | None:
 MAX_TABLE_N = 2 ** 20 - 1
 
 
-def _certified_sixths(max_n: int) -> np.ndarray:
-    """6 H(N) for N = 0..max_n (entry 0 left 0) by form enumeration, certified by the class number relations.
-
-    Raises ArithmeticError at the first N where the row breaks them, and
-    ValueError, before allocating, when max_n exceeds MAX_TABLE_N.
-    """
-    if max_n > MAX_TABLE_N:
-        raise ValueError(f"a table of H(n) to n={max_n} is longer than MAX_TABLE_N = {MAX_TABLE_N}")
-    sixths = _sixths_by_forms(max_n)
-    n = _first_wrong_entry(sixths)
-    if n is not None:
-        raise ArithmeticError(f"class number relations fail at n={n}: "
-                              f"enumeration gives H({n}) = {Fraction(int(sixths[n]), 6)}")
-    return sixths
-
-
 def build_table(max_n: int) -> ClassNumberTable:
-    """Tabulate H(n) for 0 <= n <= max_n <= MAX_TABLE_N from one certified row of sixths."""
+    """Tabulate H(n) for 0 <= n <= max_n <= MAX_TABLE_N from one enumerated row of sixths.
+
+    Raises ValueError, before allocating, for max_n < 0 or max_n > MAX_TABLE_N,
+    and ArithmeticError when the enumeration breaks the class number relations.
+    """
     if max_n < 0:
         raise ValueError("build_table requires max_n >= 0")
-    sixths = _certified_sixths(max_n)
-    return ClassNumberTable([Fraction(-1, 12)] + [Fraction(h, 6) for h in sixths[1:].tolist()])
+    if max_n > MAX_TABLE_N:
+        raise ValueError(f"a table of H(n) to n={max_n} is longer than MAX_TABLE_N = {MAX_TABLE_N}")
+    try:
+        return ClassNumberTable(_sixths_by_forms(max_n))
+    except ValueError as exc:
+        raise ArithmeticError(f"form enumeration breaks the class number relations: {exc}") from None
 
 
-# 6 H(n) for n < len(_sixths_row), read by hurwitz_class_number; entry 0 left 0.
-_sixths_row = np.zeros(0, dtype=np.int64)
+# The table hurwitz_class_number reads; it grows on a miss.
+_table = build_table(0)
 
 
+# Untyped (typed keys cost ~14% of a completed series): after np.int64(3), 3.0 is a hit
 @functools.lru_cache(maxsize=100_000)
 def hurwitz_class_number(N: int) -> Fraction:
     """Hurwitz class number H(N); H(0) = -1/12, zero for N = 1, 2 (mod 4).
 
-    Every N > 0 is read from one certified row of 6 H (_certified_sixths),
-    which grows on a miss past its end to the next power of two >= N + 1.
-    A lone large N pays for the whole row: H(65535) alone takes about 0.07 s
-    on a shared 2-core Xeon, H(MAX_TABLE_N) about 4 s, and a larger N is
-    refused with a ValueError.  Callers that need H(1..N) ask for H(N)
-    first, so the row is built once.
+    Every N is read from one module-level ClassNumberTable, rebuilt on a miss
+    past its end up to the next power of two >= N + 1.  A lone large N pays
+    for the whole table: H(65535) alone takes about 0.07 s on a shared 2-core
+    Xeon, H(MAX_TABLE_N) about 4 s, and a larger N is refused with a
+    ValueError.  Callers that need H(1..N) ask for H(N) first, so the table
+    is built once.  A non-integer N raises TypeError.
     """
-    global _sixths_row
+    global _table
+    N = operator.index(N)
     if N < 0:
         raise ValueError("hurwitz_class_number requires N >= 0")
-    if N == 0:
-        return Fraction(-1, 12)
-    if N >= len(_sixths_row):
-        _sixths_row = _certified_sixths((1 << int(N).bit_length()) - 1)
-    return Fraction(int(_sixths_row[N]), 6)
+    if N > _table.max_n:
+        _table = build_table((1 << N.bit_length()) - 1)
+    return _table.value(N)

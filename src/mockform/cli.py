@@ -115,7 +115,7 @@ def _cmd_hurwitz(args) -> int:
             table = load_or_build(path, args.max_n, rebuild=args.rebuild_cache)
     except (ValueError, ArithmeticError) as exc:   # CacheError is a ValueError
         return _fail(2, str(exc))
-    rows = [(n, table.value(n)) for n in range(args.max_n + 1)]
+    rows = list(zip(range(args.max_n + 1), table))
     if args.format == "csv":
         print("n,H(n)")
         for n, value in rows:

@@ -86,6 +86,50 @@ def test_cache_rejects_a_wrong_class_number(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+# H(23) = 4 is test_cache_rejects_a_wrong_class_number
+@pytest.mark.parametrize("n, text, shown", [
+    (3, "1/12", "1/12"),                  # not a whole number of sixths
+    (5, "1/6", "1/6"),                    # a whole number of sixths, but H(5) = 0
+    (8, "-1/1", "-1"),                    # a sign
+    (7, f"{2 ** 70}/1", f"{2 ** 70}/1"),  # beyond int64 sixths
+])
+def test_cache_rejects_each_wrong_entry_at_its_index(tmp_path, n, text, shown):
+    path = tmp_path / "table.txt"
+    write_table(path, build_table(40))
+    lines = path.read_text().splitlines()
+    lines[n + 1] = f"{n} {text}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheError, match=rf"^invalid table data in .*: H\({n}\) = {shown} is not the Hurwitz"):
+        read_table(path)
+
+
+def test_cache_rejects_a_zero_denominator(tmp_path, capsys):
+    path = tmp_path / "table.txt"
+    write_table(path, build_table(10))
+    path.write_text(path.read_text().replace("\n5 0/1\n", "\n5 1/0\n"))
+    with pytest.raises(CacheError, match=rf"^malformed cache line 7 in {re.escape(str(path))}: '5 1/0'$"):
+        read_table(path)
+    assert main(["hurwitz", "--max", "10", "--cache", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mockform: malformed cache line 7 in {path}: '5 1/0'\n"
+
+
+def test_cache_rejects_a_wrong_first_entry(tmp_path):
+    path = tmp_path / "table.txt"
+    write_table(path, build_table(10))
+    path.write_text(path.read_text().replace("\n0 -1/12\n", "\n0 0/1\n"))
+    with pytest.raises(CacheError, match=r"must start with H\(0\) = -1/12"):
+        read_table(path)
+
+
+def test_cache_file_format_is_pinned(tmp_path):
+    path = tmp_path / "table.txt"
+    write_table(path, build_table(3000))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "723e97d10eac3b3e6af6970986974e68c293b57a0b23feeed2beb9fbb2a32713"
+
+
 def test_cache_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("MOCKFORM_CACHE", str(tmp_path / "custom.txt"))
     assert default_cache_path() == tmp_path / "custom.txt"
@@ -115,6 +159,18 @@ def test_cli_hurwitz_csv_to_3000_is_exact(capsys):
     assert main(["hurwitz", "--max", "3000", "--no-cache", "--format", "csv"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "1a607931c444bb4d2ad2b5709a1ef0a024d7124833a6ca09020871269948eaee"
+
+
+def test_cli_hurwitz_csv_is_the_same_on_a_cache_miss_and_hit(tmp_path, capsys):
+    # miss, hit, a miss that grows the cache, and a hit served from the larger cache
+    for max_n in (3000, 3000, 3100, 3000):
+        argv = ["hurwitz", "--max", str(max_n), "--cache", str(tmp_path / "c.txt"), "--format", "csv"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if max_n == 3000:
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == "1a607931c444bb4d2ad2b5709a1ef0a024d7124833a6ca09020871269948eaee"
+    assert read_table(tmp_path / "c.txt").max_n == 3100
 
 
 def test_cli_hurwitz_json_schema(tmp_path, capsys):

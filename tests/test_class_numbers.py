@@ -9,6 +9,7 @@ import pytest
 
 from mockform import class_numbers, verify
 from mockform.arithmetic import divisors, is_fundamental_discriminant
+from mockform.cache import read_table, write_table
 from mockform.characters import QuadraticCharacter, l_exact_neg
 from mockform.class_numbers import (
     MAX_TABLE_N,
@@ -160,17 +161,37 @@ def test_build_table():
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
-        ClassNumberTable([Fraction(0)])
-    good = list(build_table(40))
+    for row in ([], np.zeros((2, 3), dtype=np.int64)):
+        with pytest.raises(ValueError, match="a table needs a row"):
+            ClassNumberTable(row)
+    good = class_numbers._sixths_by_forms(40)
     assert ClassNumberTable(good) == build_table(40)
-    # a wrong class number, sixths that are not integers or not int64, a sign
-    for n, value in ((23, Fraction(4)), (3, Fraction(1, 12)), (5, Fraction(1, 6)),
-                     (8, Fraction(-1)), (7, Fraction(2 ** 70))):
-        values = good.copy()
-        values[n] = value
-        with pytest.raises(ValueError, match=rf"^H\({n}\) = {value} is not the Hurwitz class number$"):
-            ClassNumberTable(values)
+    assert list(ClassNumberTable(good)) == [build_table(40).value(n) for n in range(41)]
+    # a tampered int64 row: a wrong class number, a sign
+    for n, six in ((23, 24), (5, 1), (8, -6)):
+        row = good.copy()
+        row[n] = six
+        with pytest.raises(ValueError, match=rf"^H\({n}\) = {Fraction(six, 6)} is not the Hurwitz class number$"):
+            ClassNumberTable(row)
+
+
+def test_table_holds_a_read_only_copy_of_its_row():
+    row = class_numbers._sixths_by_forms(40)
+    table = ClassNumberTable(row)
+    row[23] = 24                                 # the caller's row stays the caller's
+    assert table.value(23) == 3
+    with pytest.raises(ValueError, match="read-only"):
+        table._sixths[23] = 24
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, float("nan"), "3", Fraction(3)])
+def test_non_integer_n_is_refused(n):
+    table = build_table(40)
+    assert table.value(3) == hurwitz_class_number(3) == Fraction(1, 3)   # a cached int key
+    for lookup in (table.value, hurwitz_class_number):
+        with pytest.raises(TypeError):
+            lookup(n)
+    assert table.value(np.int64(3)) == Fraction(1, 3)
 
 
 def test_one_pass_table_matches_per_n_enumeration():
@@ -225,8 +246,8 @@ def test_oversized_tables_are_refused_before_allocating():
 
 @pytest.fixture
 def empty_row(monkeypatch):
-    """An empty certified row and an empty hurwitz_class_number cache, restored afterwards."""
-    monkeypatch.setattr(class_numbers, "_sixths_row", np.zeros(0, dtype=np.int64))
+    """An H(0)-only table and an empty hurwitz_class_number cache, restored afterwards."""
+    monkeypatch.setattr(class_numbers, "_table", build_table(0))
     hurwitz_class_number.cache_clear()
     yield
     hurwitz_class_number.cache_clear()
@@ -241,11 +262,11 @@ def test_single_values_refuse_a_faulty_enumeration(monkeypatch, empty_row):
         return out
 
     monkeypatch.setattr(class_numbers, "_sixths_by_forms", tampered)
-    with pytest.raises(ArithmeticError, match=r"fail at n=23: enumeration gives H\(23\) = 4$"):
+    with pytest.raises(ArithmeticError, match=r"relations: H\(23\) = 4 is not the Hurwitz class number$"):
         hurwitz_class_number(23)
-    with pytest.raises(ArithmeticError, match="n=23"):
+    with pytest.raises(ArithmeticError, match=r"H\(23\) = 4 "):
         completed_hurwitz_series(0.1 + 0.05j)
-    assert len(class_numbers._sixths_row) == 0
+    assert class_numbers._table.max_n == 0
 
 
 def test_one_evaluation_builds_the_row_once(monkeypatch, empty_row):
@@ -262,6 +283,27 @@ def test_one_evaluation_builds_the_row_once(monkeypatch, empty_row):
     assert calls == [127] and N == 96          # the next power of two >= N + 1, once
     completed_hurwitz_series(0.1 + 0.05j)
     assert len(calls) == 1
+
+
+def test_every_row_is_certified_once(monkeypatch, empty_row, tmp_path):
+    calls = []
+    first_wrong = class_numbers._first_wrong_entry
+
+    def counted(sixths):
+        calls.append(len(sixths) - 1)
+        return first_wrong(sixths)
+
+    monkeypatch.setattr(class_numbers, "_first_wrong_entry", counted)
+    table = build_table(3000)
+    assert calls == [3000]
+    path = tmp_path / "table.txt"
+    write_table(path, table)
+    assert calls == [3000]
+    assert read_table(path) == table and calls == [3000, 3000]
+    calls.clear()
+    for n in (5, 7, 3, 8, 200, 100, 255, 256):  # grows at 5, 8, 200 and 256
+        hurwitz_class_number(n)
+    assert calls == [7, 15, 255, 511]
 
 
 @pytest.mark.parametrize("tau", [0.05j, 0.3 + 0.05j, -0.4 + 0.2j, 0.25 + 1j, 2.0 + 3j])
@@ -305,7 +347,7 @@ def test_formula_cross_check_reports_first_mismatch(monkeypatch):
         return out
 
     monkeypatch.setattr(class_numbers, "_sixths_by_forms", tampered)
-    with pytest.raises(ArithmeticError, match=r"fail at n=23: enumeration gives H\(23\) = 4$"):
+    with pytest.raises(ArithmeticError, match=r"relations: H\(23\) = 4 is not the Hurwitz class number$"):
         build_table(40)
 
 
