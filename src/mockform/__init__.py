@@ -5,8 +5,8 @@ Library layout:
     arithmetic        Kronecker symbol and tables, Bernoulli numbers, zeta values
     characters        quadratic characters chi_d and their L-functions
     class_numbers     ClassNumberTable, one row of 6 H (reduced forms, certified
-                      by the Kronecker-Hurwitz class number relations), read by
-                      hurwitz_class_number; Cohen H(r, N)
+                      by the Kronecker-Hurwitz class number relations), served by
+                      hurwitz_table and hurwitz_class_number; Cohen H(r, N)
     dirichlet_series  gamma_c Gauss sums and the series E_n(s)
     special_functions Gamma(+-1/2, x), the Omega integral, the rho kernel
     eisenstein        theta multiplier system, E / F / H series, two routes
@@ -40,6 +40,7 @@ from .class_numbers import (
     build_table,
     cohen_class_number,
     hurwitz_class_number,
+    hurwitz_table,
 )
 from .config import DEFAULT_CONFIG, EvalConfig
 from .dirichlet_series import (

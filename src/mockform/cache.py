@@ -38,8 +38,7 @@ def write_table(path, table: ClassNumberTable) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"MOCKFORM-CACHE v{CACHE_VERSION} max_n={table.max_n}"]
-    for n, value in enumerate(table):
-        lines.append(f"{n} {value.numerator}/{value.denominator}")
+    lines += [f"{n} {ratio}" for n, ratio in enumerate(table.ratios(table.max_n))]
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text("\n".join(lines) + "\n", encoding="ascii")

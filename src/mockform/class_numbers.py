@@ -6,8 +6,9 @@ to multiples of x^2+y^2 and x^2+xy+y^2, for every N <= max_n in one pass, as
 int64 sixths 6 H(N).  The class number relations of Kronecker and Hurwitz pin
 every entry: ClassNumberTable holds such a row and checks it with
 _first_wrong_entry once, on construction, whether the row was enumerated
-(build_table, behind hurwitz_class_number) or loaded from a cache.  Cohen's
-H(r, N) is the scalar formula route.
+(build_table, behind hurwitz_table) or loaded from a cache.  Bulk consumers
+read the row (sixths, or ratios as "p/q" text); Fractions come only from
+value and hurwitz_class_number.  Cohen's H(r, N) is the scalar formula route.
 
 Dirichlet's formula H(N) = L(0, chi_d) T_1(f), -N = d f^2, gives the row a
 second way (formula_sixths, compared with the forms in verify): one sieve finds
@@ -69,9 +70,9 @@ def cohen_class_number(r: int, N: int) -> Fraction:
 
 
 class ClassNumberTable:
-    """Immutable table of Hurwitz class numbers H(0..max_n), held as one read-only int64 row of 6 H.
+    """Immutable table of Hurwitz class numbers H(0..max_n): sixths is its read-only int64 row of 6 H.
 
-    Entry 0 of the row is ignored (H(0) = -1/12).  Construction runs
+    Entry 0 of the row is 0 and stands for H(0) = -1/12.  Construction runs
     _first_wrong_entry once and raises ValueError naming the first wrong H(n);
     built and loaded tables alike pass through here.
     """
@@ -85,25 +86,26 @@ class ClassNumberTable:
         if n is not None:
             raise ValueError(f"H({n}) = {Fraction(int(row[n]), 6)} is not the Hurwitz class number")
         row.flags.writeable = False
-        self._sixths = row
+        self.sixths = row
 
     @property
     def max_n(self) -> int:
-        return len(self._sixths) - 1
+        return len(self.sixths) - 1
 
     def value(self, n: int) -> Fraction:
         n = operator.index(n)
         if not 0 <= n <= self.max_n:
             raise ValueError(f"n={n} outside table range 0..{self.max_n}")
-        return Fraction(int(self._sixths[n]), 6) if n else Fraction(-1, 12)
+        return Fraction(int(self.sixths[n]), 6) if n else Fraction(-1, 12)
 
-    def __iter__(self):
-        yield Fraction(-1, 12)
-        for six in self._sixths[1:].tolist():
-            yield Fraction(six, 6)
+    def ratios(self, max_n: int) -> list[str]:
+        """H(0..max_n), max_n <= self.max_n, as lowest-terms "p/q" strings."""
+        six = self.sixths[1:max_n + 1]
+        g = np.gcd(six, 6)
+        return ["-1/12"] + [f"{p}/{q}" for p, q in zip((six // g).tolist(), (6 // g).tolist())]
 
     def __eq__(self, other):
-        return isinstance(other, ClassNumberTable) and np.array_equal(self._sixths, other._sixths)
+        return isinstance(other, ClassNumberTable) and np.array_equal(self.sixths, other.sixths)
 
 
 def _sixths_by_forms(max_n: int) -> np.ndarray:
@@ -226,26 +228,29 @@ def build_table(max_n: int) -> ClassNumberTable:
         raise ArithmeticError(f"form enumeration breaks the class number relations: {exc}") from None
 
 
-# The table hurwitz_class_number reads; it grows on a miss.
+# The table hurwitz_table serves; it grows on a miss.
 _table = build_table(0)
 
 
-# Untyped (typed keys cost ~14% of a completed series): after np.int64(3), 3.0 is a hit
-@functools.lru_cache(maxsize=100_000)
-def hurwitz_class_number(N: int) -> Fraction:
-    """Hurwitz class number H(N); H(0) = -1/12, zero for N = 1, 2 (mod 4).
-
-    Every N is read from one module-level ClassNumberTable, rebuilt on a miss
-    past its end up to the next power of two >= N + 1.  A lone large N pays
-    for the whole table: H(65535) alone takes about 0.07 s on a shared 2-core
-    Xeon, H(MAX_TABLE_N) about 4 s, and a larger N is refused with a
-    ValueError.  Callers that need H(1..N) ask for H(N) first, so the table
-    is built once.  A non-integer N raises TypeError.
-    """
+def hurwitz_table(N: int) -> ClassNumberTable:
+    """The module-level table, rebuilt on a miss to the next power of two >= N + 1 entries."""
     global _table
     N = operator.index(N)
     if N < 0:
         raise ValueError("hurwitz_class_number requires N >= 0")
     if N > _table.max_n:
         _table = build_table((1 << N.bit_length()) - 1)
-    return _table.value(N)
+    return _table
+
+
+@functools.lru_cache(maxsize=100_000, typed=True)
+def hurwitz_class_number(N: int) -> Fraction:
+    """Hurwitz class number H(N); H(0) = -1/12, zero for N = 1, 2 (mod 4).
+
+    Reads hurwitz_table(N).value(N).  A lone large N pays for the whole
+    table: H(65535) alone takes about 0.07 s on a shared 2-core Xeon,
+    H(MAX_TABLE_N) about 4 s, and a larger N is refused with a ValueError.
+    Callers that need H(1..N) read hurwitz_table(N).sixths instead.  A
+    non-integer N raises TypeError.
+    """
+    return hurwitz_table(N).value(N)

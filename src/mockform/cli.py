@@ -115,17 +115,15 @@ def _cmd_hurwitz(args) -> int:
             table = load_or_build(path, args.max_n, rebuild=args.rebuild_cache)
     except (ValueError, ArithmeticError) as exc:   # CacheError is a ValueError
         return _fail(2, str(exc))
-    rows = list(zip(range(args.max_n + 1), table))
+    ratios = table.ratios(args.max_n)
     if args.format == "csv":
-        print("n,H(n)")
-        for n, value in rows:
-            print(f"{n},{value.numerator}/{value.denominator}")
+        print("\n".join(["n,H(n)"] + [f"{n},{ratio}" for n, ratio in enumerate(ratios)]))
     else:
         payload = {
             "command": "hurwitz",
             "params": {"max_n": args.max_n},
-            "results": [{"n": n, "value": f"{v.numerator}/{v.denominator}"} for n, v in rows],
-            "summary": {"entries": len(rows)},
+            "results": [{"n": n, "value": ratio} for n, ratio in enumerate(ratios)],
+            "summary": {"entries": len(ratios)},
         }
         print(json.dumps(payload, indent=2))
     return 0

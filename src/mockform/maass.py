@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .arithmetic import sigma_divisor
-from .class_numbers import hurwitz_class_number
+from .class_numbers import hurwitz_class_number, hurwitz_table
 from .config import DEFAULT_CONFIG, EvalConfig, require_upper_half
 from .dirichlet_series import series_closed
 from .special_functions import rho_kernel, upper_incomplete_gamma
@@ -109,8 +109,8 @@ def completed_hurwitz_series(tau: complex,
                              cfg: EvalConfig = DEFAULT_CONFIG) -> HarmonicFormValue:
     """Evaluate the completed class number series at tau (v >= 0.05).
 
-    The holomorphic part reads H(n) from hurwitz_class_number, asking for
-    H(N) first so that its certified row is built at most once;
+    The holomorphic part reads the certified row of 6 H(1..N) once, from
+    hurwitz_table(N), and adds 6 H(n) / 6 q^n as floats;
     the nonholomorphic part sums incomplete gamma terms that decay like
     e^{-2 pi n^2 v}.  Reported truncation_tail bounds everything dropped
     from both series.  Raises ValueError when the holomorphic part needs
@@ -122,16 +122,15 @@ def completed_hurwitz_series(tau: complex,
         raise ValueError(f"truncation floor: require v >= 0.05, got v={v}")
     tol = cfg.quad_tol
     N, holo_tail = hurwitz_truncation(v, tol, cfg.q_terms)
-    hurwitz_class_number(N)
+    sixths = hurwitz_table(N).sixths[1:N + 1].tolist()
 
     q = cmath.exp(2j * pi * tau)
     holo = complex(-1.0 / 12.0)
     qn = 1.0 + 0j
-    for n in range(1, N + 1):
+    for six in sixths:
         qn *= q
-        h = hurwitz_class_number(n)
-        if h:
-            holo += float(h) * qn
+        if six:
+            holo += six / 6 * qn
 
     nonholo = complex(1.0 / (8.0 * pi * sqrt(v)))
     # |term n| < (n / (4 sqrt(pi))) x^{-3/2} e^{-2 pi n^2 v} with x = 4 pi n^2 v, from

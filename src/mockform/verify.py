@@ -62,9 +62,6 @@ DEFAULT_SEED = 12345
 # xi_{3/2} of the completed series is -Theta / SHADOW_DENOMINATOR
 SHADOW_DENOMINATOR = 16.0 * pi
 
-SUITES = ("multiplier", "dirichlet", "fourier", "modularity",
-          "shadow", "laplacian", "limits")
-
 
 @dataclass
 class ReportRecord:
@@ -331,6 +328,7 @@ _SUITE_FUNCS = {
     "laplacian": verify_laplacian,
     "limits": verify_limits,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def run_suite(name: str, cfg: EvalConfig = DEFAULT_CONFIG,

@@ -173,6 +173,17 @@ def test_cli_hurwitz_csv_is_the_same_on_a_cache_miss_and_hit(tmp_path, capsys):
     assert read_table(tmp_path / "c.txt").max_n == 3100
 
 
+def test_cli_hurwitz_json_to_3000_is_exact(tmp_path, capsys):
+    # no cache, a miss, a hit, a miss that grows the cache, and a hit served from the larger cache
+    cache = ["--cache", str(tmp_path / "c.txt")]
+    for max_n, where in ((3000, ["--no-cache"]), (3000, cache), (3000, cache), (3100, cache), (3000, cache)):
+        assert main(["hurwitz", "--max", str(max_n), "--format", "json", *where]) == 0
+        out = capsys.readouterr().out
+        if max_n == 3000:
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == "74e9e9d83a7980311aea6551f5c045d588da45b378b1ac29d842500608b982cc"
+
+
 def test_cli_hurwitz_json_schema(tmp_path, capsys):
     code = main(["hurwitz", "--max", "3", "--format", "json", "--no-cache"])
     payload = json.loads(capsys.readouterr().out)

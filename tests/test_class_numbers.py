@@ -1,4 +1,5 @@
 import cmath
+import json
 import tracemalloc
 from fractions import Fraction
 from math import isqrt, pi
@@ -7,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from mockform import class_numbers, verify
+from mockform import class_numbers, cli, verify
 from mockform.arithmetic import divisors, is_fundamental_discriminant
 from mockform.cache import read_table, write_table
 from mockform.characters import QuadraticCharacter, l_exact_neg
@@ -165,8 +166,9 @@ def test_table_validation():
         with pytest.raises(ValueError, match="a table needs a row"):
             ClassNumberTable(row)
     good = class_numbers._sixths_by_forms(40)
-    assert ClassNumberTable(good) == build_table(40)
-    assert list(ClassNumberTable(good)) == [build_table(40).value(n) for n in range(41)]
+    table = ClassNumberTable(good)
+    assert table == build_table(40)
+    assert table.ratios(40) == [f"{v.numerator}/{v.denominator}" for v in map(table.value, range(41))]
     # a tampered int64 row: a wrong class number, a sign
     for n, six in ((23, 24), (5, 1), (8, -6)):
         row = good.copy()
@@ -181,7 +183,7 @@ def test_table_holds_a_read_only_copy_of_its_row():
     row[23] = 24                                 # the caller's row stays the caller's
     assert table.value(23) == 3
     with pytest.raises(ValueError, match="read-only"):
-        table._sixths[23] = 24
+        table.sixths[23] = 24
 
 
 @pytest.mark.parametrize("n", [2.5, 3.0, float("nan"), "3", Fraction(3)])
@@ -192,6 +194,14 @@ def test_non_integer_n_is_refused(n):
         with pytest.raises(TypeError):
             lookup(n)
     assert table.value(np.int64(3)) == Fraction(1, 3)
+
+
+def test_cached_integer_keys_of_other_types_answer_no_float():
+    assert hurwitz_class_number(np.int64(3)) == Fraction(1, 3)
+    assert hurwitz_class_number(True) == 0
+    for n in (3.0, 1.0):
+        with pytest.raises(TypeError):
+            hurwitz_class_number(n)
 
 
 def test_one_pass_table_matches_per_n_enumeration():
@@ -283,6 +293,17 @@ def test_one_evaluation_builds_the_row_once(monkeypatch, empty_row):
     assert calls == [127] and N == 96          # the next power of two >= N + 1, once
     completed_hurwitz_series(0.1 + 0.05j)
     assert len(calls) == 1
+
+
+def test_bulk_consumers_read_the_row_without_fractions(monkeypatch, empty_row, tmp_path, capsys):
+    def refused(*args):
+        raise AssertionError("a bulk consumer built a Fraction")
+
+    monkeypatch.setattr(class_numbers, "Fraction", refused)
+    completed_hurwitz_series(0.3 + 0.05j)
+    write_table(tmp_path / "table.txt", build_table(100))
+    assert cli.main(["hurwitz", "--max", "100", "--no-cache", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][100] == {"n": 100, "value": "5/2"}
 
 
 def test_every_row_is_certified_once(monkeypatch, empty_row, tmp_path):
