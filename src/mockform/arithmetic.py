@@ -147,22 +147,26 @@ def smallest_prime_factors(n: int) -> np.ndarray:
 
 
 def multiplicative_row(L: int, at_prime_power, spf: np.ndarray) -> np.ndarray:
-    """g(c) for c = 0..L as an int64 array (entry 0 is 0), g multiplicative.
+    """g(c) for c = 0..L (entry 0 is 0), g multiplicative, for one g or a batch of B.
 
-    at_prime_power(p, q) gives the integer g(q) at the prime power q = p^e <= L;
-    spf is a smallest_prime_factors sieve reaching at least L.  Each prime fills
-    a scratch row with g(p^e) at the multiples of p^e, e = 1, 2, ... (the higher
-    power overwrites), and that row is multiplied in at the multiples of p.
+    at_prime_power(p, q) gives g(q) at the prime power q = p^e <= L: an integer,
+    for one int64 row, or an integer array of the values of B functions, for a
+    (B, L + 1) row of its dtype; its value at (2, 2), asked first even for
+    L < 2, fixes that shape.  spf is a smallest_prime_factors sieve reaching at
+    least L.  Each prime fills a scratch row with g(p^e) at the multiples of
+    p^e, e = 1, 2, ... (the higher power overwrites), and that row is
+    multiplied in at the multiples of p.
     """
-    row = np.ones(L + 1, dtype=np.int64)
-    row[0] = 0
-    local = np.empty(L + 1, dtype=np.int64)
+    at_two = np.asarray(at_prime_power(2, 2))[..., None]
+    row = np.ones(at_two.shape[:-1] + (L + 1,), dtype=at_two.dtype)
+    row[..., 0] = 0
+    local = np.empty_like(row)
     for p in (np.flatnonzero(spf[2:L + 1] == np.arange(2, L + 1)) + 2).tolist():
         q = p
         while q <= L:
-            local[q::q] = at_prime_power(p, q)
+            local[..., q::q] = at_two if q == 2 else np.asarray(at_prime_power(p, q))[..., None]
             q *= p
-        row[p::p] *= local[p::p]
+        row[..., p::p] *= local[..., p::p]
     return row
 
 

@@ -12,8 +12,10 @@ value and hurwitz_class_number.  Cohen's H(r, N) is the scalar formula route.
 
 Dirichlet's formula H(N) = L(0, chi_d) T_1(f), -N = d f^2, gives the row a
 second way (formula_sixths, compared with the forms in verify): one sieve finds
-the fundamental d < 0, each gets one row of chi_d from the Kronecker kernel,
-6 L(0, chi_d) is an exact int64 dot product, and T_1(f) is multiplicative.
+the fundamental d < 0, and blocks of them share one int8 table of chi_d(a) from
+the multiplicative fill, with chi_d(p) read from the Kronecker kernel; each
+6 L(0, chi_d) is an exact int64 sum over a row of it, and T_1(f) comes from the
+same fill.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 from .arithmetic import (
     divisors,
     fundamental_discriminant,
+    jacobi_row,
     kronecker_column,
     moebius,
     multiplicative_row,
@@ -99,7 +102,10 @@ class ClassNumberTable:
         return Fraction(int(self.sixths[n]), 6) if n else Fraction(-1, 12)
 
     def ratios(self, max_n: int) -> list[str]:
-        """H(0..max_n), max_n <= self.max_n, as lowest-terms "p/q" strings."""
+        """H(0..max_n) as lowest-terms "p/q" strings; ValueError unless 0 <= max_n <= self.max_n."""
+        max_n = operator.index(max_n)
+        if not 0 <= max_n <= self.max_n:
+            raise ValueError(f"max_n={max_n} outside table range 0..{self.max_n}")
         six = self.sixths[1:max_n + 1]
         g = np.gcd(six, 6)
         return ["-1/12"] + [f"{p}/{q}" for p, q in zip((six // g).tolist(), (6 // g).tolist())]
@@ -132,6 +138,10 @@ def _sixths_by_forms(max_n: int) -> np.ndarray:
     return sixths
 
 
+# formula_sixths fills one chi_d table of at most this many int8 entries per block of fundamental d
+_FORMULA_BLOCK = 2 ** 17
+
+
 def formula_sixths(max_n: int) -> np.ndarray:
     """6 H(N) for N = 0..max_n (entry 0 left 0) by the class number formula, as int64.
 
@@ -156,22 +166,49 @@ def formula_sixths(max_n: int) -> np.ndarray:
     fundamental = squarefree & (D % 4 == 3)
     m = D[4::4] // 4
     fundamental[4::4] = squarefree[m] & ((m % 4 == 1) | (m % 4 == 2))
-    a = np.arange(1, max_n + 1, dtype=np.int64)
-    for modulus in np.flatnonzero(fundamental).tolist():
-        F = isqrt(max_n // modulus)
-        half = (modulus - 1) // 2
-        chi = kronecker_column(-modulus, a[:max(half, F)])   # chi_d(a) for a = 1, 2, ...
-        # chi_d is odd, so a and |d| - a pair to (2a - |d|) chi_d(a), and chi_d(|d|/2) = 0
-        numerator = -6 * (2 * int(chi[:half] @ a[:half]) - modulus * int(chi[:half].sum()))
-        six_l, rem = divmod(numerator, modulus)
-        if rem:
-            raise ArithmeticError(f"formula route at n={modulus}: "
-                                  f"6 L(0, chi_{-modulus}) = {numerator}/{modulus} is not an integer")
-        # T_1(q) = sigma_1(q) - chi_d(p) sigma_1(q/p) = (q p - 1 - chi_d(p) (q - 1)) / (p - 1)
-        t1 = multiplicative_row(F, lambda p, q: (q * p - 1 - int(chi[p - 1]) * (q - 1)) // (p - 1), spf)
-        f = np.arange(1, F + 1)
-        sixths[modulus * f * f] = six_l * t1[1:]
+    moduli = np.flatnonzero(fundamental)
+    legendre = functools.cache(jacobi_row)      # each block reads the rows of the primes p <= its |d| / 2
+    start = 0
+    while start < moduli.size:
+        # a block's table has a column for each a <= (|d| - 1) / 2 of its largest |d|, and a = 0
+        entries = np.arange(1, moduli.size - start + 1) * ((moduli[start:] + 1) // 2)
+        stop = start + max(1, int(np.searchsorted(entries, _FORMULA_BLOCK, side="right")))
+        _formula_block(sixths, moduli[start:stop], spf, legendre)
+        start = stop
     return sixths
+
+
+def _formula_block(sixths: np.ndarray, modulus: np.ndarray, spf: np.ndarray, legendre) -> None:
+    """Write 6 H(|d| f^2) into sixths for an ascending block of fundamental d = -modulus.
+
+    legendre(p) is jacobi_row(p), the Legendre row of the odd prime p.
+    """
+    max_n = len(sixths) - 1
+
+    @functools.cache
+    def chi(p):
+        """chi_d(p) for every d of the block, as int8."""
+        return kronecker_column(2, modulus) if p == 2 else legendre(p)[(-modulus) % p]
+
+    half = (modulus - 1) // 2
+    # chi_d(p^e) = chi_d(p)^e: chi_d(p) for odd e, chi_d(p)^2 for even e, where q is a square
+    table = multiplicative_row(int(half[-1]), lambda p, q: chi(p) if isqrt(q) ** 2 != q else chi(p) ** 2, spf)
+    a = np.arange(table.shape[1])
+    # chi_d is odd, so a and |d| - a pair to (2a - |d|) chi_d(a), and chi_d(|d|/2) = 0
+    table *= a <= half[:, None]
+    numerator = -6 * (2 * np.einsum("ij,j->i", table, a) - modulus * table.sum(axis=1, dtype=np.int64))
+    six_l, rem = np.divmod(numerator, modulus)
+    if rem.any():
+        i = np.flatnonzero(rem)[0]
+        raise ArithmeticError(f"formula route at n={modulus[i]}: "
+                              f"6 L(0, chi_{-modulus[i]}) = {numerator[i]}/{modulus[i]} is not an integer")
+    # T_1(q) = sigma_1(q) - chi_d(p) sigma_1(q/p) = (q p - 1 - chi_d(p) (q - 1)) / (p - 1)
+    t1 = multiplicative_row(isqrt(max_n // int(modulus[0])),
+                            lambda p, q: (q * p - 1 - chi(p).astype(np.int64) * (q - 1)) // (p - 1), spf)
+    f = np.arange(1, t1.shape[1])
+    N = modulus[:, None] * f * f
+    keep = N <= max_n
+    sixths[N[keep]] = (six_l[:, None] * t1[:, 1:])[keep]
 
 
 def _first_wrong_entry(sixths: np.ndarray) -> int | None:

@@ -38,8 +38,9 @@ error stays at the rounding level however large |n| is.
 gamma_c(n) is an integer and multiplicative over coprime moduli,
 gamma_{c1 c2}(n) = gamma_{c1}(n) gamma_{c2}(n): this Euler product is the step
 that turns E_n(s) into L(s, chi_d)/zeta(2s) T_s(f).  gamma_row uses it to tabulate
-a whole row: the trig kernel runs at prime powers only, and every other
-modulus is a product of integers.
+the rows of a batch of n in one multiplicative fill: the trig kernel runs once
+per prime power, for every n at once from one table of trig values, and every
+other modulus is a product of integers.
 """
 
 from __future__ import annotations
@@ -71,40 +72,54 @@ def _even_row(c: int) -> np.ndarray:
     return kronecker_column(c, np.arange(1, c, 2))
 
 
-def gauss_sum_gamma(c: int, n: int) -> complex:
+def gauss_sum_gamma(c: int, n) -> complex | np.ndarray:
     """gamma_c(n) = c^{-1/2} sum_{a=1}^{2c} lambda(a, c) e^{-pi i n a / c}, a real number.
 
-    Summed as a real trig sum over half a period (derivation in the module
-    docstring); the angle is reduced as an integer residue before the trig call.
+    An integer n gives a complex, an integer ndarray of n a float array of its
+    shape.  Summed as a real trig sum over half a period (derivation in the
+    module docstring); each angle is reduced as an integer residue before the
+    trig call, and a batch of n reads all its angles from one table of the trig
+    function at every residue.
     """
     if c < 1:
         raise ValueError("gauss_sum_gamma requires c >= 1")
+    batch = isinstance(n, np.ndarray)
     if c == 1:
-        return 1 + 0j
+        return np.ones(n.shape) if batch else 1 + 0j
     if c % 2 == 1:
         half = (c + 1) // 2
-        trig = np.cos if c % 4 == 1 else np.sin
-        angle = (2 * pi / c) * (np.arange(1, half) * (n % c) % c)
-        return complex(2 * (_odd_row(c)[1:half] @ trig(angle)) / sqrt(c))
-    residue = np.arange(1, c, 2) * ((c - 4 * n) % (8 * c)) % (8 * c)
-    return complex(2 * (_even_row(c) @ np.cos((pi / (4 * c)) * residue)) / sqrt(c))
+        trig, step, period = (np.cos if c % 4 == 1 else np.sin), 2 * pi / c, c
+        residue = np.multiply.outer(n % c, np.arange(1, half)) % c
+        symbol = _odd_row(c)[1:half]
+    else:
+        trig, step, period = np.cos, pi / (4 * c), 8 * c
+        residue = np.multiply.outer((c - 4 * n) % (8 * c), np.arange(1, c, 2)) % (8 * c)
+        symbol = _even_row(c)
+    # a batch reads one table over the period; a single n needs fewer angles than it holds
+    trig_values = trig(step * residue) if residue.size < period else trig(step * np.arange(period))[residue]
+    gamma = 2 * (trig_values @ symbol) / sqrt(c)
+    return gamma if batch else complex(gamma)
 
 
-def _exact_gamma(c: int, n: int) -> int:
-    """gamma_c(n) from the trig kernel, rounded; ArithmeticError if it is not within 1e-6 of an integer."""
-    value = gauss_sum_gamma(c, n).real
-    rounded = round(value)
-    if abs(value - rounded) > 1e-6:
-        raise ArithmeticError(f"gamma_{c}({n}) = {value!r} is not within 1e-6 of an integer")
-    return rounded
+def _exact_gamma(c: int, n) -> np.ndarray:
+    """gamma_c(n) from the trig kernel as int64; ArithmeticError at the first n off an integer by 1e-6."""
+    value = np.real(gauss_sum_gamma(c, n))
+    rounded = np.rint(value)
+    off = abs(value - rounded) > 1e-6
+    if off.any():
+        first = np.argmax(off)
+        raise ArithmeticError(f"gamma_{c}({int(np.ravel(n)[first])}) = {float(np.ravel(value)[first])!r} "
+                              f"is not within 1e-6 of an integer")
+    return rounded.astype(np.int64)
 
 
-def gamma_row(n: int, L: int) -> np.ndarray:
+def gamma_row(n, L: int) -> np.ndarray:
     """gamma_c(n) for c = 0..L as an int64 array (entry 0 is 0), by the Euler product.
 
-    Only the prime powers q <= L are summed (gauss_sum_gamma, checked to be
-    integers); every other entry is the product of gamma_q(n) over the prime
-    powers q that exactly divide c.
+    An integer array of B n gives a (B, L + 1) array of rows.  Only the prime
+    powers q <= L are summed (gauss_sum_gamma once per q for every n, checked
+    to be integers); every other entry is the product of gamma_q(n) over the
+    prime powers q that exactly divide c.
     """
     if L < 1:
         raise ValueError("gamma_row requires L >= 1")
@@ -122,24 +137,25 @@ def _tail_bound(s_real: float, M: int) -> float:
     return 4.0 * M ** (1.5 - s_real) / (s_real - 1.5)
 
 
-def series_partial(n: int, s: complex, M: int) -> DirichletSeriesValue:
+def series_partial(n, s: complex, M: int):
     """Truncated E_n(s): odd moduli up to M plus even moduli up to 2M.
 
     Odd moduli c <= M weigh gamma_c(n) by c^{-s}, even moduli c <= 2M by
-    (c/2)^{-s}: two dot products with one gamma_row, averaged.  Requires
-    Re(s) > 3/2 so the reported tail bound is rigorous.
+    (c/2)^{-s}: two dot products with one gamma_row, averaged.  A tuple of n
+    gives a tuple of values from one batch of rows, each equal to its single
+    call.  Requires Re(s) > 3/2 so the reported tail bound is rigorous.
     """
     s = complex(s)
     if s.real <= 1.5:
         raise ValueError("series_partial requires Re(s) > 3/2 for a rigorous tail")
     if M < 1:
         raise ValueError("series_partial requires M >= 1")
-    row = gamma_row(n, 2 * M)
+    rows = gamma_row(np.array(n, dtype=np.int64) if isinstance(n, tuple) else n, 2 * M)
     scale = np.arange(1, M + 1, dtype=float) ** -s   # k^{-s} at index k - 1
-    odd = row[1:M + 1:2] @ scale[::2]
-    even = row[2::2] @ scale
-    return DirichletSeriesValue(complex(0.5 * (odd + even)), (M + 1) // 2 + M,
-                                _tail_bound(s.real, M))
+    values = tuple(DirichletSeriesValue(complex(0.5 * (row[1:M + 1:2] @ scale[::2] + row[2::2] @ scale)),
+                                        (M + 1) // 2 + M, _tail_bound(s.real, M))
+                   for row in np.atleast_2d(rows))
+    return values if isinstance(n, tuple) else values[0]
 
 
 # Float powers are refused past 2^MAX_POWER_LOG2, 2^24 below the float maximum,

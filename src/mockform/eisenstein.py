@@ -67,18 +67,19 @@ def random_words(rng: np.random.Generator, count: int,
     Sign of the whole matrix is randomized; with require_b, words with b = 0
     are redrawn so the top-row multiplier identity applies.
     """
-    inv = (Gamma04Matrix(1, -1, 0, 1), Gamma04Matrix(1, 0, -4, 1))
-    alphabet = GENERATORS + inv
+    # words multiply as integer 4-tuples; each kept word is validated once, as a Gamma04Matrix
+    alphabet = tuple(g.entries() for g in GENERATORS) + ((1, -1, 0, 1), (1, 0, -4, 1))
     out: list[Gamma04Matrix] = []
     while len(out) < count:
-        g = IDENTITY
+        a, b, c, d = IDENTITY.entries()
         for _ in range(rng.integers(1, 13)):
-            g = g @ alphabet[rng.integers(0, 4)]
+            p, q, r, t = alphabet[rng.integers(0, 4)]
+            a, b, c, d = a * p + b * r, a * q + b * t, c * p + d * r, c * q + d * t
         if rng.random() < 0.5:
-            g = -g
-        if require_b and g.b == 0:
+            a, b, c, d = -a, -b, -c, -d
+        if require_b and b == 0:
             continue
-        out.append(g)
+        out.append(Gamma04Matrix(a, b, c, d))
     return out
 
 

@@ -7,6 +7,7 @@ shadow checks (03, 04) assert -Theta/(16 pi) against an mpmath constant; the pi-
 """
 
 import functools
+import hashlib
 import json
 from pathlib import Path
 
@@ -128,3 +129,8 @@ def test_verify_all_matches_benchmark_reference(monkeypatch, capsys):
     assert [r["check_name"] for r in results] == ref["checks"]
     assert sorted(r["check_name"] for r in results if not r["passed"]) == sorted(ref["failing"])
     assert rc == ref["exit_code"] == 2
+    # every record, bit for bit (elapsed_ms aside)
+    records = [[r.check_name, r.parameters, r.residual, r.tolerance, r.passed]
+               for s in SUITES for r in _suite(s)]
+    assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == (
+        "c5ebc8df0ab7e9799dd73f689027af656f46de9fabc349f321d4e0441014253b")

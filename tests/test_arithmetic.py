@@ -220,3 +220,18 @@ def test_multiplicative_row_builds_sigma_and_moebius():
     assert sigma[1:].tolist() == [sigma_divisor(1, n) for n in range(1, 301)]
     assert mu[1:].tolist() == [moebius(n) for n in range(1, 301)]
     assert multiplicative_row(1, lambda p, q: 7, spf).tolist() == [0, 1]
+
+
+def test_multiplicative_row_fills_a_batch_in_its_dtype():
+    spf = smallest_prime_factors(300)
+    sigma = lambda p, q: (q * p - 1) // (p - 1)
+    mu = lambda p, q: -1 if q == p else 0
+    batch = multiplicative_row(300, lambda p, q: np.array([sigma(p, q), mu(p, q)]), spf)
+    assert batch.shape == (2, 301) and batch.dtype == np.int64
+    assert np.array_equal(batch, [multiplicative_row(300, g, spf) for g in (sigma, mu)])
+    # (m/a) is completely multiplicative in a: its prime-power values give the whole table
+    ms = (-7, 5, 8, -4)
+    chi = multiplicative_row(300, lambda p, q: np.array([kronecker_symbol(m, q) for m in ms], dtype=np.int8), spf)
+    assert chi.dtype == np.int8 and chi[:, 0].tolist() == [0] * 4
+    assert chi[:, 1:].tolist() == [[kronecker_symbol(m, a) for a in range(1, 301)] for m in ms]
+    assert multiplicative_row(1, lambda p, q: np.array([7, 7]), spf).tolist() == [[0, 1], [0, 1]]

@@ -406,6 +406,29 @@ def test_formula_sixths_matches_scalar_formula():
     assert formula_sixths(4).tolist() == [0, 0, 0, 2, 3]
 
 
+def test_formula_sixths_matches_forms_across_blocks(monkeypatch):
+    blocks = []
+    fill = class_numbers._formula_block
+
+    def recorded(sixths, modulus, *rest):
+        blocks.append(modulus)
+        fill(sixths, modulus, *rest)
+
+    monkeypatch.setattr(class_numbers, "_formula_block", recorded)
+    assert np.array_equal(formula_sixths(9000)[1:], class_numbers._sixths_by_forms(9000)[1:])
+    # every fundamental |d| once, in blocks whose chi_d tables keep to 2^17 entries
+    assert len(blocks) > 40 and np.array_equal(np.concatenate(blocks), np.unique(np.concatenate(blocks)))
+    assert max(len(m) * ((m[-1] + 1) // 2) for m in blocks) <= 2 ** 17
+
+
+def test_ratios_refuse_lengths_outside_the_table():
+    table = build_table(10)
+    assert table.ratios(0) == ["-1/12"] and len(table.ratios(10)) == 11
+    for max_n in (11, 20, -1, -5):
+        with pytest.raises(ValueError, match=r"outside table range 0\.\.10"):
+            table.ratios(max_n)
+
+
 def test_formula_sixths_l_values():
     # N = |d| has f = 1, so the entry is 6 L(0, chi_d) itself
     formula = formula_sixths(2000)
@@ -424,9 +447,10 @@ def test_formula_cross_check_refuses_a_flipped_character(monkeypatch, d, p):
     kernel = class_numbers.kronecker_column
 
     def flipped(m, a):
+        # formula_sixths reads chi_d(2) for a block of |d| as kronecker_column(2, |d|)
         col = kernel(m, a)
-        if m == d:
-            col[np.asarray(a) == p] *= -1
+        if m == p:
+            col[np.asarray(a) == -d] *= -1
         return col
 
     monkeypatch.setattr(class_numbers, "kronecker_column", flipped)

@@ -277,6 +277,38 @@ def test_gamma_row_matches_kernel():
         gamma_row(1, 0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(c=st.integers(1, 300),
+       ns=st.lists(st.integers(-10 ** 5, 10 ** 5), min_size=1, max_size=16)
+       .map(lambda ns: ns + [0, 10 ** 5, -10 ** 5, ns[0]]))
+def test_gamma_batch_matches_single_n_property(c, ns):
+    # from 16 n on, even moduli too read the trig table
+    batch = gauss_sum_gamma(c, np.array(ns))
+    assert batch.shape == (len(ns),) and batch.dtype == np.float64
+    for n, value in zip(ns, batch):
+        assert abs(value - gauss_sum_gamma(c, n)) < 1e-12, (c, n)
+
+
+def test_gamma_row_batch_equals_single_rows():
+    ns = (0, 1, 4, 5, 8, -3, -4, -7, 2, 3, 6, -1, -2, 10 ** 5, -10 ** 5, 1)
+    rows = gamma_row(np.array(ns), 1500)
+    assert rows.shape == (len(ns), 1501) and rows.dtype == np.int64
+    for n, row in zip(ns, rows):
+        assert np.array_equal(row, gamma_row(n, 1500)), n
+    assert gamma_row(np.array([3, -5]), 1).tolist() == [[0, 1], [0, 1]]
+
+
+def test_series_partial_tuple_equals_single_calls():
+    ns = (0, 1, 4, 5, 8, -3, -4, -7, 2, 3, 6, -1, -2)
+    parts = series_partial(ns, 3.0, 1000)
+    assert type(parts) is tuple and len(parts) == len(ns)
+    for n, part in zip(ns, parts):
+        single = series_partial(n, 3.0, 1000)
+        assert part == single, n
+        assert (part.value.real.hex(), part.value.imag.hex()) == (single.value.real.hex(), single.value.imag.hex())
+    assert series_partial((7,), 2.5 + 1j, 300) == (series_partial(7, 2.5 + 1j, 300),)
+
+
 def test_gamma_row_refuses_non_integer_prime_power(monkeypatch):
     kernel = dirichlet_series.gauss_sum_gamma
     monkeypatch.setattr(dirichlet_series, "gauss_sum_gamma",

@@ -369,3 +369,29 @@ def test_modularity_residuals():
     for h in (g, g2):
         scale = max(1.0, abs(ff(h.apply(0.1 + 0.9j))))
         assert modularity_residual(ff, 2, 1.0, h, 0.1 + 0.9j) < 1e-3 * scale
+
+
+def _words_by_dataclass(rng, count, require_b=False):
+    """random_words as a product of validated Gamma04Matrix letters, one per draw."""
+    alphabet = (eisenstein.SHIFT, eisenstein.LOWER, Gamma04Matrix(1, -1, 0, 1), Gamma04Matrix(1, 0, -4, 1))
+    out = []
+    while len(out) < count:
+        g = IDENTITY
+        for _ in range(rng.integers(1, 13)):
+            g = g @ alphabet[rng.integers(0, 4)]
+        if rng.random() < 0.5:
+            g = -g
+        if require_b and g.b == 0:
+            continue
+        out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_words_match_the_dataclass_product(seed):
+    for count, require_b in ((200, True), (50, False)):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        words = random_words(rng, count, require_b=require_b)
+        assert words == _words_by_dataclass(oracle_rng, count, require_b)
+        assert all(type(g) is Gamma04Matrix and type(g.a) is int for g in words)
+        assert rng.random() == oracle_rng.random()        # the same draws, in the same order
