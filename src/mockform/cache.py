@@ -1,47 +1,47 @@
-"""Line-oriented persistent cache for class number tables.
+"""Persistent cache for class number tables.
 
-Format: a header ``MOCKFORM-CACHE v1 max_n=<N>`` followed by one line per
-entry ``<n> <numerator>/<denominator>``, contiguous from n = 0.  Rationals
-are never serialized as floats.  The cache location is ``~/.cache/mockform``
-unless overridden by the MOCKFORM_CACHE environment variable.
+The file is the table's own row: ClassNumberTable.sixths, the int64 row of
+6 H(n) for n = 0..max_n (entry 0 is 0 and stands for H(0) = -1/12), in numpy's
+.npy format, written by np.save and read by np.load without pickles.  A loaded
+row passes through ClassNumberTable and so through the same certificate, the
+class number relations, as a built one.  The cache location is
+``~/.cache/mockform/hurwitz_sixths.npy`` unless overridden by the
+MOCKFORM_CACHE environment variable.
 """
 
 from __future__ import annotations
 
 import os
-import re
 from pathlib import Path
+
+import numpy as np
 
 from .class_numbers import ClassNumberTable, build_table
 
-CACHE_VERSION = 1
-_HEADER_RE = re.compile(r"^MOCKFORM-CACHE v(\d+) max_n=(\d+)$")
-
 
 class CacheError(ValueError):
-    """Raised for unreadable, truncated or version-mismatched cache files."""
+    """Raised for an unreadable, truncated or malformed cache file, or one whose row is not the Hurwitz table."""
 
 
 def default_cache_path() -> Path:
     env = os.environ.get("MOCKFORM_CACHE")
     if env:
         return Path(env)
-    return Path.home() / ".cache" / "mockform" / "hurwitz_table.txt"
+    return Path.home() / ".cache" / "mockform" / "hurwitz_sixths.npy"
 
 
 def write_table(path, table: ClassNumberTable) -> None:
     """Write the table atomically: a killed or concurrent writer never leaves a truncated cache.
 
-    The text goes to the sibling ``<name>.<pid>.tmp``, which then replaces
+    The row goes to the sibling ``<name>.<pid>.tmp``, which then replaces
     the cache in one rename; on failure the temporary file is removed.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"MOCKFORM-CACHE v{CACHE_VERSION} max_n={table.max_n}"]
-    lines += [f"{n} {ratio}" for n, ratio in enumerate(table.ratios(table.max_n))]
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text("\n".join(lines) + "\n", encoding="ascii")
+        with open(tmp, "wb") as fh:     # np.save would append .npy to a path
+            np.save(fh, table.sixths, allow_pickle=False)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -49,52 +49,32 @@ def write_table(path, table: ClassNumberTable) -> None:
 
 
 def read_table(path) -> ClassNumberTable:
+    """The table a cache file holds; CacheError unless it is a certified int64 row of 6 H(n)."""
     path = Path(path)
+    # numpy's own message for a text file or a pickle would suggest loading it unsafely
+    refused = (f"cache file {path} is not a .npy int64 row of 6 H(n) with entry 0 equal to 0; "
+               f"rebuild with --rebuild-cache")
     try:
-        text = path.read_text(encoding="ascii")
+        with open(path, "rb") as fh:
+            row = np.load(fh, allow_pickle=False)
     except OSError as exc:
-        raise CacheError(f"cannot read cache file {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines:
-        raise CacheError(f"empty cache file {path}")
-    m = _HEADER_RE.match(lines[0])
-    if not m:
-        raise CacheError(f"malformed cache header in {path}: {lines[0]!r}")
-    version, max_n = int(m.group(1)), int(m.group(2))
-    if version != CACHE_VERSION:
-        raise CacheError(
-            f"cache version {version} in {path} is not supported "
-            f"(expected {CACHE_VERSION}); rebuild with --rebuild-cache")
-    if len(lines) - 1 != max_n + 1:
-        raise CacheError(
-            f"truncated cache {path}: header promises {max_n + 1} entries, "
-            f"found {len(lines) - 1}")
-    if lines[1].split() != ["0", "-1/12"]:
-        raise CacheError(f"invalid table data in {path}: the table must start with H(0) = -1/12")
-    sixths = [0]
-    for n, line in enumerate(lines[2:], 1):
-        try:
-            idx, frac = line.split()
-            num, den = frac.split("/")
-            if int(idx) != n:
-                raise ValueError(f"entry out of order: expected n={n}")
-            six, rem = divmod(6 * int(num), int(den))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CacheError(f"malformed cache line {n + 2} in {path}: {line!r}") from exc
-        if rem or not -2 ** 63 <= six < 2 ** 63:
-            raise CacheError(f"invalid table data in {path}: H({n}) = {frac} is not the Hurwitz class number")
-        sixths.append(six)
+        raise CacheError(f"cannot read cache file {path}: {exc}; rebuild with --rebuild-cache") from exc
+    except (ValueError, EOFError) as exc:
+        raise CacheError(refused) from exc
+    if not (isinstance(row, np.ndarray) and row.dtype == np.int64 and row.ndim == 1
+            and row.size and row[0] == 0):
+        raise CacheError(refused)
     try:
-        return ClassNumberTable(sixths)
+        return ClassNumberTable(row)
     except ValueError as exc:
-        raise CacheError(f"invalid table data in {path}: {exc}") from exc
+        raise CacheError(f"invalid table data in {path}: {exc}; rebuild with --rebuild-cache") from exc
 
 
 def load_or_build(path, max_n: int, rebuild: bool = False) -> ClassNumberTable:
     """Return a table covering 0..max_n, reusing the cache when possible.
 
-    A corrupted or version-mismatched file is an error, never silently
-    rebuilt; an absent or merely too-small cache is extended and rewritten.
+    A corrupted file is an error, never silently rebuilt; an absent or
+    merely too-small cache is extended and rewritten.
     """
     path = Path(path)
     if not rebuild and path.exists():

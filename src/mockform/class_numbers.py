@@ -7,8 +7,9 @@ int64 sixths 6 H(N).  The class number relations of Kronecker and Hurwitz pin
 every entry: ClassNumberTable holds such a row and checks it with
 _first_wrong_entry once, on construction, whether the row was enumerated
 (build_table, behind hurwitz_table) or loaded from a cache.  Bulk consumers
-read the row (sixths, or ratios as "p/q" text); Fractions come only from
-value and hurwitz_class_number.  Cohen's H(r, N) is the scalar formula route.
+read the row (sixths, which the cache stores as it is, or ratios as "p/q" text
+for the CLI); Fractions come only from value and hurwitz_class_number.
+Cohen's H(r, N) is the scalar formula route.
 
 Dirichlet's formula H(N) = L(0, chi_d) T_1(f), -N = d f^2, gives the row a
 second way (formula_sixths, compared with the forms in verify): one sieve finds
@@ -77,13 +78,18 @@ class ClassNumberTable:
 
     Entry 0 of the row is 0 and stands for H(0) = -1/12.  Construction runs
     _first_wrong_entry once and raises ValueError naming the first wrong H(n);
-    built and loaded tables alike pass through here.
+    built and loaded tables alike pass through here.  A row that is not of
+    integers fitting int64 raises TypeError.
     """
 
     def __init__(self, sixths):
-        row = np.array(sixths, dtype=np.int64)
+        row = np.asarray(sixths)
         if row.ndim != 1 or not row.size:
             raise ValueError("a table needs a row of 6 H(n) for n = 0..max_n")
+        # casting would turn 6 H = 2.9 into 2 and wrap a uint64 past 2^63 - 1
+        if row.dtype.kind not in "iu" or row.dtype.kind == "u" and row.max() > np.iinfo(np.int64).max:
+            raise TypeError(f"a row of 6 H(n) needs integers that fit int64, got dtype {row.dtype}")
+        row = row.astype(np.int64)
         row[0] = 0
         n = _first_wrong_entry(row)
         if n is not None:
@@ -274,7 +280,7 @@ def hurwitz_table(N: int) -> ClassNumberTable:
     global _table
     N = operator.index(N)
     if N < 0:
-        raise ValueError("hurwitz_class_number requires N >= 0")
+        raise ValueError("hurwitz_table requires N >= 0")
     if N > _table.max_n:
         _table = build_table((1 << N.bit_length()) - 1)
     return _table
@@ -290,4 +296,6 @@ def hurwitz_class_number(N: int) -> Fraction:
     Callers that need H(1..N) read hurwitz_table(N).sixths instead.  A
     non-integer N raises TypeError.
     """
+    if operator.index(N) < 0:
+        raise ValueError("hurwitz_class_number requires N >= 0")
     return hurwitz_table(N).value(N)

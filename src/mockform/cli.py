@@ -14,10 +14,11 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 from .cache import default_cache_path, load_or_build
 from .class_numbers import build_table
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, EvalConfig
 from .eisenstein import eisenstein_direct, eisenstein_fourier, lattice_tail_estimate
 from .maass import (completed_hurwitz_series, e2_star, e2_truncation, theta_series,
                     theta_truncation)
@@ -69,17 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_config_flags(p):
-    p.add_argument("--lattice-bound", type=int, default=None)
-    p.add_argument("--fourier-bound", type=int, default=None)
-    p.add_argument("--q-terms", type=int, default=None)
-    p.add_argument("--fd-step", type=float, default=None)
-    p.add_argument("--quad-tol", type=float, default=None)
+    for field in fields(EvalConfig):
+        p.add_argument("--" + field.name.replace("_", "-"), type=type(field.default), default=None)
 
 
 def _config_from(args):
-    overrides = {name: getattr(args, name) for name in
-                 ("lattice_bound", "fourier_bound", "q_terms", "fd_step", "quad_tol")
-                 if getattr(args, name, None) is not None}
+    overrides = {field.name: getattr(args, field.name) for field in fields(EvalConfig)
+                 if getattr(args, field.name) is not None}
     try:
         return DEFAULT_CONFIG.with_(**overrides) if overrides else DEFAULT_CONFIG
     except ValueError as exc:

@@ -62,16 +62,6 @@ from .arithmetic import (
 from .characters import QuadraticCharacter, l_numeric
 from .class_numbers import t_chi
 
-# gamma_c revisits every modulus c for each n, so its symbol rows are cached (bounded).
-_odd_row = functools.lru_cache(maxsize=8192)(jacobi_row)
-
-
-@functools.lru_cache(maxsize=8192)
-def _even_row(c: int) -> np.ndarray:
-    """(c/a) for odd a = 1, 3, ..., c-1, c even (the half row; see gauss_sum_gamma)."""
-    return kronecker_column(c, np.arange(1, c, 2))
-
-
 def gauss_sum_gamma(c: int, n) -> complex | np.ndarray:
     """gamma_c(n) = c^{-1/2} sum_{a=1}^{2c} lambda(a, c) e^{-pi i n a / c}, a real number.
 
@@ -90,11 +80,11 @@ def gauss_sum_gamma(c: int, n) -> complex | np.ndarray:
         half = (c + 1) // 2
         trig, step, period = (np.cos if c % 4 == 1 else np.sin), 2 * pi / c, c
         residue = np.multiply.outer(n % c, np.arange(1, half)) % c
-        symbol = _odd_row(c)[1:half]
+        symbol = jacobi_row(c)[1:half]
     else:
         trig, step, period = np.cos, pi / (4 * c), 8 * c
         residue = np.multiply.outer((c - 4 * n) % (8 * c), np.arange(1, c, 2)) % (8 * c)
-        symbol = _even_row(c)
+        symbol = kronecker_column(c, np.arange(1, c, 2))
     # a batch reads one table over the period; a single n needs fewer angles than it holds
     trig_values = trig(step * residue) if residue.size < period else trig(step * np.arange(period))[residue]
     gamma = 2 * (trig_values @ symbol) / sqrt(c)

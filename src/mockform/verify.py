@@ -313,6 +313,8 @@ def verify_limits(cfg: EvalConfig = DEFAULT_CONFIG,
                            abs(lim - alpha_limit(h, 1.0)), 1e-3, t0))
     t0 = time.perf_counter()
     mean = fourier_coefficient(lambda t: completed_hurwitz_series(t, cfg).value, 0, 1.0, 64)
+    # alpha_limit(0, v) uses the series' own 1/(8 pi sqrt(v)), so this record cannot see a
+    # fault in that constant; the Gamma0(4) law (completed_series_transformation) can
     out.append(_record("constant_term_u_average", {"v": 1, "points": 64},
                        abs(mean - alpha_limit(0, 1.0)), 1e-10, t0))
     return out

@@ -1,13 +1,17 @@
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from math import pi, sqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mockform.cache import CacheError, default_cache_path, load_or_build, read_table, write_table
 from mockform.class_numbers import MAX_TABLE_N, build_table
@@ -19,27 +23,52 @@ from mockform.eisenstein import eisenstein_direct, lattice_tail_estimate
 from mockform.maass import e2_truncation, theta_truncation
 
 
+def _save(path, row, **kwargs):
+    with open(path, "wb") as fh:
+        np.save(fh, row, **kwargs)
+
+
+def _good_row(max_n=40):
+    return build_table(max_n).sixths.copy()
+
+
 def test_cache_roundtrip(tmp_path):
-    path = tmp_path / "table.txt"
+    path = tmp_path / "table.npy"
     table = build_table(100)
     write_table(path, table)
     first = path.read_bytes()
     assert read_table(path) == table
     write_table(path, read_table(path))
     assert path.read_bytes() == first  # rewrite is byte-identical
+    assert list(tmp_path.iterdir()) == [path]     # no .npy appended, no temporary left
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(max_n=st.integers(0, 3000))
+@example(max_n=0)
+@example(max_n=3000)
+def test_cache_roundtrip_over_max_n(tmp_path, max_n):
+    path = tmp_path / "table.npy"
+    table = build_table(max_n)
+    write_table(path, table)
+    loaded = read_table(path)
+    assert loaded == table and loaded.max_n == max_n
+    assert not loaded.sixths.flags.writeable
 
 
 def test_cache_write_failure_keeps_previous_cache(tmp_path, monkeypatch):
-    path = tmp_path / "table.txt"
+    path = tmp_path / "table.npy"
     table = build_table(30)
     write_table(path, table)
+    save = np.save
 
-    def write_half_then_fail(self, text, **kwargs):
-        with open(self, "w", encoding="ascii") as fh:
-            fh.write(text[: len(text) // 2])
+    def write_half_then_fail(fh, row, **kwargs):
+        buffer = io.BytesIO()
+        save(buffer, row, **kwargs)
+        fh.write(buffer.getvalue()[: len(buffer.getvalue()) // 2])
         raise OSError("disk full")
 
-    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    monkeypatch.setattr(np, "save", write_half_then_fail)
     with pytest.raises(OSError, match="disk full"):
         write_table(path, build_table(60))
     monkeypatch.undo()
@@ -48,19 +77,21 @@ def test_cache_write_failure_keeps_previous_cache(tmp_path, monkeypatch):
 
 
 def test_cache_rejects_truncation(tmp_path):
-    path = tmp_path / "table.txt"
+    # cut inside the data; the refusal matrix cuts inside the header
+    path = tmp_path / "table.npy"
     write_table(path, build_table(50))
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-4]) + "\n")
-    with pytest.raises(CacheError, match="truncated"):
+    path.write_bytes(path.read_bytes()[:-32])
+    with pytest.raises(CacheError, match=rf"^cache file {re.escape(str(path))} is not a .npy int64 row"):
         read_table(path)
 
 
 def test_cache_rejects_other_version(tmp_path):
-    path = tmp_path / "table.txt"
+    # .npy format version 9.0, which no numpy reads
+    path = tmp_path / "table.npy"
     write_table(path, build_table(10))
-    text = path.read_text().replace("MOCKFORM-CACHE v1", "MOCKFORM-CACHE v2")
-    path.write_text(text)
+    data = bytearray(path.read_bytes())
+    data[6] = 9
+    path.write_bytes(bytes(data))
     with pytest.raises(CacheError, match="rebuild-cache"):
         read_table(path)
 
@@ -73,10 +104,11 @@ def test_cache_rejects_garbage(tmp_path):
 
 
 def test_cache_rejects_a_wrong_class_number(tmp_path, capsys):
-    # signs and denominators are fine, but H(23) is 3: the relations catch it on load
-    path = tmp_path / "table.txt"
-    write_table(path, build_table(50))
-    path.write_text(path.read_text().replace("\n23 3/1\n", "\n23 4/1\n"))
+    # an int64 row of the right shape, but H(23) is 3: the relations catch it on load
+    path = tmp_path / "table.npy"
+    row = _good_row(50)
+    row[23] = 24
+    _save(path, row)
     with pytest.raises(CacheError, match=r"H\(23\) = 4 is not the Hurwitz class number"):
         read_table(path)
     assert main(["hurwitz", "--max", "30", "--cache", str(path)]) == 2
@@ -88,46 +120,88 @@ def test_cache_rejects_a_wrong_class_number(tmp_path, capsys):
 
 # H(23) = 4 is test_cache_rejects_a_wrong_class_number
 @pytest.mark.parametrize("n, text, shown", [
-    (3, "1/12", "1/12"),                  # not a whole number of sixths
     (5, "1/6", "1/6"),                    # a whole number of sixths, but H(5) = 0
     (8, "-1/1", "-1"),                    # a sign
-    (7, f"{2 ** 70}/1", f"{2 ** 70}/1"),  # beyond int64 sixths
 ])
 def test_cache_rejects_each_wrong_entry_at_its_index(tmp_path, n, text, shown):
-    path = tmp_path / "table.txt"
-    write_table(path, build_table(40))
-    lines = path.read_text().splitlines()
-    lines[n + 1] = f"{n} {text}"
-    path.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "table.npy"
+    row = _good_row()
+    row[n] = 6 * Fraction(text)
+    _save(path, row)
     with pytest.raises(CacheError, match=rf"^invalid table data in .*: H\({n}\) = {shown} is not the Hurwitz"):
         read_table(path)
 
 
-def test_cache_rejects_a_zero_denominator(tmp_path, capsys):
-    path = tmp_path / "table.txt"
-    write_table(path, build_table(10))
-    path.write_text(path.read_text().replace("\n5 0/1\n", "\n5 1/0\n"))
-    with pytest.raises(CacheError, match=rf"^malformed cache line 7 in {re.escape(str(path))}: '5 1/0'$"):
+def test_cache_rejects_a_wrong_first_entry(tmp_path):
+    path = tmp_path / "table.npy"
+    row = _good_row(10)
+    row[0] = -1
+    _save(path, row)
+    with pytest.raises(CacheError, match=r"with entry 0 equal to 0"):
         read_table(path)
-    assert main(["hurwitz", "--max", "10", "--cache", str(path)]) == 2
+
+
+def _v1_text(path):
+    # the p/q text cache of earlier versions, which nothing reads any more
+    table = build_table(40)
+    lines = [f"MOCKFORM-CACHE v1 max_n={table.max_n}"]
+    path.write_text("\n".join(lines + [f"{n} {r}" for n, r in enumerate(table.ratios(40))]) + "\n")
+
+
+def _npz(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, sixths=_good_row())
+
+
+def _truncated(path):
+    write_table(path, build_table(40))
+    path.write_bytes(path.read_bytes()[:40])
+
+
+def _with_row(row, **kwargs):
+    return lambda path: _save(path, row, **kwargs)
+
+
+def _entry(n, value):
+    row = _good_row()
+    row[n] = value
+    return row
+
+
+@pytest.mark.parametrize("make", [
+    _v1_text,
+    lambda path: path.write_bytes(b""),
+    _truncated,
+    _npz,
+    _with_row(np.array([0, 0, 0, 2], dtype=object), allow_pickle=True),
+    _with_row(_good_row().astype(np.float64)),
+    _with_row(_good_row().reshape(1, -1)),
+    _with_row(_entry(0, 6)),
+    _with_row(_entry(23, 24)),
+], ids=["v1-text", "empty", "truncated-header", "npz", "object-array", "float64-row", "2-d-row",
+        "nonzero-entry-0", "wrong-H23"])
+def test_cache_refuses_every_file_but_a_certified_int64_row(tmp_path, capsys, make):
+    path = tmp_path / "hurwitz_sixths.npy"
+    make(path)
+    data = path.read_bytes()
+    with pytest.raises(CacheError, match=rf" {re.escape(str(path))}"):
+        read_table(path)
+    assert main(["hurwitz", "--max", "30", "--cache", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"mockform: malformed cache line 7 in {path}: '5 1/0'\n"
-
-
-def test_cache_rejects_a_wrong_first_entry(tmp_path):
-    path = tmp_path / "table.txt"
-    write_table(path, build_table(10))
-    path.write_text(path.read_text().replace("\n0 -1/12\n", "\n0 0/1\n"))
-    with pytest.raises(CacheError, match=r"must start with H\(0\) = -1/12"):
-        read_table(path)
+    assert captured.err.startswith("mockform: ") and str(path) in captured.err
+    assert captured.err.count("\n") == 1
+    assert path.read_bytes() == data                # never silently rebuilt
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_cache_file_format_is_pinned(tmp_path):
-    path = tmp_path / "table.txt"
+    path = tmp_path / "table.npy"
     write_table(path, build_table(3000))
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "723e97d10eac3b3e6af6970986974e68c293b57a0b23feeed2beb9fbb2a32713"
+    data = path.read_bytes()
+    assert len(data) == 24136                       # a 128-byte header and 3001 int64 entries
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == "b399a2983460091d0ce37ddc7da635092cfd1d4d77a2a0a43e036674f3fb7df1"
 
 
 def test_cache_env_override(tmp_path, monkeypatch):
@@ -206,9 +280,11 @@ def test_cli_hurwitz_refuses_an_oversized_table(capsys):
 
 
 def test_cli_hurwitz_bad_cache_version(tmp_path, capsys):
-    path = tmp_path / "c.txt"
+    path = tmp_path / "c.npy"
     main(["hurwitz", "--max", "5", "--cache", str(path)])
-    path.write_text(path.read_text().replace("v1", "v3"))
+    data = bytearray(path.read_bytes())
+    data[6] = 9                                     # .npy format version 9.0
+    path.write_bytes(bytes(data))
     code = main(["hurwitz", "--max", "5", "--cache", str(path)])
     assert code == 2
     assert "rebuild-cache" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from mockform.class_numbers import (
     cohen_class_number,
     formula_sixths,
     hurwitz_class_number,
+    hurwitz_table,
     t_chi,
 )
 from mockform.maass import completed_hurwitz_series, hurwitz_truncation
@@ -175,6 +176,33 @@ def test_table_validation():
         row[n] = six
         with pytest.raises(ValueError, match=rf"^H\({n}\) = {Fraction(six, 6)} is not the Hurwitz class number$"):
             ClassNumberTable(row)
+
+
+@pytest.mark.parametrize("six_h3", [2.9, 2.5, 2.0], ids=["float-2.9", "float-2.5", "float-2.0"])
+def test_table_refuses_a_float_row(six_h3):
+    row = class_numbers._sixths_by_forms(40).astype(np.float64)
+    row[3] = six_h3                              # a cast would read 2.9 and 2.5 as H(3) = 1/3
+    with pytest.raises(TypeError, match="integers that fit int64, got dtype float64"):
+        ClassNumberTable(row)
+
+
+def test_table_refuses_integers_beyond_int64():
+    row = class_numbers._sixths_by_forms(40).astype(np.uint64)
+    assert ClassNumberTable(row) == build_table(40)          # an unsigned row that fits is read as is
+    row[3] = 2 ** 64 - 6                         # a cast would wrap it to -6
+    with pytest.raises(TypeError, match="got dtype uint64"):
+        ClassNumberTable(row)
+    with pytest.raises(TypeError, match="got dtype object"):
+        ClassNumberTable([0, 0, 0, 2 ** 70 + 2])
+    with pytest.raises(TypeError, match="got dtype bool"):
+        ClassNumberTable(np.zeros(5, dtype=bool))
+
+
+def test_negative_n_names_the_function_called():
+    with pytest.raises(ValueError, match=r"^hurwitz_table requires N >= 0$"):
+        hurwitz_table(-1)
+    with pytest.raises(ValueError, match=r"^hurwitz_class_number requires N >= 0$"):
+        hurwitz_class_number(-1)
 
 
 def test_table_holds_a_read_only_copy_of_its_row():
