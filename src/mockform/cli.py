@@ -11,6 +11,7 @@ Tables and verification reports go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -35,6 +36,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache                # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mockform",
                      description="Hurwitz class numbers and the weight 3/2 "
@@ -112,10 +114,11 @@ def _cmd_hurwitz(args) -> int:
             table = load_or_build(path, args.max_n, rebuild=args.rebuild_cache)
     except (ValueError, ArithmeticError) as exc:   # CacheError is a ValueError
         return _fail(2, str(exc))
-    ratios = table.ratios(args.max_n)
     if args.format == "csv":
-        print("\n".join(["n,H(n)"] + [f"{n},{ratio}" for n, ratio in enumerate(ratios)]))
+        rows = table.lowest_terms(args.max_n)
+        print("n,H(n)" + "\n%d,%d/%d" * len(rows) % tuple(rows.ravel().tolist()))
     else:
+        ratios = table.ratios(args.max_n)
         payload = {
             "command": "hurwitz",
             "params": {"max_n": args.max_n},
@@ -129,6 +132,8 @@ def _cmd_hurwitz(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _config_from(args)
     tau = _parse_tau(args.tau)
+    if not math.isfinite(args.s):
+        return _fail(1, f"--s needs a finite value, got {args.s}")
     record: dict = {"target": args.target, "tau": [tau.real, tau.imag]}
     try:
         if args.target == "H":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import ceil, log2, pi, sqrt
+from math import ceil, isfinite, log2, pi, sqrt
 from typing import Callable, Literal
 
 import numpy as np
@@ -160,10 +160,12 @@ Kind = Literal["E", "F", "H"]
 MAX_K = 130
 
 
-def _check_k(k: int) -> None:
+def _check_k_s(k: int, s: float) -> None:
     if k > MAX_K:
         raise ValueError(f"the Eisenstein routes support k <= {MAX_K}, beyond which "
                          f"zeta(1 - 2k) overflows a float; got k={k}")
+    if not isfinite(s):
+        raise ValueError(f"the Eisenstein routes need a finite s, got s={s}")
 
 
 def lattice_tail_estimate(k: int, s: float, tau: complex, M: int, kind: Kind = "E") -> float:
@@ -300,7 +302,7 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
     """
     if k < 0:
         raise ValueError(f"lattice sum needs k >= 0, got k={k}")
-    _check_k(k)
+    _check_k_s(k, s)
     if k + 0.5 + 2 * s <= 2:
         raise ValueError(f"lattice sum diverges at k={k}, s={s}: need k + 2s > 3/2")
     tau = require_upper_half(tau)
@@ -337,7 +339,7 @@ def eisenstein_fourier(k: int, s: float, tau: complex,
     """
     if k < 1:
         raise ValueError("eisenstein_fourier requires k >= 1")
-    _check_k(k)
+    _check_k_s(k, s)
     if s < 0:
         raise ValueError("eisenstein_fourier requires s >= 0")
     if k + 2 * s <= 1:

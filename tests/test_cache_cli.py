@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import pi, sqrt
 from pathlib import Path
@@ -247,6 +249,27 @@ def test_cli_hurwitz_csv_is_the_same_on_a_cache_miss_and_hit(tmp_path, capsys):
     assert read_table(tmp_path / "c.txt").max_n == 3100
 
 
+def _csv_of_ratios(ratios):
+    return "\n".join(["n,H(n)"] + [f"{n},{r}" for n, r in enumerate(ratios)]) + "\n"
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 2, 3])
+def test_cli_hurwitz_csv_is_one_line_per_ratio(capsys, max_n):
+    assert main(["hurwitz", "--max", str(max_n), "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    assert out == _csv_of_ratios(build_table(max_n).ratios(max_n))
+    if max_n == 0:
+        assert out == "n,H(n)\n0,-1/12\n"
+
+
+def test_cli_hurwitz_csv_from_a_larger_cache_is_one_line_per_ratio(tmp_path, capsys):
+    path = tmp_path / "c.npy"
+    assert main(["hurwitz", "--max", "5000", "--cache", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["hurwitz", "--max", "3000", "--cache", str(path)]) == 0
+    assert capsys.readouterr().out == _csv_of_ratios(read_table(path).ratios(3000))
+
+
 def test_cli_hurwitz_json_to_3000_is_exact(tmp_path, capsys):
     # no cache, a miss, a hit, a miss that grows the cache, and a hit served from the larger cache
     cache = ["--cache", str(tmp_path / "c.txt")]
@@ -268,6 +291,55 @@ def test_cli_hurwitz_json_schema(tmp_path, capsys):
 
 def test_cli_hurwitz_usage_error(capsys):
     assert main(["hurwitz", "--max", "-1", "--no-cache"]) == 1
+
+
+HURWITZ_USAGE = """\
+usage: mockform hurwitz [-h] --max MAX_N [--format {json,csv}] [--cache CACHE]
+                        [--no-cache] [--rebuild-cache]
+"""
+
+HURWITZ_HELP = HURWITZ_USAGE + """\
+
+options:
+  -h, --help           show this help message and exit
+  --max MAX_N          largest n in the table (n >= 0)
+  --format {json,csv}
+  --cache CACHE        cache file (default: MOCKFORM_CACHE or
+                       ~/.cache/mockform)
+  --no-cache           do not read or write a cache
+  --rebuild-cache      recompute the table even if a cache exists
+"""
+
+
+def test_cli_serves_hits_from_one_parser(tmp_path, capsys, monkeypatch):
+    # with gc off, a parser built per call stays held in its reference cycles: 200 hits
+    # held about 6 MB allocated in argparse.py that way, at --max 30 as at --max 3000;
+    # the short table keeps tracemalloc from tracing the rendering of 3001 rows 200 times
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["hurwitz", "--max", "30", "--cache", str(tmp_path / "c.npy"), "--format", "csv"]
+    assert main(argv) == 0 and main(argv) == 0         # a miss, then a warm-up hit
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(200):
+            assert main(argv) == 0
+            capsys.readouterr()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    held = snapshot.filter_traces([tracemalloc.Filter(True, "*argparse.py")]).statistics("filename")
+    assert sum(stat.size for stat in held) < 64 * 1024
+    # the reused parser still refuses and explains as a fresh one did
+    with pytest.raises(SystemExit) as exc:
+        main(["hurwitz", "--max", "x"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == \
+        HURWITZ_USAGE + "mockform hurwitz: error: argument --max: invalid int value: 'x'\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["hurwitz", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HURWITZ_HELP
 
 
 def test_cli_hurwitz_refuses_an_oversized_table(capsys):
@@ -486,6 +558,15 @@ def test_cli_eval_rejects_non_finite_tau(capsys, target, tau):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+def test_cli_eval_rejects_non_finite_s(capsys, s):
+    # refused before either lattice sum runs, like a non-finite --tau
+    assert main(["eval", "--target", "eisenstein", "--tau", "0,1", f"--s={s}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"mockform: --s needs a finite value, got {float(s)}"]
 
 
 def test_cli_bad_config_is_usage_error(capsys):

@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mockform import class_numbers, cli, verify
 from mockform.arithmetic import divisors, is_fundamental_discriminant
@@ -240,6 +241,57 @@ def test_one_pass_table_matches_per_n_enumeration():
         assert hurwitz_class_number(n) == hurwitz_by_forms(n), n
 
 
+def first_wrong_entry_by_loop(sixths: np.ndarray) -> int | None:
+    """class_numbers._first_wrong_entry with sigma_1 and lambda from one loop over t <= sqrt(N).
+
+    Each t adds its divisor pairs (t, e), e >= t, by strided slices; the oracle of
+    the np.bincount over all pairs.
+    """
+    N = len(sixths) - 1
+    twelfths = np.concatenate(([-1], 2 * sixths[1:]))
+    theta_sum, pair = twelfths.copy(), 2 * twelfths
+    sigma, lam = np.zeros((2, N + 1), dtype=np.int64)
+    for t in range(1, isqrt(N) + 1):
+        theta_sum[t * t:] += pair[:N + 1 - t * t]
+        sigma[t * t::t] += t + np.arange(t, N // t + 1)
+        lam[t * t::t] += 2 * t
+        sigma[t * t] -= t
+        lam[t * t] -= t
+    n = np.arange(N + 1)
+    residue = n % 4
+    relation = np.where(residue == 0, 24 * sigma[n // 4] - 12 * lam[n // 4], 4 * sigma - 6 * lam)
+    wrong = np.where(np.isin(residue, (0, 3)), sixths <= 0, sixths != 0)
+    wrong |= (residue != 2) & (theta_sum != relation)
+    bad = np.flatnonzero(wrong[1:])
+    return int(bad[0]) + 1 if bad.size else None
+
+
+FORMS_ROW = class_numbers._sixths_by_forms(5000)
+TAMPERINGS = (1, -1, 6, -6, 2 ** 62, -(2 ** 62))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5000), st.data())
+def test_certificate_matches_the_per_t_loop(N, data):
+    sixths = FORMS_ROW[:N + 1].copy()
+    if N:
+        for n, delta in data.draw(st.lists(st.tuples(st.integers(1, N), st.sampled_from(TAMPERINGS)),
+                                           max_size=2, unique_by=lambda change: change[0])):
+            sixths[n] += delta
+    expected = first_wrong_entry_by_loop(sixths)
+    assert class_numbers._first_wrong_entry(sixths) == expected
+
+
+def test_certificate_matches_the_per_t_loop_across_pair_blocks(monkeypatch):
+    # blocks of about 100 pairs split N = 5000 into 52: one for each d <= 49, then a few d each
+    monkeypatch.setattr(class_numbers, "_PAIR_BLOCK", 100)
+    for n in (None, 1, 3, 2000, 4999, 5000):
+        sixths = FORMS_ROW.copy()
+        if n:
+            sixths[n] -= 6
+        assert class_numbers._first_wrong_entry(sixths) == first_wrong_entry_by_loop(sixths) == n
+
+
 def test_relations_report_every_single_entry_change_at_its_index():
     sixths = class_numbers._sixths_by_forms(1000)
     assert class_numbers._first_wrong_entry(sixths) is None
@@ -449,12 +501,24 @@ def test_formula_sixths_matches_forms_across_blocks(monkeypatch):
     assert max(len(m) * ((m[-1] + 1) // 2) for m in blocks) <= 2 ** 17
 
 
+def test_lowest_terms_are_the_reduced_values():
+    table = build_table(300)
+    rows = table.lowest_terms(300)
+    assert rows.dtype == np.int64 and rows[:, 0].tolist() == list(range(301))
+    for n, p, q in rows.tolist():
+        assert q > 0 and Fraction(p, q) == table.value(n) and Fraction(p, q).denominator == q, n
+    assert table.ratios(300) == [f"{p}/{q}" for _, p, q in rows.tolist()]
+    assert table.lowest_terms(0).tolist() == [[0, -1, 12]]
+
+
 def test_ratios_refuse_lengths_outside_the_table():
     table = build_table(10)
     assert table.ratios(0) == ["-1/12"] and len(table.ratios(10)) == 11
     for max_n in (11, 20, -1, -5):
         with pytest.raises(ValueError, match=r"outside table range 0\.\.10"):
             table.ratios(max_n)
+        with pytest.raises(ValueError, match=r"outside table range 0\.\.10"):
+            table.lowest_terms(max_n)
 
 
 def test_formula_sixths_l_values():

@@ -1,4 +1,5 @@
 import cmath
+import math
 import tracemalloc
 import warnings
 from math import pi, sqrt
@@ -395,3 +396,17 @@ def test_random_words_match_the_dataclass_product(seed):
         assert words == _words_by_dataclass(oracle_rng, count, require_b)
         assert all(type(g) is Gamma04Matrix and type(g.a) is int for g in words)
         assert rng.random() == oracle_rng.random()        # the same draws, in the same order
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_eisenstein_routes_refuse_a_non_finite_s(monkeypatch, s):
+    def refused(*args, **kwargs):
+        raise AssertionError("lattice or Fourier work ran for a non-finite s")
+
+    for name in ("_lattice_sum", "rho_kernel", "series_closed"):
+        monkeypatch.setattr(eisenstein, name, refused)
+    for kind in ("E", "F", "H"):
+        with pytest.raises(ValueError, match=r"need a finite s, got s=-?(nan|inf)$"):
+            eisenstein_direct(kind, 1, s, 0.2 + 0.8j)
+    with pytest.raises(ValueError, match=r"need a finite s, got s=-?(nan|inf)$"):
+        eisenstein_fourier(1, s, 0.2 + 0.8j)
