@@ -2,9 +2,9 @@
 
 Kronecker symbol and the kernel that fills every symbol table (jacobi_row,
 kronecker_column), the eighth-root factor eps_d, a smallest-prime-factor
-sieve and the multiplicative rows built on it, multiplicative functions,
-Bernoulli numbers, fundamental discriminants, and exact /
-numeric values of the Riemann zeta function.  Everything exact is carried by
+sieve and the multiplicative rows built on it, the divisor sieve of sigma_1
+and lambda, multiplicative functions, Bernoulli numbers, fundamental
+discriminants, exact / numeric zeta values.  Everything exact is carried by
 ``fractions.Fraction`` (arbitrary-size rationals, always in lowest terms).
 """
 
@@ -175,6 +175,22 @@ def sigma_divisor(k: int, n: int) -> int:
     if k < 0:
         raise ValueError("sigma_divisor requires k >= 0")
     return sum(d ** k for d in divisors(n))
+
+
+def divisor_sums(N: int) -> np.ndarray:
+    """The int64 rows sigma_1(n) and lambda(n) = sum_{d|n} min(d, n/d), n = 0..N, from the divisor pairs."""
+    sigma, lam = sums = np.zeros((2, N + 1), dtype=np.int64)
+    e = np.arange(N + 1)
+    for t in range(1, isqrt(N) + 1):
+        # each pair (t, e), t <= e <= N // t, adds e and t at n = t e; views skip row[s] += x's setitem
+        sigma_te, lam_te = sigma[t * t::t], lam[t * t::t]
+        sigma_te += e[t:N // t + 1]
+        lam_te += t
+    sigma += lam                # now a pair gives sigma_1 t + e and lambda 2t, and (r, r) counts once
+    lam *= 2
+    r = e[1:isqrt(N) + 1]
+    sums[:, r * r] -= r
+    return sums
 
 
 def factorize(n: int) -> dict[int, int]:

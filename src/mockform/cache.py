@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .class_numbers import ClassNumberTable, build_table
+from .class_numbers import MAX_TABLE_N, ClassNumberTable, build_table
 
 
 class CacheError(ValueError):
@@ -77,7 +77,7 @@ def load_or_build(path, max_n: int, rebuild: bool = False) -> ClassNumberTable:
     merely too-small cache is extended and rewritten.
     """
     path = Path(path)
-    if not rebuild and path.exists():
+    if not rebuild and max_n <= MAX_TABLE_N and path.exists():     # else build_table refuses a longer one
         table = read_table(path)
         if table.max_n >= max_n:
             return table

@@ -30,6 +30,7 @@ from math import isqrt
 import numpy as np
 
 from .arithmetic import (
+    divisor_sums,
     divisors,
     fundamental_discriminant,
     jacobi_row,
@@ -77,16 +78,18 @@ def cohen_class_number(r: int, N: int) -> Fraction:
 class ClassNumberTable:
     """Immutable table of Hurwitz class numbers H(0..max_n): sixths is its read-only int64 row of 6 H.
 
-    Entry 0 of the row is 0 and stands for H(0) = -1/12.  Construction runs
-    _first_wrong_entry once and raises ValueError naming the first wrong H(n);
-    built and loaded tables alike pass through here.  A row that is not of
-    integers fitting int64 raises TypeError.
+    Entry 0 of the row is 0 and stands for H(0) = -1/12.  Construction refuses a row
+    past MAX_TABLE_N, then runs _first_wrong_entry once and raises ValueError naming
+    the first wrong H(n); built and loaded tables alike pass through here.  A row not
+    of integers fitting int64 raises TypeError.
     """
 
     def __init__(self, sixths):
         row = np.asarray(sixths)
         if row.ndim != 1 or not row.size:
             raise ValueError("a table needs a row of 6 H(n) for n = 0..max_n")
+        if row.size > MAX_TABLE_N + 1:
+            raise ValueError(f"a table of H(n) to n={row.size - 1} is longer than MAX_TABLE_N = {MAX_TABLE_N}")
         # casting would turn 6 H = 2.9 into 2 and wrap a uint64 past 2^63 - 1
         if row.dtype.kind not in "iu" or row.dtype.kind == "u" and row.max() > np.iinfo(np.int64).max:
             raise TypeError(f"a row of 6 H(n) needs integers that fit int64, got dtype {row.dtype}")
@@ -224,11 +227,6 @@ def _formula_block(sixths: np.ndarray, modulus: np.ndarray, spf: np.ndarray, leg
     sixths[N[keep]] = (six_l[:, None] * t1[:, 1:])[keep]
 
 
-# _first_wrong_entry sums its divisor pairs in blocks of about this many: at MAX_TABLE_N
-# it peaks at 102 MB traced, where all 7.3 million pairs at once take 286 MB
-_PAIR_BLOCK = 2 ** 18
-
-
 def _first_wrong_entry(sixths: np.ndarray) -> int | None:
     """The first n >= 1 where a row of 6 H (entry 0 left 0) is not the Hurwitz table, else None.
 
@@ -238,33 +236,15 @@ def _first_wrong_entry(sixths: np.ndarray) -> int | None:
     (R2) sum_t 12 H(n - t^2) = 4 sigma_1(n) - 6 lambda(n) for odd n.
     R2 at n = 3 (mod 4) pins H(n) given H below n, and R1 at n pins H(4n), so the first
     failure (R1 indexed by 4n) is the first wrong entry; a pinned entry counts twice in
-    twelfths, so int64 wraparound hides no positive value.  One loop over t <= sqrt(N)
-    builds the theta sum; sigma_1 and lambda sum every divisor pair (d, e), d <= e,
-    de <= N, by np.bincount.  About 0.5 ms at N = 3000 (shared 2-core Xeon).
+    twelfths, so int64 wraparound hides no positive value.  One loop of slice-adds over
+    t <= sqrt(N) builds the theta sum, and divisor_sums gives sigma_1 and lambda.
     """
     N = len(sixths) - 1
     twelfths = np.concatenate(([-1], 2 * sixths[1:]))
     theta_sum, pair = twelfths.copy(), 2 * twelfths     # pair: the terms of t and -t
     for t in range(1, isqrt(N) + 1):
         theta_sum[t * t:] += pair[:N + 1 - t * t]
-    # pairs first[i]..first[i + 1] - 1 are (t[i], t[i]..N // t[i]); a block of t starts where first
-    # passes a multiple of _PAIR_BLOCK.  The float64 weights and sums are integers below 2^23
-    # (N <= MAX_TABLE_N), so they are exact.  np.unique would import numpy.ma, 12 ms per process.
-    t = np.arange(1, isqrt(N) + 1)
-    count = N // t - t + 1
-    first = np.concatenate(([0], np.cumsum(count)))
-    bounds = np.append(np.flatnonzero(np.diff(first[:-1] // _PAIR_BLOCK, prepend=-1)), t.size)
-    sums = np.zeros((2, N + 1))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        d = np.repeat(t[lo:hi], count[lo:hi])
-        e = np.arange(first[lo], first[hi]) + np.repeat(t[lo:hi] - first[lo:hi], count[lo:hi])
-        m = d * e
-        sums[0] += np.bincount(m, d, N + 1)
-        sums[1] += np.bincount(m, e, N + 1)
-    sums[1] += sums[0]                                  # lambda = 2 sum d, sigma_1 = sum d + sum e,
-    sums[0] *= 2                                        # once the pair e = d counts once
-    sums[:, t * t] -= t
-    lam, sigma = sums.astype(np.int64)
+    sigma, lam = divisor_sums(N)
     n = np.arange(N + 1)
     residue = n % 4
     relation = np.where(residue == 0, 24 * sigma[n // 4] - 12 * lam[n // 4], 4 * sigma - 6 * lam)
@@ -274,7 +254,7 @@ def _first_wrong_entry(sixths: np.ndarray) -> int | None:
     return int(bad[0]) + 1 if bad.size else None
 
 
-# Longer rows are refused before anything is allocated.  At 2^20 entries the row
+# Longer tables are refused before they are built, loaded or certified.  At 2^20 entries the row
 # peaks at about 80 MB above the interpreter, build_table at 160 MB, and
 # `mockform hurwitz` at 210-260 MB in 8-13 s (shared 2-core Xeon).  Rows of
 # hurwitz_class_number have 2^k - 1 entries, so N <= MAX_TABLE_N stays inside.
@@ -317,8 +297,8 @@ def hurwitz_class_number(N: int) -> Fraction:
     """Hurwitz class number H(N); H(0) = -1/12, zero for N = 1, 2 (mod 4).
 
     Reads hurwitz_table(N).value(N).  A lone large N pays for the whole
-    table: H(65535) alone takes about 0.07 s on a shared 2-core Xeon,
-    H(MAX_TABLE_N) about 4 s, and a larger N is refused with a ValueError.
+    table: H(65535) alone takes about 0.04 s on a shared 2-core Xeon,
+    H(MAX_TABLE_N) about 2.7 s, and a larger N is refused with a ValueError.
     Callers that need H(1..N) read hurwitz_table(N).sixths instead.  A
     non-integer N raises TypeError.
     """

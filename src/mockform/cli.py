@@ -106,14 +106,13 @@ def _fail(code: int, message: str) -> int:
 def _cmd_hurwitz(args) -> int:
     if args.max_n < 0:
         return _fail(1, "--max must be >= 0")
+    path = None if args.no_cache else args.cache or default_cache_path()
     try:
-        if args.no_cache:
-            table = build_table(args.max_n)
-        else:
-            path = args.cache or default_cache_path()
-            table = load_or_build(path, args.max_n, rebuild=args.rebuild_cache)
+        table = build_table(args.max_n) if path is None else load_or_build(path, args.max_n, args.rebuild_cache)
     except (ValueError, ArithmeticError) as exc:   # CacheError is a ValueError
         return _fail(2, str(exc))
+    except OSError as exc:                          # a read error would be a CacheError
+        return _fail(2, f"cannot write cache file {path}: {exc}")
     if args.format == "csv":
         rows = table.lowest_terms(args.max_n)
         print("n,H(n)" + "\n%d,%d/%d" * len(rows) % tuple(rows.ravel().tolist()))

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arithmetic import sigma_divisor
+from .arithmetic import divisor_sums
 from .class_numbers import hurwitz_class_number, hurwitz_table
 from .config import DEFAULT_CONFIG, EvalConfig, require_upper_half
 from .dirichlet_series import series_closed
@@ -284,9 +284,8 @@ def e2_star(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     tau = require_upper_half(tau)
     v = tau.imag
     N, _ = e2_truncation(v, cfg.quad_tol, cfg.q_terms)
-    n = np.arange(1, N + 1)
-    sigma = np.array([sigma_divisor(1, m) for m in range(1, N + 1)], dtype=float)
-    return complex(1.0 - 24.0 * (sigma * np.exp(2j * pi * tau * n)).sum()) - 3.0 / (pi * v)
+    q_n = np.exp(2j * pi * tau * np.arange(1, N + 1))
+    return complex(1.0 - 24.0 * (divisor_sums(N)[0][1:] * q_n).sum()) - 3.0 / (pi * v)
 
 
 def s_limit_check(h: int, v: float, s_samples: list[float],

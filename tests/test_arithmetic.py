@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mockform.arithmetic import (
     bernoulli_number,
+    divisor_sums,
     divisors,
     epsilon_factor,
     fundamental_discriminant,
@@ -102,6 +103,17 @@ def test_moebius_and_sigma():
     assert sigma_divisor(3, 2) == 9
     assert sigma_divisor(0, 12) == 6
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
+
+
+def test_divisor_sums_match_scalar_sums():
+    sigma, lam = divisor_sums(3000)
+    assert sigma.dtype == lam.dtype == np.int64 and sigma[0] == lam[0] == 0
+    assert sigma[1:].tolist() == [sigma_divisor(1, n) for n in range(1, 3001)]
+    assert lam[1:].tolist() == [sum(min(d, n // d) for d in divisors(n)) for n in range(1, 3001)]
+    assert [divisor_sums(N).tolist() for N in range(4)] == [
+        [[0], [0]], [[0, 1], [0, 1]], [[0, 1, 3], [0, 1, 2]], [[0, 1, 3, 4], [0, 1, 2, 2]]]
+    with pytest.raises(ValueError):
+        divisor_sums(-1)
 
 
 def test_fundamental_discriminant_examples():

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from mockform.cache import CacheError, default_cache_path, load_or_build, read_table, write_table
 from mockform.class_numbers import MAX_TABLE_N, build_table
 import mockform
-from mockform import verify
+from mockform import class_numbers, verify
 from mockform.cli import main
 from mockform.config import MIN_QUAD_TOL, EvalConfig
 from mockform.eisenstein import eisenstein_direct, lattice_tail_estimate
@@ -349,6 +349,45 @@ def test_cli_hurwitz_refuses_an_oversized_table(capsys):
     assert captured.err.splitlines() == [
         "mockform: a table of H(n) to n=1000000000000000 is longer than "
         f"MAX_TABLE_N = {MAX_TABLE_N}"]
+
+
+def test_oversized_cache_rows_are_refused_before_certifying(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "big.npy"
+    _save(path, np.zeros(MAX_TABLE_N + 2, np.int64))
+    calls = []
+    monkeypatch.setattr(class_numbers, "_first_wrong_entry", lambda row: calls.append(row.size))
+    with pytest.raises(CacheError, match=f"MAX_TABLE_N = {MAX_TABLE_N}"):
+        read_table(path)
+    assert main(["hurwitz", "--max", "10", "--cache", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"MAX_TABLE_N = {MAX_TABLE_N}" in captured.err
+    assert calls == []
+
+
+def test_cli_hurwitz_refuses_past_max_table_n_before_opening_the_cache(tmp_path, capsys):
+    path = tmp_path / "c.npy"
+    path.write_bytes(b"not a table")
+    assert main(["hurwitz", "--max", str(MAX_TABLE_N + 1), "--cache", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"mockform: a table of H(n) to n={MAX_TABLE_N + 1} is longer than MAX_TABLE_N = {MAX_TABLE_N}"]
+    assert path.read_bytes() == b"not a table"
+
+
+def test_cli_hurwitz_unwritable_cache_is_one_stderr_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    for path, flags in ((blocker / "x.npy", []), (directory, ["--rebuild-cache"])):
+        assert main(["hurwitz", "--max", "10", "--cache", str(path)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"mockform: cannot write cache file {path}: ")
+    assert sorted(tmp_path.iterdir()) == [directory, blocker]
+    assert blocker.read_bytes() == b"" and list(directory.iterdir()) == []
 
 
 def test_cli_hurwitz_bad_cache_version(tmp_path, capsys):

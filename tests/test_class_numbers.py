@@ -244,8 +244,8 @@ def test_one_pass_table_matches_per_n_enumeration():
 def first_wrong_entry_by_loop(sixths: np.ndarray) -> int | None:
     """class_numbers._first_wrong_entry with sigma_1 and lambda from one loop over t <= sqrt(N).
 
-    Each t adds its divisor pairs (t, e), e >= t, by strided slices; the oracle of
-    the np.bincount over all pairs.
+    Each t adds its divisor pairs (t, e), e >= t, by strided slices, and corrects
+    n = t^2 inside the loop; the oracle of divisor_sums within the certificate.
     """
     N = len(sixths) - 1
     twelfths = np.concatenate(([-1], 2 * sixths[1:]))
@@ -282,9 +282,7 @@ def test_certificate_matches_the_per_t_loop(N, data):
     assert class_numbers._first_wrong_entry(sixths) == expected
 
 
-def test_certificate_matches_the_per_t_loop_across_pair_blocks(monkeypatch):
-    # blocks of about 100 pairs split N = 5000 into 52: one for each d <= 49, then a few d each
-    monkeypatch.setattr(class_numbers, "_PAIR_BLOCK", 100)
+def test_certificate_matches_the_per_t_loop_on_single_changes():
     for n in (None, 1, 3, 2000, 4999, 5000):
         sixths = FORMS_ROW.copy()
         if n:
@@ -332,6 +330,14 @@ def test_oversized_tables_are_refused_before_allocating():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_oversized_rows_are_refused_before_certifying(monkeypatch):
+    calls = []
+    monkeypatch.setattr(class_numbers, "_first_wrong_entry", lambda row: calls.append(row.size))
+    with pytest.raises(ValueError, match=f"to n={MAX_TABLE_N + 1} is longer than MAX_TABLE_N = {MAX_TABLE_N}"):
+        ClassNumberTable(np.zeros(MAX_TABLE_N + 2, np.int64))
+    assert calls == []
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import gamma as Gamma
 
 from mockform import maass
+from mockform.arithmetic import sigma_divisor
 from mockform.config import EvalConfig
 from mockform.eisenstein import Gamma04Matrix, modularity_residual
 from mockform.maass import (
@@ -172,6 +173,17 @@ def test_e2star():
     assert abs(e2_star(1j, CFG)) < 1e-10  # fixed point of the inversion
     assert abs(e2_star(1 + 2j, CFG) - E2STAR_AT_1_2I) < 1e-10
     assert abs(e2_star(100j, CFG) - (1 - 3 / (100 * pi))) < 1e-10
+
+
+def test_e2star_matches_the_scalar_sigma_loop():
+    # the oracle is e2_star with sigma_1(m) from sigma_divisor, one m at a time
+    cfg = CFG.with_(q_terms=10 ** 5)
+    for tau in (1j, 0.5 + 0.5j, -1 + 1j, 0.3 + 0.01j, 0.3 + 1e-3j, 0.3 + 1e-4j):
+        N, _ = e2_truncation(tau.imag, cfg.quad_tol, cfg.q_terms)
+        n = np.arange(1, N + 1)
+        sigma = np.array([sigma_divisor(1, m) for m in range(1, N + 1)], dtype=float)
+        expected = complex(1.0 - 24.0 * (sigma * np.exp(2j * pi * tau * n)).sum()) - 3.0 / (pi * tau.imag)
+        assert e2_star(tau, cfg) == expected, tau
 
 
 def _e2star_lambert(tau: complex) -> complex:
