@@ -19,6 +19,10 @@ import numpy as np
 from .class_numbers import MAX_TABLE_N, ClassNumberTable, build_table
 
 
+# the longest file read_table loads: an int64 row to MAX_TABLE_N behind np.load's largest default header
+_MAX_FILE_BYTES = 8 * (MAX_TABLE_N + 1) + 10_240
+
+
 class CacheError(ValueError):
     """Raised for an unreadable, truncated or malformed cache file, or one whose row is not the Hurwitz table."""
 
@@ -56,11 +60,15 @@ def read_table(path) -> ClassNumberTable:
                f"rebuild with --rebuild-cache")
     try:
         with open(path, "rb") as fh:
-            row = np.load(fh, allow_pickle=False)
+            size = os.fstat(fh.fileno()).st_size
+            row = np.load(fh, allow_pickle=False) if size <= _MAX_FILE_BYTES else None
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}; rebuild with --rebuild-cache") from exc
     except (ValueError, EOFError) as exc:
         raise CacheError(refused) from exc
+    if row is None:     # refused before np.load reads the data
+        raise CacheError(f"cache file {path} of {size} bytes is longer than a row of 6 H(n) to "
+                         f"MAX_TABLE_N = {MAX_TABLE_N}; rebuild with --rebuild-cache")
     if not (isinstance(row, np.ndarray) and row.dtype == np.int64 and row.ndim == 1
             and row.size and row[0] == 0):
         raise CacheError(refused)

@@ -122,10 +122,6 @@ class ClassNumberTable:
         rows[0, 1:] = -1, 12
         return rows
 
-    def ratios(self, max_n: int) -> list[str]:
-        """H(0..max_n) as the "p/q" strings of lowest_terms."""
-        return [f"{p}/{q}" for _, p, q in self.lowest_terms(max_n).tolist()]
-
     def __eq__(self, other):
         return isinstance(other, ClassNumberTable) and np.array_equal(self.sixths, other.sixths)
 
@@ -243,7 +239,8 @@ def _first_wrong_entry(sixths: np.ndarray) -> int | None:
     twelfths = np.concatenate(([-1], 2 * sixths[1:]))
     theta_sum, pair = twelfths.copy(), 2 * twelfths     # pair: the terms of t and -t
     for t in range(1, isqrt(N) + 1):
-        theta_sum[t * t:] += pair[:N + 1 - t * t]
+        theta_t = theta_sum[t * t:]                 # a named view skips row[s] += x's setitem
+        theta_t += pair[:N + 1 - t * t]
     sigma, lam = divisor_sums(N)
     n = np.arange(N + 1)
     residue = n % 4

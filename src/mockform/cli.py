@@ -113,16 +113,15 @@ def _cmd_hurwitz(args) -> int:
         return _fail(2, str(exc))
     except OSError as exc:                          # a read error would be a CacheError
         return _fail(2, f"cannot write cache file {path}: {exc}")
+    rows = table.lowest_terms(args.max_n)
     if args.format == "csv":
-        rows = table.lowest_terms(args.max_n)
         print("n,H(n)" + "\n%d,%d/%d" * len(rows) % tuple(rows.ravel().tolist()))
     else:
-        ratios = table.ratios(args.max_n)
         payload = {
             "command": "hurwitz",
             "params": {"max_n": args.max_n},
-            "results": [{"n": n, "value": ratio} for n, ratio in enumerate(ratios)],
-            "summary": {"entries": len(ratios)},
+            "results": [{"n": n, "value": f"{p}/{q}"} for n, p, q in rows.tolist()],
+            "summary": {"entries": len(rows)},
         }
         print(json.dumps(payload, indent=2))
     return 0

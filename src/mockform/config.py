@@ -13,13 +13,11 @@ MIN_QUAD_TOL = 1e-300
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Truncation bounds, the finite-difference step and the tolerance.
+    """Truncation bounds and the tolerance.
 
     lattice_bound   largest odd modulus m in direct lattice sums
     fourier_bound   largest |h| kept in Fourier expansions
     q_terms         cap on q-series terms
-    fd_step         step (relative to v) for first-derivative stencils,
-                    positive and finite
     quad_tol        absolute tolerance for quadrature and series tails,
                     at least MIN_QUAD_TOL and finite
     """
@@ -27,7 +25,6 @@ class EvalConfig:
     lattice_bound: int = 301
     fourier_bound: int = 40
     q_terms: int = 4000
-    fd_step: float = 1e-5
     quad_tol: float = 1e-10
 
     def __post_init__(self):
@@ -37,10 +34,8 @@ class EvalConfig:
         if not self.quad_tol >= MIN_QUAD_TOL:
             raise ValueError(f"quad_tol must be at least {MIN_QUAD_TOL:g}, "
                              f"got {self.quad_tol!r}")
-        for name in ("fd_step", "quad_tol"):
-            if not 0 < getattr(self, name) < inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)!r}")
+        if not self.quad_tol < inf:
+            raise ValueError(f"quad_tol must be positive and finite, got {self.quad_tol!r}")
 
     def with_(self, **kwargs) -> "EvalConfig":
         return replace(self, **kwargs)

@@ -174,12 +174,16 @@ def alpha_limit(h: int, v: float) -> complex:
 # Finite-difference shadow and Laplacian.
 
 
-def xi_shadow_fd(f: Callable[[complex], complex], k_weight: float, tau: complex,
-                 cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """xi_k f = 2 i v^k conj(d f / d taubar) by central differences."""
+# steps, relative to v, of the first- and the second-derivative stencils
+FD_STEP = 1e-5
+FD_STEP2 = 2e-3
+
+
+def xi_shadow_fd(f: Callable[[complex], complex], k_weight: float, tau: complex) -> complex:
+    """xi_k f = 2 i v^k conj(d f / d taubar) by central differences with step FD_STEP * v."""
     tau = require_upper_half(tau)
     u, v = tau.real, tau.imag
-    h = cfg.fd_step * v
+    h = FD_STEP * v
     fu = (f(complex(u + h, v)) - f(complex(u - h, v))) / (2.0 * h)
     fv = (f(complex(u, v + h)) - f(complex(u, v - h))) / (2.0 * h)
     dbar = 0.5 * (fu + 1j * fv)
@@ -192,10 +196,6 @@ def _stencil_1d(f, x, h):
     d1 = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12.0 * h)
     d2 = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12.0 * h * h)
     return f0, d1, d2
-
-
-# step, relative to v, of the second-derivative stencils
-FD_STEP2 = 2e-3
 
 
 def laplacian_fd(f: Callable[[complex], complex], k_weight: float, tau: complex) -> complex:
@@ -288,38 +288,24 @@ def e2_star(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     return complex(1.0 - 24.0 * (divisor_sums(N)[0][1:] * q_n).sum()) - 3.0 / (pi * v)
 
 
-def s_limit_check(h: int, v: float, s_samples: list[float],
-                  cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Richardson limit of -(1-i)/48 E_{-h}(1+2s) rho_h^{3/2}(s, v) as s -> 0.
+def s_limit_check(h: int, v: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+    """Richardson limit of g(s) = -(1-i)/48 E_{-h}(1+2s) rho_h^{3/2}(s, v) as s -> 0.
 
-    Reproduces alpha_limit(h, v) for h != 0; the h = 0 coefficient needs the
-    zeta-pole cancellation and is covered analytically by alpha_limit.
+    The line through g at s = a = 1e-3 and s = b = 1e-4 meets s = 0 at
+    (b g(a) - a g(b)) / (b - a).  Reproduces alpha_limit(h, v) for h != 0; the
+    h = 0 coefficient needs the zeta-pole cancellation and is covered
+    analytically by alpha_limit.  Raises ArithmeticError when the limit moves
+    from g(b) by more than half the larger |g|.
     """
     if h == 0:
         raise ValueError("h = 0 requires the analytic zeta-pole limit")
-    if not s_samples or any(not 0 < s <= 0.01 for s in s_samples):
-        raise ValueError("s_samples must lie in (0, 0.01]")
-    samples = sorted(set(float(s) for s in s_samples), reverse=True)
-
-    def g(s):
-        return (-(1 - 1j) / 48.0 * series_closed(-h, 1.0 + 2.0 * s)
-                * rho_kernel(h, 1, s, v, cfg))
-
-    values = [g(s) for s in samples]
-    if len(values) == 1:
-        return values[0]
-    # Neville extrapolation to s = 0 in the variable s
-    xs = samples[:]
-    table = values[:]
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - level):
-            table[i] = ((xs[i + level] * table[i] - xs[i] * table[i + 1])
-                        / (xs[i + level] - xs[i]))
-    result = table[0]
-    scale = max(abs(val) for val in values)
-    if abs(result - values[-1]) > 0.5 * max(scale, 1e-12):
+    a, b = 1e-3, 1e-4
+    ga, gb = (-(1 - 1j) / 48.0 * series_closed(-h, 1.0 + 2.0 * s) * rho_kernel(h, 1, s, v, cfg)
+              for s in (a, b))
+    result = (b * ga - a * gb) / (b - a)
+    if abs(result - gb) > 0.5 * max(abs(ga), abs(gb), 1e-12):
         raise ArithmeticError(
-            f"extrapolation unstable for h={h}: samples {values}, limit {result}")
+            f"extrapolation unstable for h={h}: samples {[ga, gb]}, limit {result}")
     return result
 
 

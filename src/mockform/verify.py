@@ -79,10 +79,21 @@ class ReportRecord:
         return asdict(self)
 
 
-def _record(name, params, residual, tol, t0) -> ReportRecord:
-    rec = ReportRecord(name, params, float(residual), float(tol))
-    rec.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return rec
+class _Records(list):
+    """A suite's records; each elapsed_ms runs from the previous record, the first from the list's opening."""
+
+    def __init__(self):                 # every suite opens its list first, so its records sum to its wall time
+        super().__init__()
+        self._last = 0.0
+        self._lap()
+
+    def _lap(self) -> float:
+        now = time.perf_counter()
+        elapsed, self._last = now - self._last, now
+        return elapsed * 1000
+
+    def add(self, name: str, params: dict, residual, tol) -> None:
+        self.append(ReportRecord(name, params, float(residual), float(tol), elapsed_ms=self._lap()))
 
 
 # ---------------------------------------------------------------------------
@@ -90,15 +101,12 @@ def _record(name, params, residual, tol, t0) -> ReportRecord:
 
 def verify_multiplier(cfg: EvalConfig = DEFAULT_CONFIG,
                       seed: int = DEFAULT_SEED) -> list[ReportRecord]:
+    out = _Records()
     rng = np.random.default_rng(seed)
-    out = []
-
-    t0 = time.perf_counter()
     words = random_words(rng, 1000, require_b=True)
     worst = max(multiplier_identity_residual(g) for g in words)
-    out.append(_record("multiplier_top_row_identity", {"samples": 1000}, worst, 1e-14, t0))
+    out.add("multiplier_top_row_identity", {"samples": 1000}, worst, 1e-14)
 
-    t0 = time.perf_counter()
     tau = 0.3 + 0.9j
     worst = 0.0
     tested = 0
@@ -111,19 +119,17 @@ def verify_multiplier(cfg: EvalConfig = DEFAULT_CONFIG,
             continue
         worst = max(worst, sigma_shift_residual(g1, g2, tau))
         tested += 1
-    out.append(_record("cocycle_sign_rotation_invariance", {"samples": 100}, worst, 1e-10, t0))
+    out.add("cocycle_sign_rotation_invariance", {"samples": 100}, worst, 1e-10)
 
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(100):
         g1, g2 = random_words(rng, 2)
         worst = max(worst, abs(automorphy_factor(g1 @ g2, tau)
                                - automorphy_factor(g1, g2.apply(tau)) * automorphy_factor(g2, tau)))
         cocycle_sign(g1, g2, tau)
-    out.append(_record("automorphy_cocycle", {"samples": 100}, worst, 1e-10, t0))
+    out.add("automorphy_cocycle", {"samples": 100}, worst, 1e-10)
 
     # eighth-root identities over all odd residues mod 8 (m up to 99)
-    t0 = time.perf_counter()
     worst = 0.0
     for m in range(1, 100, 2):
         eps = epsilon_factor(m)
@@ -133,24 +139,21 @@ def verify_multiplier(cfg: EvalConfig = DEFAULT_CONFIG,
         i_half = complex(np.exp(1j * pi * (m % 8) / 4))
         worst = max(worst, abs(sqrt(2) * kronecker_symbol(2, m) * 1j / eps - (1 + 1j) * i_half))
         worst = max(worst, abs(sqrt(2) * kronecker_symbol(2, m) / eps - (1 - 1j) * i_half))
-    out.append(_record("eighth_root_identities", {"odd m": "1..99"}, worst, 1e-14, t0))
+    out.add("eighth_root_identities", {"odd m": "1..99"}, worst, 1e-14)
     return out
 
 
 def verify_dirichlet(cfg: EvalConfig = DEFAULT_CONFIG,
                      seed: int = DEFAULT_SEED, max_n: int = 5000) -> list[ReportRecord]:
-    out = []
+    out = _Records()
 
-    t0 = time.perf_counter()
     # the formula route against the forms from n = 1 on (H(0) = -1/12 by definition)
     bad = np.flatnonzero(_sixths_by_forms(max_n)[1:] != formula_sixths(max_n)[1:])
     first_bad = int(bad[0]) + 1 if bad.size else None
-    out.append(_record("hurwitz_formula_cross_check",
-                       {"max_n": max_n, "first_mismatch": first_bad},
-                       0.0 if first_bad is None else 1.0, 0.0, t0))
+    out.add("hurwitz_formula_cross_check", {"max_n": max_n, "first_mismatch": first_bad},
+            0.0 if first_bad is None else 1.0, 0.0)
 
     # one batch of Gauss-sum rows serves all 13 series; the first record carries its time
-    t0 = time.perf_counter()
     closed_n, vanishing_n = (0, 1, 4, 5, 8, -3, -4, -7), (2, 3, 6, -1, -2)
     parts = series_partial(closed_n + vanishing_n, 3.0, 2000)
     for n, part in zip(closed_n + vanishing_n, parts):
@@ -158,17 +161,14 @@ def verify_dirichlet(cfg: EvalConfig = DEFAULT_CONFIG,
             name, residual = "dirichlet_series_closed_form", abs(part.value - series_closed(n, 3.0))
         else:
             name, residual = "dirichlet_series_vanishing", abs(part.value)
-        out.append(_record(name, {"n": n, "s": 3, "M": 2000, "tail_bound": part.tail_bound},
-                           residual, min(part.tail_bound, 1e-2), t0))
-        t0 = time.perf_counter()
+        out.add(name, {"n": n, "s": 3, "M": 2000, "tail_bound": part.tail_bound},
+                residual, min(part.tail_bound, 1e-2))
 
     for N in (0, 1, 4, 5, 8, 9, 12):
-        t0 = time.perf_counter()
         exact = float(cohen_class_number(2, N))
         analytic = _cohen_analytic(2, N)
         rel = abs(analytic - exact) / max(1e-300, abs(exact))
-        out.append(_record("cohen_class_number_analytic",
-                           {"r": 2, "N": N}, rel, 1e-8, t0))
+        out.add("cohen_class_number_analytic", {"r": 2, "N": N}, rel, 1e-8)
     return out
 
 
@@ -195,35 +195,31 @@ def _cohen_analytic(r: int, N: int) -> float:
 
 def verify_fourier(cfg: EvalConfig = DEFAULT_CONFIG,
                    seed: int = DEFAULT_SEED) -> list[ReportRecord]:
-    out = []
+    out = _Records()
     taus = (0.2 + 0.8j, -0.3 + 1.1j, 0.45 + 1.0j, 0.05 + 0.9j, -0.15 + 1.25j)
     for k, s in ((1, 1.0), (2, 1.0)):
         for tau in taus:
-            t0 = time.perf_counter()
             direct = eisenstein_direct("H", k, s, tau, cfg)
             fourier = eisenstein_fourier(k, s, tau, cfg)
-            out.append(_record("eisenstein_dual_route",
-                               {"k": k, "s": s, "tau": str(tau)},
-                               abs(direct - fourier) / abs(direct), 5e-3, t0))
-    t0 = time.perf_counter()
+            out.add("eisenstein_dual_route", {"k": k, "s": s, "tau": str(tau)},
+                    abs(direct - fourier) / abs(direct), 5e-3)
     tau = 1j
     q = np.exp(2j * pi * tau)
     series = sum(float(cohen_class_number(2, n)) * q ** n for n in range(31))
-    out.append(_record("cohen_q_expansion_match", {"k": 2, "tau": "i", "terms": 31},
-                       abs(eisenstein_fourier(2, 0.0, tau, cfg) - series), 1e-4, t0))
+    out.add("cohen_q_expansion_match", {"k": 2, "tau": "i", "terms": 31},
+            abs(eisenstein_fourier(2, 0.0, tau, cfg) - series), 1e-4)
     return out
 
 
 def verify_modularity(cfg: EvalConfig = DEFAULT_CONFIG,
                       seed: int = DEFAULT_SEED) -> list[ReportRecord]:
-    out = []
+    out = _Records()
     g41 = Gamma04Matrix(1, 0, 4, 1)
 
-    t0 = time.perf_counter()
     resid = modularity_residual(lambda t: eisenstein_direct("E", 2, 1.0, t, cfg),
                                 2, 1.0, g41, 0.1 + 0.9j)
-    out.append(_record("eisenstein_transformation",
-                       {"kind": "E", "k": 2, "s": 1, "g": "(1,0;4,1)"}, resid, 1e-3, t0))
+    out.add("eisenstein_transformation", {"kind": "E", "k": 2, "s": 1, "g": "(1,0;4,1)"},
+            resid, 1e-3)
 
     # sample points are chosen so tau and g tau both keep v >= 0.08
     cases = (
@@ -235,16 +231,14 @@ def verify_modularity(cfg: EvalConfig = DEFAULT_CONFIG,
         for tau in taus_g:
             if min(tau.imag, g.apply(tau).imag) < 0.08:
                 raise ValueError(f"inadmissible sample tau={tau} for g={g}")
-            t0 = time.perf_counter()
             resid = modularity_residual(
                 lambda t: completed_hurwitz_series(t, cfg).value, 1, 0.0, g, tau)
-            out.append(_record("completed_series_transformation",
-                               {"g": str(g.entries()), "tau": str(tau)}, resid, 1e-6, t0))
+            out.add("completed_series_transformation",
+                    {"g": str(g.entries()), "tau": str(tau)}, resid, 1e-6)
 
     for tau in (1j, 1 + 1j, 0.5 + 0.5j):
-        t0 = time.perf_counter()
         resid = abs(e2_star(-1 / tau, cfg) - tau ** 2 * e2_star(tau, cfg))
-        out.append(_record("weight_two_inversion", {"tau": str(tau)}, resid, 1e-8, t0))
+        out.add("weight_two_inversion", {"tau": str(tau)}, resid, 1e-8)
     return out
 
 
@@ -266,57 +260,53 @@ def _theta_stream_mismatch(stream: dict, pi_power: int) -> float:
 
 def verify_shadow(cfg: EvalConfig = DEFAULT_CONFIG,
                   seed: int = DEFAULT_SEED) -> list[ReportRecord]:
-    out = []
+    out = _Records()
     points = _shadow_sample_points(seed)
 
-    t0 = time.perf_counter()
     residuals16, residuals16pi = [], []
     for tau in points:
-        shadow = xi_shadow_fd(lambda t: completed_hurwitz_series(t, cfg).value, 1.5, tau, cfg)
+        shadow = xi_shadow_fd(lambda t: completed_hurwitz_series(t, cfg).value, 1.5, tau)
         th = theta_series(tau, cfg)
         residuals16.append(abs(shadow + th / 16.0))
         residuals16pi.append(abs(shadow + th / SHADOW_DENOMINATOR))
-    # closest: how near the pi-free reading comes at its best point (the negative control)
-    out.append(_record("shadow_fd_theta_over_16", {"samples": 20, "closest": min(residuals16)},
-                       max(residuals16), 1e-5, t0))
-    out.append(_record("shadow_fd_theta_over_16pi", {"samples": 20}, max(residuals16pi), 1e-5, t0))
+    # closest: how near the pi-free reading comes at its best point (the negative control);
+    # this first record carries the loop's time
+    out.add("shadow_fd_theta_over_16", {"samples": 20, "closest": float(min(residuals16))},
+            max(residuals16), 1e-5)
+    out.add("shadow_fd_theta_over_16pi", {"samples": 20}, max(residuals16pi), 1e-5)
 
-    t0 = time.perf_counter()
     stream = {c.exponent: c for c in xi_shadow_analytic(400)}
-    out.append(_record("shadow_analytic_theta_over_16", {"max_exponent": 400},
-                       _theta_stream_mismatch(stream, 0), 0.0, t0))
-    t0 = time.perf_counter()
-    out.append(_record("shadow_analytic_theta_over_16pi", {"max_exponent": 400},
-                       _theta_stream_mismatch(stream, -1), 0.0, t0))
+    out.add("shadow_analytic_theta_over_16", {"max_exponent": 400},
+            _theta_stream_mismatch(stream, 0), 0.0)
+    out.add("shadow_analytic_theta_over_16pi", {"max_exponent": 400},
+            _theta_stream_mismatch(stream, -1), 0.0)
     return out
 
 
 def verify_laplacian(cfg: EvalConfig = DEFAULT_CONFIG,
                      seed: int = DEFAULT_SEED) -> list[ReportRecord]:
+    out = _Records()
     rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(10):
         tau = complex(rng.uniform(0.0, 1.0), rng.uniform(0.5, 2.0))
         worst = max(worst, abs(laplacian_fd(
             lambda t: completed_hurwitz_series(t, cfg).value, 1.5, tau)))
-    return [_record("harmonicity", {"samples": 10, "v": "[0.5, 2]"}, worst, 1e-4, t0)]
+    out.add("harmonicity", {"samples": 10, "v": "[0.5, 2]"}, worst, 1e-4)
+    return out
 
 
 def verify_limits(cfg: EvalConfig = DEFAULT_CONFIG,
                   seed: int = DEFAULT_SEED) -> list[ReportRecord]:
-    out = []
+    out = _Records()
     for h in (3, 4, -1, -4, -5):
-        t0 = time.perf_counter()
-        lim = s_limit_check(h, 1.0, [1e-3, 1e-4], cfg)
-        out.append(_record("coefficient_limit", {"h": h, "v": 1},
-                           abs(lim - alpha_limit(h, 1.0)), 1e-3, t0))
-    t0 = time.perf_counter()
+        lim = s_limit_check(h, 1.0, cfg)
+        out.add("coefficient_limit", {"h": h, "v": 1}, abs(lim - alpha_limit(h, 1.0)), 1e-3)
     mean = fourier_coefficient(lambda t: completed_hurwitz_series(t, cfg).value, 0, 1.0, 64)
     # alpha_limit(0, v) uses the series' own 1/(8 pi sqrt(v)), so this record cannot see a
     # fault in that constant; the Gamma0(4) law (completed_series_transformation) can
-    out.append(_record("constant_term_u_average", {"v": 1, "points": 64},
-                       abs(mean - alpha_limit(0, 1.0)), 1e-10, t0))
+    out.add("constant_term_u_average", {"v": 1, "points": 64},
+            abs(mean - alpha_limit(0, 1.0)), 1e-10)
     return out
 
 

@@ -170,7 +170,6 @@ def test_table_validation():
     good = class_numbers._sixths_by_forms(40)
     table = ClassNumberTable(good)
     assert table == build_table(40)
-    assert table.ratios(40) == [f"{v.numerator}/{v.denominator}" for v in map(table.value, range(41))]
     # a tampered int64 row: a wrong class number, a sign
     for n, six in ((23, 24), (5, 1), (8, -6)):
         row = good.copy()
@@ -513,16 +512,13 @@ def test_lowest_terms_are_the_reduced_values():
     assert rows.dtype == np.int64 and rows[:, 0].tolist() == list(range(301))
     for n, p, q in rows.tolist():
         assert q > 0 and Fraction(p, q) == table.value(n) and Fraction(p, q).denominator == q, n
-    assert table.ratios(300) == [f"{p}/{q}" for _, p, q in rows.tolist()]
     assert table.lowest_terms(0).tolist() == [[0, -1, 12]]
 
 
 def test_ratios_refuse_lengths_outside_the_table():
     table = build_table(10)
-    assert table.ratios(0) == ["-1/12"] and len(table.ratios(10)) == 11
+    assert len(table.lowest_terms(10)) == 11
     for max_n in (11, 20, -1, -5):
-        with pytest.raises(ValueError, match=r"outside table range 0\.\.10"):
-            table.ratios(max_n)
         with pytest.raises(ValueError, match=r"outside table range 0\.\.10"):
             table.lowest_terms(max_n)
 

@@ -7,6 +7,7 @@ from math import pi, sqrt
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mockform import dirichlet_series, eisenstein, special_functions
 
@@ -119,6 +120,17 @@ def test_automorphy_cocycle_universal():
         lhs = automorphy_factor(g1 @ g2, tau)
         rhs = automorphy_factor(g1, g2.apply(tau)) * automorphy_factor(g2, tau)
         assert abs(lhs - rhs) < 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), u=st.floats(-1.0, 1.0), v=st.floats(0.05, 3.0))
+def test_automorphy_cocycle_over_random_words(seed, u, v):
+    g1, g2 = random_words(np.random.default_rng(seed), 2)
+    tau = complex(u, v)
+    lhs = automorphy_factor(g1 @ g2, tau)
+    rhs = automorphy_factor(g1, g2.apply(tau)) * automorphy_factor(g2, tau)
+    assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+    assert cocycle_sign(g1, g2, tau) in (1, -1)
 
 
 def test_direct_series_domain():

@@ -10,6 +10,7 @@ from scipy.special import gamma as Gamma
 from mockform import maass
 from mockform.arithmetic import sigma_divisor
 from mockform.config import EvalConfig
+from mockform.dirichlet_series import series_closed
 from mockform.eisenstein import Gamma04Matrix, modularity_residual
 from mockform.maass import (
     alpha_limit,
@@ -25,7 +26,7 @@ from mockform.maass import (
     xi_shadow_analytic,
     xi_shadow_fd,
 )
-from mockform.special_functions import upper_incomplete_gamma
+from mockform.special_functions import rho_kernel, upper_incomplete_gamma
 
 CFG = EvalConfig()
 
@@ -99,7 +100,7 @@ def test_alpha_limit_cases():
 
 def test_shadow_annihilates_holomorphic():
     for tau in (0.2 + 0.8j, 0.6 + 1.3j):
-        assert abs(xi_shadow_fd(lambda t: theta_series(t, CFG), 0.5, tau, CFG)) < 1e-6
+        assert abs(xi_shadow_fd(lambda t: theta_series(t, CFG), 0.5, tau)) < 1e-6
 
 
 def test_shadow_of_completed_series_is_theta_over_16pi():
@@ -109,17 +110,17 @@ def test_shadow_of_completed_series_is_theta_over_16pi():
     worst = 0.0
     for _ in range(20):
         tau = complex(rng.uniform(0, 1), rng.uniform(0.3, 3.0))
-        shadow = xi_shadow_fd(series_value, 1.5, tau, CFG)
+        shadow = xi_shadow_fd(series_value, 1.5, tau)
         worst = max(worst, abs(shadow + theta_series(tau, CFG) / (16 * pi)))
     assert worst < 1e-5
     # and it cleanly rejects the pi-free constant
     tau = 0.25 + 0.9j
-    shadow = xi_shadow_fd(series_value, 1.5, tau, CFG)
+    shadow = xi_shadow_fd(series_value, 1.5, tau)
     assert abs(shadow + theta_series(tau, CFG) / 16) > 1e-2
 
 
 def test_shadow_of_e2star_is_constant():
-    vals = [xi_shadow_fd(lambda t: e2_star(t, CFG), 2.0, tau, CFG)
+    vals = [xi_shadow_fd(lambda t: e2_star(t, CFG), 2.0, tau)
             for tau in (0.2 + 0.7j, 0.8 + 1.1j, 0.5 + 2.2j)]
     for v in vals:
         assert abs(v - 3 / pi) < 1e-6
@@ -152,7 +153,7 @@ def test_analytic_shadow_stream():
     q = cmath.exp(2j * pi * tau)
     analytic = sum(float(c.mantissa) * pi ** float(c.pi_power) * q ** c.exponent
                    for c in stream.values())
-    fd = xi_shadow_fd(series_value, 1.5, tau, CFG)
+    fd = xi_shadow_fd(series_value, 1.5, tau)
     assert abs(analytic - fd) < 1e-9
 
 
@@ -278,12 +279,28 @@ def test_truncation_skips_ahead_to_the_same_terms(monkeypatch):
 
 def test_s_limit_check():
     for h, tol in ((3, 1e-3), (4, 1e-3), (-1, 1e-3), (-4, 1e-3), (-5, 1e-3)):
-        lim = s_limit_check(h, 1.0, [1e-3, 1e-4], CFG)
+        lim = s_limit_check(h, 1.0, CFG)
         assert abs(lim - alpha_limit(h, 1.0)) < tol, h
     with pytest.raises(ValueError):
-        s_limit_check(0, 1.0, [1e-3], CFG)
-    with pytest.raises(ValueError):
-        s_limit_check(3, 1.0, [0.5], CFG)
+        s_limit_check(0, 1.0, CFG)
+
+
+def _neville_limit(h, v, samples):
+    """Neville extrapolation to s = 0 of -(1-i)/48 E_{-h}(1+2s) rho_h^{3/2}(s, v) over the samples."""
+    xs = sorted(samples, reverse=True)
+    table = [-(1 - 1j) / 48.0 * series_closed(-h, 1.0 + 2.0 * s) * rho_kernel(h, 1, s, v, CFG)
+             for s in xs]
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - level):
+            table[i] = ((xs[i + level] * table[i] - xs[i] * table[i + 1])
+                        / (xs[i + level] - xs[i]))
+    return table[0]
+
+
+@pytest.mark.parametrize("v", [0.25, 1.0])
+def test_s_limit_check_is_the_two_sample_neville_limit(v):
+    for h in [*range(1, 10), *range(-9, 0)]:
+        assert s_limit_check(h, v, CFG) == _neville_limit(h, v, [1e-3, 1e-4]), h
 
 
 def test_fourier_coefficient_extraction():
