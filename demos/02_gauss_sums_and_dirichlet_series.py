@@ -43,13 +43,13 @@ print("  n        truncated (M=800)      closed form        |diff|    tail bound
 for n in (0, 1, 5, -3, -4, 8):
     part = series_partial(n, 3.0, 800)
     closed = series_closed(n, 3.0)
-    print(f"  {n:3d}   {part.value.real: .12f}   {closed: .12f}   "
-          f"{abs(part.value - closed):.2e}   {part.tail_bound:.2e}")
+    print(f"  {n:3d}   {part.real: .12f}   {closed: .12f}   "
+          f"{abs(part - closed):.2e}   {part.bound:.2e}")
 print()
 print("  residue classes 2, 3 (mod 4) vanish identically:")
 for n in (2, 3, -1):
     part = series_partial(n, 3.0, 800)
-    print(f"  |E_{n}(3)| truncated = {abs(part.value):.2e}")
+    print(f"  |E_{n}(3)| truncated = {abs(part):.2e}")
 print()
 e0 = series_closed(0, 3.0)
 print(f"  E_0(3) = zeta(5)/zeta(6) check: "

@@ -42,9 +42,8 @@ from .class_numbers import (
     hurwitz_class_number,
     hurwitz_table,
 )
-from .config import DEFAULT_CONFIG, EvalConfig
+from .config import DEFAULT_CONFIG, BoundedValue, EvalConfig
 from .dirichlet_series import (
-    DirichletSeriesValue,
     gauss_sum_gamma,
     series_closed,
     series_partial,

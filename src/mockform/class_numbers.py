@@ -7,9 +7,9 @@ int64 sixths 6 H(N).  The class number relations of Kronecker and Hurwitz pin
 every entry: ClassNumberTable holds such a row and checks it with
 _first_wrong_entry once, on construction, whether the row was enumerated
 (build_table, behind hurwitz_table) or loaded from a cache.  Bulk consumers
-read the row (sixths, which the cache stores as it is, or lowest_terms, the
-int64 columns n, p, q of H(n) = p/q that the CLI prints); Fractions come only
-from value and hurwitz_class_number.
+read the row (sixths, which the cache stores as it is, floats, which the completed
+series sums, or lowest_terms, the int64 columns n, p, q of H(n) = p/q that the CLI
+prints); Fractions come only from value and hurwitz_class_number.
 Cohen's H(r, N) is the scalar formula route.
 
 Dirichlet's formula H(N) = L(0, chi_d) T_1(f), -N = d f^2, gives the row a
@@ -42,6 +42,7 @@ from .arithmetic import (
     zeta_exact_neg,
 )
 from .characters import QuadraticCharacter, l_exact_neg
+from .config import MAX_TABLE_N
 
 
 def t_chi(s: int | float, chi: QuadraticCharacter, f: int) -> Fraction | float:
@@ -110,6 +111,11 @@ class ClassNumberTable:
         if not 0 <= n <= self.max_n:
             raise ValueError(f"n={n} outside table range 0..{self.max_n}")
         return Fraction(int(self.sixths[n]), 6) if n else Fraction(-1, 12)
+
+    @functools.cached_property
+    def floats(self) -> list[float]:
+        """H(n) = 6 H / 6 as floats, n = 0..max_n (entry 0 is 0.0), built on first use."""
+        return (self.sixths / 6).tolist()
 
     def lowest_terms(self, max_n: int) -> np.ndarray:
         """int64 rows (n, p, q), n = 0..max_n, with H(n) = p/q in lowest terms; ValueError past the table."""
@@ -249,13 +255,6 @@ def _first_wrong_entry(sixths: np.ndarray) -> int | None:
     wrong |= (residue != 2) & (theta_sum != relation)
     bad = np.flatnonzero(wrong[1:])
     return int(bad[0]) + 1 if bad.size else None
-
-
-# Longer tables are refused before they are built, loaded or certified.  At 2^20 entries the row
-# peaks at about 80 MB above the interpreter, build_table at 160 MB, and
-# `mockform hurwitz` at 210-260 MB in 8-13 s (shared 2-core Xeon).  Rows of
-# hurwitz_class_number have 2^k - 1 entries, so N <= MAX_TABLE_N stays inside.
-MAX_TABLE_N = 2 ** 20 - 1
 
 
 def build_table(max_n: int) -> ClassNumberTable:

@@ -20,9 +20,8 @@ from dataclasses import fields
 from .cache import default_cache_path, load_or_build
 from .class_numbers import build_table
 from .config import DEFAULT_CONFIG, EvalConfig
-from .eisenstein import eisenstein_direct, eisenstein_fourier, lattice_tail_estimate
-from .maass import (completed_hurwitz_series, e2_star, e2_truncation, theta_series,
-                    theta_truncation)
+from .eisenstein import eisenstein_direct, eisenstein_fourier
+from .maass import completed_hurwitz_series, e2_star, theta_series
 from .special_functions import QuadratureError
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
@@ -134,26 +133,21 @@ def _cmd_eval(args) -> int:
         return _fail(1, f"--s needs a finite value, got {args.s}")
     record: dict = {"target": args.target, "tau": [tau.real, tau.imag]}
     try:
-        if args.target == "H":
-            val = completed_hurwitz_series(tau, cfg)
-            record.update(value=_c(val.value),
-                          holomorphic_part=_c(val.holomorphic_part),
-                          nonholomorphic_part=_c(val.nonholomorphic_part),
-                          truncation_tail=val.truncation_tail)
-        elif args.target == "theta":
-            record.update(value=_c(theta_series(tau, cfg)),
-                          truncation_tail=theta_truncation(tau.imag, cfg.quad_tol)[1])
-        elif args.target == "e2star":
-            record.update(value=_c(e2_star(tau, cfg)),
-                          truncation_tail=e2_truncation(tau.imag, cfg.quad_tol, cfg.q_terms)[1])
-        else:
-            direct = eisenstein_direct("H", args.k, args.s, tau, cfg)
+        if args.target == "eisenstein":
+            value = eisenstein_direct("H", args.k, args.s, tau, cfg)
             fourier = eisenstein_fourier(args.k, args.s, tau, cfg)
-            record.update(k=args.k, s=args.s, value=_c(direct),
-                          lattice_tail_estimate=lattice_tail_estimate(
-                              args.k, args.s, tau, cfg.lattice_bound, "H"),
-                          fourier_value=_c(fourier),
-                          route_difference=abs(direct - fourier))
+            record.update(k=args.k, s=args.s, value=_c(value), lattice_tail_estimate=value.bound,
+                          terms=value.terms, fourier_value=_c(fourier),
+                          route_difference=abs(value - fourier))
+        elif args.target == "H":
+            parts = completed_hurwitz_series(tau, cfg)
+            value = parts.value
+            record.update(value=_c(value), holomorphic_part=_c(parts.holomorphic_part),
+                          nonholomorphic_part=_c(parts.nonholomorphic_part),
+                          truncation_tail=value.bound, terms=value.terms)
+        else:
+            value = (theta_series if args.target == "theta" else e2_star)(tau, cfg)
+            record.update(value=_c(value), truncation_tail=value.bound, terms=value.terms)
     except ValueError as exc:
         return _fail(2, f"evaluation outside the convergence domain: {exc}")
     except OverflowError as exc:
@@ -175,6 +169,8 @@ def _c(z: complex):
 
 def _cmd_verify(args) -> int:
     cfg = _config_from(args)
+    if args.seed < 0:
+        return _fail(1, f"--seed must be >= 0, got {args.seed}")
     try:
         records = run_suite(args.suite, cfg, args.seed)
     except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Evaluation configuration, passed to the numerical routines that read it."""
+"""Evaluation configuration for the numerical routines, and the bounded value they return."""
 
 from __future__ import annotations
 
@@ -10,27 +10,33 @@ from math import inf
 # this floor they would leave the float range.
 MIN_QUAD_TOL = 1e-300
 
+# Longer tables are refused before they are built, loaded or certified.  At 2^20 entries the row
+# peaks at about 80 MB above the interpreter, build_table at 160 MB, and
+# `mockform hurwitz` at 210-260 MB in 8-13 s (shared 2-core Xeon).  Rows of
+# hurwitz_class_number have 2^k - 1 entries, so N <= MAX_TABLE_N stays inside.
+MAX_TABLE_N = 2 ** 20 - 1
+
 
 @dataclass(frozen=True)
 class EvalConfig:
     """Truncation bounds and the tolerance.
 
     lattice_bound   largest odd modulus m in direct lattice sums
-    fourier_bound   largest |h| kept in Fourier expansions
-    q_terms         cap on q-series terms
+    q_terms         cap on q-series terms, at most MAX_TABLE_N
     quad_tol        absolute tolerance for quadrature and series tails,
                     at least MIN_QUAD_TOL and finite
     """
 
     lattice_bound: int = 301
-    fourier_bound: int = 40
     q_terms: int = 4000
     quad_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("lattice_bound", "fourier_bound", "q_terms"):
+        for name in ("lattice_bound", "q_terms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.q_terms > MAX_TABLE_N:
+            raise ValueError(f"q_terms must be at most MAX_TABLE_N = {MAX_TABLE_N}, got {self.q_terms}")
         if not self.quad_tol >= MIN_QUAD_TOL:
             raise ValueError(f"quad_tol must be at least {MIN_QUAD_TOL:g}, "
                              f"got {self.quad_tol!r}")
@@ -49,3 +55,21 @@ def require_upper_half(tau: complex) -> complex:
     if not tau.imag > 0:
         raise ValueError(f"tau must lie in the upper half plane, got {tau}")
     return tau
+
+
+class BoundedValue(complex):
+    """A truncated evaluation: its complex value, a bound on the truncation error, the terms
+    summed (q-powers, moduli or lattice points) and the bound's kind, "proof" or "estimate".
+
+    Arithmetic on it gives a plain complex.
+    """
+
+    __slots__ = ("bound", "terms", "kind")
+
+    def __new__(cls, value: complex, bound: float, terms: int, kind: str = "proof"):
+        self = complex.__new__(cls, value)
+        self.bound, self.terms, self.kind = bound, terms, kind
+        return self
+
+    def __reduce__(self):               # pickle calls __new__ with all four arguments
+        return BoundedValue, (complex(self), self.bound, self.terms, self.kind)

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 from math import log2, pi, sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +60,7 @@ from .arithmetic import (
 )
 from .characters import QuadraticCharacter, l_numeric
 from .class_numbers import t_chi
+from .config import BoundedValue
 
 def gauss_sum_gamma(c: int, n) -> complex | np.ndarray:
     """gamma_c(n) = c^{-1/2} sum_{a=1}^{2c} lambda(a, c) e^{-pi i n a / c}, a real number.
@@ -116,35 +116,30 @@ def gamma_row(n, L: int) -> np.ndarray:
     return multiplicative_row(L, lambda p, q: _exact_gamma(q, n), smallest_prime_factors(L))
 
 
-class DirichletSeriesValue(NamedTuple):
-    value: complex
-    terms_used: int
-    tail_bound: float
-
-
-def _tail_bound(s_real: float, M: int) -> float:
-    """Rigorous remainder bound from |gamma_c(n)| <= 2 sqrt(c), valid Re(s) > 3/2."""
-    return 4.0 * M ** (1.5 - s_real) / (s_real - 1.5)
-
-
 def series_partial(n, s: complex, M: int):
-    """Truncated E_n(s): odd moduli up to M plus even moduli up to 2M.
+    """Truncated E_n(s), odd moduli up to M plus even moduli up to 2M, with its rigorous tail.
 
-    Odd moduli c <= M weigh gamma_c(n) by c^{-s}, even moduli c <= 2M by
-    (c/2)^{-s}: two dot products with one gamma_row, averaged.  A tuple of n
-    gives a tuple of values from one batch of rows, each equal to its single
-    call.  Requires Re(s) > 3/2 so the reported tail bound is rigorous.
+    Odd moduli c <= M weigh gamma_c(n) by c^{-s}, even moduli c = 2j <= 2M by
+    j^{-s}: two dot products, averaged.  Both read gamma_row(n, M), the even
+    ones as gamma_{2j} = gamma_{2^{e+1}} gamma_o for j = 2^e o, o odd (Euler
+    product).  The value's terms count the moduli.  A tuple of n gives a tuple
+    of values from one batch of rows, each equal to its single call.  Requires
+    Re(s) > 3/2 so the tail bound is rigorous.
     """
     s = complex(s)
     if s.real <= 1.5:
         raise ValueError("series_partial requires Re(s) > 3/2 for a rigorous tail")
     if M < 1:
         raise ValueError("series_partial requires M >= 1")
-    rows = gamma_row(np.array(n, dtype=np.int64) if isinstance(n, tuple) else n, 2 * M)
-    scale = np.arange(1, M + 1, dtype=float) ** -s   # k^{-s} at index k - 1
-    values = tuple(DirichletSeriesValue(complex(0.5 * (row[1:M + 1:2] @ scale[::2] + row[2::2] @ scale)),
-                                        (M + 1) // 2 + M, _tail_bound(s.real, M))
-                   for row in np.atleast_2d(rows))
+    ns = np.array(n, dtype=np.int64).reshape(-1)
+    odd = gamma_row(ns, M)                           # gamma_c(n) at index c
+    even = np.empty_like(odd)                        # gamma_{2j}(n) at index j
+    for q in (1 << t for t in range(int(M).bit_length())):   # j = q o, o odd: gamma_{2q} gamma_o
+        even[:, q::2 * q] = _exact_gamma(2 * q, ns)[:, None] * odd[:, 1:M // q + 1:2]
+    scale = np.arange(1, M + 1, dtype=float) ** -s   # j^{-s} at index j - 1
+    bound = 4.0 * M ** (1.5 - s.real) / (s.real - 1.5)   # from |gamma_c(n)| <= 2 sqrt(c)
+    values = tuple(BoundedValue(0.5 * (o[1::2] @ scale[::2] + e[1:] @ scale), bound, (M + 1) // 2 + M)
+                   for o, e in zip(odd, even))
     return values if isinstance(n, tuple) else values[0]
 
 
@@ -154,7 +149,7 @@ MAX_POWER_LOG2 = 1000
 
 
 # E_n(s) depends on n and s alone, and a Fourier-route evaluation asks for the
-# 2 fourier_bound + 1 coefficients of one s: repeated evaluations at that s
+# 2 FOURIER_BOUND + 1 coefficients of one s: repeated evaluations at that s
 # (any tau) read them back instead of recomputing L(s, chi_d) and zeta(2s).
 @functools.lru_cache(maxsize=4096)
 def series_closed(n: int, s: float) -> float:

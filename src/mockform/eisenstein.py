@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import ceil, isfinite, log2, pi, sqrt
+from math import ceil, floor, isfinite, log2, pi, sqrt
 from typing import Callable, Literal
 
 import numpy as np
 
 from .arithmetic import epsilon_factor, jacobi_row, kronecker_symbol, zeta_exact_neg
-from .config import DEFAULT_CONFIG, EvalConfig, require_upper_half
+from .config import DEFAULT_CONFIG, BoundedValue, EvalConfig, require_upper_half
 from .dirichlet_series import MAX_POWER_LOG2, series_closed
 from .special_functions import rho_kernel
 
@@ -221,8 +221,8 @@ def _symbol_tile(m: int) -> np.ndarray:
     return tile
 
 
-def _lattice_sum(k: int, s: float, tau: complex, M: int) -> complex:
-    """E_{k+1/2,s}(tau) truncated to odd m <= M and |n| <= M (1 + |tau|).
+def _lattice_sum(k: int, s: float, tau: complex, M: int) -> tuple[complex, int]:
+    """E_{k+1/2,s}(tau) truncated to odd m <= M and |n| <= M (1 + |tau|), and the number of points summed.
 
     The terms are (n/m) eps_m^{-2k-1} z^{-k-1/2} |z|^{-2s} with z = m tau + n,
     that is conj(z^k sqrt z) (|z|^2)^{-(k+s+1/2)}, built from real arithmetic
@@ -285,11 +285,11 @@ def _lattice_sum(k: int, s: float, tau: complex, M: int) -> complex:
         total = (np.resize(eps, len(rows)) * ((-1) ** k * -1j * head + rest)).sum()
     if not np.isfinite(total):
         raise ValueError(f"the lattice sum at k={k}, s={s}, tau={tau} overflows a float")
-    return complex(total)
+    return complex(total), len(rows) * size
 
 
 def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
-                      cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+                      cfg: EvalConfig = DEFAULT_CONFIG) -> BoundedValue:
     """Truncated lattice-sum value of E, F or H at weight k + 1/2 and shift s.
 
     Absolute convergence requires k + 1/2 + 2s > 2.  F is evaluated through
@@ -297,7 +297,7 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
     the (-2s)-power of |tau| is forced by the |c tau + d|^{2s} transformation
     law (and by the tau-independence of the constant Fourier term).  H is
     the combination zeta(1-2k)/2^{2k+1} [(1 + i^{2k+1}) E + i^{2k+1} F].
-    The truncation error is roughly lattice_tail_estimate(k, s, tau, M, kind).
+    Its bound is lattice_tail_estimate(k, s, tau, M, kind), an "estimate"; its terms the points summed.
     F and H raise ValueError where |tau|^{-(k+1/2+2s)} passes 2^MAX_POWER_LOG2.
     """
     if k < 0:
@@ -311,17 +311,24 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
                          f"overflows a float; got k={k}, s={s}, |tau|={abs(tau):.3g}")
     M = cfg.lattice_bound
     if kind == "E":
-        return _lattice_sum(k, s, tau, M)
-    if kind == "F":
-        w = -1.0 / (4.0 * tau)
-        return (cmath.exp(-(k + 0.5) * cmath.log(tau)) * abs(tau) ** (-2.0 * s)
-                * _lattice_sum(k, s, w, M))
-    if kind == "H":
-        zk = float(zeta_exact_neg(k))
+        value, points = _lattice_sum(k, s, tau, M)
+    elif kind == "F":
+        value, points = _lattice_sum(k, s, -1.0 / (4.0 * tau), M)
+        value = cmath.exp(-(k + 0.5) * cmath.log(tau)) * abs(tau) ** (-2.0 * s) * value
+    elif kind == "H":
+        e, f = (eisenstein_direct(part, k, s, tau, cfg) for part in "EF")
         i_odd = 1j ** (2 * k + 1)
-        return zk / 2 ** (2 * k + 1) * ((1 + i_odd) * eisenstein_direct("E", k, s, tau, cfg)
-                                        + i_odd * eisenstein_direct("F", k, s, tau, cfg))
-    raise ValueError(f"unknown kind {kind!r}")
+        value = float(zeta_exact_neg(k)) / 2 ** (2 * k + 1) * ((1 + i_odd) * e + i_odd * f)
+        points = e.terms + f.terms
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return BoundedValue(value, lattice_tail_estimate(k, s, tau, M, kind), points, "estimate")
+
+
+FOURIER_BOUND = 40          # largest |h| in eisenstein_fourier's sum
+# For h < 0, e(h tau) grows like e^{-2 pi h v}, which overflows past e^{709.78}, while rho_h decays
+# like e^{4 pi h v}; from -2 pi h v = 700 on, their product e^{2 pi h v} < e^{-700} is left out
+_MAX_EXPONENT = 700.0
 
 
 def eisenstein_fourier(k: int, s: float, tau: complex,
@@ -330,12 +337,13 @@ def eisenstein_fourier(k: int, s: float, tau: complex,
 
     H = zeta(1-2k) 2^{4s}
         + (1 + i^{2k+1}) zeta(1-2k) 2^{-2k}
-          * sum_h E_{(-1)^k h}(k + 2s) rho_h^{k+1/2}(s, v) e^{2 pi i h tau}.
+          * sum_h E_{(-1)^k h}(k + 2s) rho_h^{k+1/2}(s, v) e^{2 pi i h tau}
 
-    The ingredient series need k + 2s > 1; the remaining s = 0, k = 1 corner
-    is the analytic limit handled by the completed class number series.
-    All rho_h come from one rho_kernel call on the h-array, which makes one
-    Omega call per sign of h.
+    over |h| <= FOURIER_BOUND, leaving out the h < 0 whose factor e^{2 pi h v}
+    is below e^{-700}.  The ingredient series need k + 2s > 1; the remaining
+    s = 0, k = 1 corner is the analytic limit handled by the completed class
+    number series.  All rho_h come from one rho_kernel call on the h-array,
+    which makes one Omega call per sign of h.
     """
     if k < 1:
         raise ValueError("eisenstein_fourier requires k >= 1")
@@ -349,7 +357,7 @@ def eisenstein_fourier(k: int, s: float, tau: complex,
     zk = float(zeta_exact_neg(k))
     flip = 1 if k % 2 == 0 else -1
     coeff = (1 + 1j ** (2 * k + 1)) * zk / 2 ** (2 * k)
-    hs = np.arange(-cfg.fourier_bound, cfg.fourier_bound + 1)
+    hs = np.arange(max(-FOURIER_BOUND, floor(-_MAX_EXPONENT / (2 * pi * v)) + 1), FOURIER_BOUND + 1)
     e_n = np.array([series_closed(flip * int(h), k + 2.0 * s) for h in hs])
     kept = e_n != 0.0                     # E_n vanishes for n = 2, 3 (mod 4)
     hs, e_n = hs[kept], e_n[kept]

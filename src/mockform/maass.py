@@ -24,7 +24,7 @@ import numpy as np
 
 from .arithmetic import divisor_sums
 from .class_numbers import hurwitz_class_number, hurwitz_table
-from .config import DEFAULT_CONFIG, EvalConfig, require_upper_half
+from .config import DEFAULT_CONFIG, BoundedValue, EvalConfig, require_upper_half
 from .dirichlet_series import series_closed
 from .special_functions import rho_kernel, upper_incomplete_gamma
 
@@ -32,10 +32,9 @@ _QUARTER_ROOT = 1.0 / (4.0 * sqrt(pi))
 
 
 class HarmonicFormValue(NamedTuple):
-    value: complex
+    value: BoundedValue
     holomorphic_part: complex
     nonholomorphic_part: complex
-    truncation_tail: float
 
 
 def _truncate(series: str, tail: Callable[[int], float], first: int, max_terms: int,
@@ -56,12 +55,12 @@ def _truncate(series: str, tail: Callable[[int], float], first: int, max_terms: 
     else:
         N = ceil(terms_at(log(tol / lead) / log(r))) - 1
     N = max(first, min(N, max_terms))
-    while tail(N) > tol:
+    while (bound := tail(N)) > tol:
         if N >= max_terms:
             raise ValueError(f"{series} needs more than {max_terms} terms "
                              f"at v = {v} for a tail below {tol}")
         N += 1
-    return N, tail(N)
+    return N, bound
 
 
 def _after_power(e: float) -> float:
@@ -84,12 +83,12 @@ def theta_truncation(v: float, tol: float) -> tuple[int, float]:
                      2, _THETA_MAX_TERMS, v, tol, r, 2 / one_minus_r, sqrt)
 
 
-def theta_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Theta(tau) = sum_{n in Z} q^{n^2}, truncated where theta_truncation puts the tail below quad_tol."""
+def theta_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundedValue:
+    """Theta(tau) = sum_{n in Z} q^{n^2} over |n| <= N, where theta_truncation puts the tail below quad_tol."""
     tau = require_upper_half(tau)
-    N, _ = theta_truncation(tau.imag, cfg.quad_tol)
+    N, tail = theta_truncation(tau.imag, cfg.quad_tol)
     n = np.arange(1, N + 1)
-    return complex(1.0 + 2.0 * np.exp(2j * pi * tau * n * n).sum())
+    return BoundedValue(1.0 + 2.0 * np.exp(2j * pi * tau * n * n).sum(), tail, N)
 
 
 def hurwitz_truncation(v: float, tol: float, max_terms: int) -> tuple[int, float]:
@@ -109,12 +108,12 @@ def completed_hurwitz_series(tau: complex,
                              cfg: EvalConfig = DEFAULT_CONFIG) -> HarmonicFormValue:
     """Evaluate the completed class number series at tau (v >= 0.05).
 
-    The holomorphic part reads the certified row of 6 H(1..N) once, from
-    hurwitz_table(N), and adds 6 H(n) / 6 q^n as floats;
-    the nonholomorphic part sums incomplete gamma terms that decay like
-    e^{-2 pi n^2 v}.  Reported truncation_tail bounds everything dropped
-    from both series.  Raises ValueError when the holomorphic part needs
-    more than q_terms terms for a tail below quad_tol.
+    The holomorphic part adds H(n) q^n for n = 1..N, reading H(n) as the
+    floats of the certified hurwitz_table(N); the nonholomorphic part sums
+    incomplete gamma terms that decay like e^{-2 pi n^2 v}.  value.bound
+    bounds everything dropped from both series, and value.terms counts the
+    terms of both.  Raises ValueError when the holomorphic part needs more
+    than q_terms terms for a tail below quad_tol.
     """
     tau = require_upper_half(tau)
     v = tau.imag
@@ -122,15 +121,13 @@ def completed_hurwitz_series(tau: complex,
         raise ValueError(f"truncation floor: require v >= 0.05, got v={v}")
     tol = cfg.quad_tol
     N, holo_tail = hurwitz_truncation(v, tol, cfg.q_terms)
-    sixths = hurwitz_table(N).sixths[1:N + 1].tolist()
-
     q = cmath.exp(2j * pi * tau)
     holo = complex(-1.0 / 12.0)
     qn = 1.0 + 0j
-    for six in sixths:
+    for h in hurwitz_table(N).floats[1:N + 1]:
         qn *= q
-        if six:
-            holo += six / 6 * qn
+        if h:
+            holo += h * qn
 
     nonholo = complex(1.0 / (8.0 * pi * sqrt(v)))
     # |term n| < (n / (4 sqrt(pi))) x^{-3/2} e^{-2 pi n^2 v} with x = 4 pi n^2 v, from
@@ -149,7 +146,7 @@ def completed_hurwitz_series(tau: complex,
     # dropped incomplete-gamma terms decay superexponentially; with v >= 0.05
     # the term ratio stays below e^{-0.3 pi}, so twice the next-term bound
     # covers the whole remainder
-    return HarmonicFormValue(holo + nonholo, holo, nonholo, holo_tail + 2 * tol)
+    return HarmonicFormValue(BoundedValue(holo + nonholo, holo_tail + 2 * tol, N + n - 1), holo, nonholo)
 
 
 def alpha_limit(h: int, v: float) -> complex:
@@ -190,24 +187,25 @@ def xi_shadow_fd(f: Callable[[complex], complex], k_weight: float, tau: complex)
     return 2j * v ** k_weight * np.conj(dbar)
 
 
-def _stencil_1d(f, x, h):
-    """(value, first, second derivative) from a 5-point central stencil."""
-    fm2, fm1, f0, fp1, fp2 = (f(x - 2 * h), f(x - h), f(x), f(x + h), f(x + 2 * h))
+def _stencil_1d(f, x, h, f0):
+    """(first, second derivative) from a 5-point central stencil around f0 = f(x)."""
+    fm2, fm1, fp1, fp2 = (f(x - 2 * h), f(x - h), f(x + h), f(x + 2 * h))
     d1 = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12.0 * h)
     d2 = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12.0 * h * h)
-    return f0, d1, d2
+    return d1, d2
 
 
 def laplacian_fd(f: Callable[[complex], complex], k_weight: float, tau: complex) -> complex:
     """Weight-k hyperbolic Laplacian -v^2 (f_uu + f_vv) + i k v (f_u + i f_v).
 
-    Second derivatives use 5-point stencils with step FD_STEP2 * v.
+    Both 5-point stencils, with step FD_STEP2 * v, share one value f(tau).
     """
     tau = require_upper_half(tau)
     u, v = tau.real, tau.imag
     h = FD_STEP2 * v
-    _, fu, fuu = _stencil_1d(lambda x: f(complex(x, v)), u, h)
-    _, fv, fvv = _stencil_1d(lambda y: f(complex(u, y)), v, h)
+    f0 = f(tau)
+    fu, fuu = _stencil_1d(lambda x: f(complex(x, v)), u, h, f0)
+    fv, fvv = _stencil_1d(lambda y: f(complex(u, y)), v, h, f0)
     return -v * v * (fuu + fvv) + 1j * k_weight * v * (fu + 1j * fv)
 
 
@@ -279,13 +277,13 @@ def e2_truncation(v: float, tol: float, max_terms: int) -> tuple[int, float]:
     return _truncate("e2_star", tail, 1, max_terms, v, tol, r, 24 * w, _after_power)
 
 
-def e2_star(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Completed weight-2 Eisenstein series E2(tau) - 3/(pi v), truncated where e2_truncation puts the tail below quad_tol."""
+def e2_star(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundedValue:
+    """Completed weight-2 Eisenstein series E2(tau) - 3/(pi v), summed to q^N where e2_truncation puts the tail below quad_tol."""
     tau = require_upper_half(tau)
     v = tau.imag
-    N, _ = e2_truncation(v, cfg.quad_tol, cfg.q_terms)
+    N, tail = e2_truncation(v, cfg.quad_tol, cfg.q_terms)
     q_n = np.exp(2j * pi * tau * np.arange(1, N + 1))
-    return complex(1.0 - 24.0 * (divisor_sums(N)[0][1:] * q_n).sum()) - 3.0 / (pi * v)
+    return BoundedValue(complex(1.0 - 24.0 * (divisor_sums(N)[0][1:] * q_n).sum()) - 3.0 / (pi * v), tail, N)
 
 
 def s_limit_check(h: int, v: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:

@@ -158,11 +158,11 @@ def verify_dirichlet(cfg: EvalConfig = DEFAULT_CONFIG,
     parts = series_partial(closed_n + vanishing_n, 3.0, 2000)
     for n, part in zip(closed_n + vanishing_n, parts):
         if n in closed_n:
-            name, residual = "dirichlet_series_closed_form", abs(part.value - series_closed(n, 3.0))
+            name, residual = "dirichlet_series_closed_form", abs(part - series_closed(n, 3.0))
         else:
-            name, residual = "dirichlet_series_vanishing", abs(part.value)
-        out.add(name, {"n": n, "s": 3, "M": 2000, "tail_bound": part.tail_bound},
-                residual, min(part.tail_bound, 1e-2))
+            name, residual = "dirichlet_series_vanishing", abs(part)
+        out.add(name, {"n": n, "s": 3, "M": 2000, "tail_bound": part.bound},
+                residual, min(part.bound, 1e-2))
 
     for N in (0, 1, 4, 5, 8, 9, 12):
         exact = float(cohen_class_number(2, N))

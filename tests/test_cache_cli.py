@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,11 +20,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from mockform.cache import CacheError, default_cache_path, load_or_build, read_table, write_table
 from mockform.class_numbers import MAX_TABLE_N, build_table
 import mockform
-from mockform import class_numbers, verify
+from mockform import class_numbers, cli, verify
 from mockform.cli import main
 from mockform.config import MIN_QUAD_TOL, EvalConfig
 from mockform.eisenstein import eisenstein_direct, lattice_tail_estimate
-from mockform.maass import e2_truncation, theta_truncation
+from mockform.maass import completed_hurwitz_series, e2_star, e2_truncation, theta_series, theta_truncation
 
 
 def _save(path, row, **kwargs):
@@ -563,6 +564,30 @@ def test_cli_eval_eisenstein_dual(capsys):
     assert 0 < rec["lattice_tail_estimate"] < 1e-5
 
 
+def test_cli_eval_eisenstein_is_finite_at_large_v(capsys):
+    # at v = 3, e(h tau) at h = -40 would overflow and make fourier_value NaN with exit 0
+    assert main(["eval", "--target", "eisenstein", "--k", "1", "--s", "1",
+                 "--tau", "0,3", "--format", "json"]) == 0
+    rec = json.loads(capsys.readouterr().out)["results"][0]
+    assert all(map(math.isfinite, rec["fourier_value"]))
+    assert rec["route_difference"] < 5e-3 * abs(complex(*rec["value"]))
+
+
+@pytest.mark.parametrize("target", ["H", "theta", "e2star", "eisenstein"])
+def test_cli_eval_reports_the_bound_and_terms_of_its_value(capsys, target):
+    tau = 0.1 + 0.7j
+    assert main(["eval", "--target", target, "--tau", "0.1,0.7", "--format", "json"]) == 0
+    rec = json.loads(capsys.readouterr().out)["results"][0]
+    value = {"H": lambda: completed_hurwitz_series(tau).value,
+             "theta": lambda: theta_series(tau),
+             "e2star": lambda: e2_star(tau),
+             "eisenstein": lambda: eisenstein_direct("H", 2, 1.0, tau)}[target]()
+    bound = rec["lattice_tail_estimate" if target == "eisenstein" else "truncation_tail"]
+    assert (complex(*rec["value"]), bound, rec["terms"]) == (value, value.bound, value.terms)
+    # the CLI reads the bound off the value instead of deriving it again
+    assert not {"theta_truncation", "e2_truncation", "lattice_tail_estimate"} & set(vars(cli))
+
+
 def test_cli_eval_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--target", "theta", "--tau", "nonsense"])
@@ -646,6 +671,46 @@ def test_cli_fd_step_is_a_usage_error(capsys, argv):
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments: --fd-step" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--target", "eisenstein", "--tau", "0,1", "--fourier-bound", "3000"],
+    ["verify", "--suite", "fourier", "--fourier-bound", "40"],
+], ids=["eval", "verify"])
+def test_cli_fourier_bound_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --fourier-bound" in captured.err
+
+
+def test_cli_q_terms_past_max_table_n_is_refused_before_allocating(capsys):
+    # a cap of 10^12 let e2star at v = 1e-5 sum about 10^6 terms; the refusal comes first
+    argv = ["eval", "--target", "e2star", "--tau", "0,1e-5", "--q-terms", str(10 ** 12)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 1 and peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"mockform: bad configuration: q_terms must be at most MAX_TABLE_N = {MAX_TABLE_N}, got {10 ** 12}"]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "modularity", "--q-terms", str(MAX_TABLE_N + 1)])
+    assert exc.value.code == 1
+    assert EvalConfig(q_terms=MAX_TABLE_N).q_terms == MAX_TABLE_N
+
+
+def test_cli_verify_negative_seed_is_a_usage_error(capsys):
+    assert main(["verify", "--suite", "multiplier", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["mockform: --seed must be >= 0, got -1"]
 
 
 @pytest.mark.parametrize("target, tau", [("H", "nan,1"), ("H", "0,nan"), ("theta", "0,inf")])

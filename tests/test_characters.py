@@ -100,7 +100,7 @@ def _l_values_mpmath(ds, s, N=4, K=60):
 
 
 def test_l_numeric_against_mpmath_hurwitz_route():
-    # every modulus the Fourier route reaches at fourier_bound 40, and one |d| > 100;
+    # every modulus the Fourier route reaches at FOURIER_BOUND = 40, and one |d| > 100;
     # s < 1 is the conditionally convergent range
     ds = [d for d in FUNDAMENTAL if d != 1 and abs(d) <= 40] + [-103]
     for s in (0.5, 0.75, 1.0002, 2.5, 3.5, 5.0):

@@ -557,3 +557,10 @@ def test_formula_cross_check_refuses_a_flipped_character(monkeypatch, d, p):
     else:
         with pytest.raises(ArithmeticError, match=r"n=7: 6 L\(0, chi_-7\) = 6/7 is not an integer"):
             verify.verify_dirichlet(max_n=40)
+
+
+def test_floats_are_the_class_numbers_built_on_first_use():
+    table = build_table(300)
+    assert "floats" not in vars(table)          # a cache hit constructs the table and stops there
+    assert table.floats == [0.0] + [float(table.value(n)) for n in range(1, 301)]
+    assert table.floats is table.floats

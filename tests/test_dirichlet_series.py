@@ -132,22 +132,22 @@ def test_series_partial_matches_closed():
     for n in (0, 1, 4, 5, -3, -4, 8, -7):
         part = series_partial(n, 3.0, 600)
         closed = series_closed(n, 3.0)
-        assert abs(part.value - closed) <= part.tail_bound, n
-        assert part.terms_used == 900  # 300 odd moduli + 600 even moduli
+        assert abs(part - closed) <= part.bound, n
+        assert part.terms == 900  # 300 odd moduli + 600 even moduli
 
 
 def test_series_vanishing_classes():
     for n in (2, 3, 6, -1, -2, 7):
         assert series_closed(n, 3.0) == 0.0
         part = series_partial(n, 3.0, 400)
-        assert abs(part.value) < 1e-12  # truncations vanish identically here
+        assert abs(part) < 1e-12  # truncations vanish identically here
 
 
 def test_series_zero_argument():
     # E_0(s) = zeta(2s-1) / zeta(2s)
     assert abs(series_closed(0, 2.0) - zeta_numeric(3.0) / zeta_numeric(4.0)) < 1e-12
     part = series_partial(0, 3.0, 600)
-    assert abs(part.value - zeta_numeric(5.0) / zeta_numeric(6.0)) <= part.tail_bound
+    assert abs(part - zeta_numeric(5.0) / zeta_numeric(6.0)) <= part.bound
 
 
 def test_series_square_argument_uses_zeta():
@@ -165,8 +165,8 @@ def test_series_odd_even_split():
         odd = sum(gauss_sum_gamma(c, n) * c ** -3.0 for c in range(1, M + 1, 2))
         even = sum(gauss_sum_gamma(c, n) * (c / 2) ** -3.0 for c in range(2, 2 * M + 1, 2))
         part = series_partial(n, 3.0, M)
-        assert abs(0.5 * (odd + even) - part.value) < 1e-12, n
-        assert abs(part.value - series_closed(n, 3.0)) <= part.tail_bound, n
+        assert abs(0.5 * (odd + even) - part) < 1e-12, n
+        assert abs(part - series_closed(n, 3.0)) <= part.bound, n
 
 
 def test_series_domain_checks():
@@ -180,8 +180,8 @@ def test_series_domain_checks():
 
 def test_tail_bound_formula():
     part = series_partial(1, 3.0, 2000)
-    assert abs(part.tail_bound - 4.0 * 2000 ** -1.5 / 1.5) < 1e-15
-    assert part.tail_bound <= 1e-2
+    assert abs(part.bound - 4.0 * 2000 ** -1.5 / 1.5) < 1e-15
+    assert part.bound <= 1e-2
 
 
 def _gamma_by_complex_exp(c, n):
@@ -304,8 +304,8 @@ def test_series_partial_tuple_equals_single_calls():
     assert type(parts) is tuple and len(parts) == len(ns)
     for n, part in zip(ns, parts):
         single = series_partial(n, 3.0, 1000)
-        assert part == single, n
-        assert (part.value.real.hex(), part.value.imag.hex()) == (single.value.real.hex(), single.value.imag.hex())
+        assert part == single and (part.bound, part.terms) == (single.bound, single.terms), n
+        assert (part.real.hex(), part.imag.hex()) == (single.real.hex(), single.imag.hex())
     assert series_partial((7,), 2.5 + 1j, 300) == (series_partial(7, 2.5 + 1j, 300),)
 
 
@@ -316,3 +316,22 @@ def test_gamma_row_refuses_non_integer_prime_power(monkeypatch):
     assert gamma_row(5, 8).tolist() == [0] + [round(kernel(c, 5).real) for c in range(1, 9)]
     with pytest.raises(ArithmeticError, match=r"gamma_9\(5\)"):
         gamma_row(5, 9)
+
+
+def _series_partial_from_the_full_row(n, s, M):
+    """series_partial's value from gamma_row(n, 2M) and its two dots, kept as the oracle."""
+    row = gamma_row(n, 2 * M)
+    scale = np.arange(1, M + 1, dtype=float) ** -complex(s)
+    return complex(0.5 * (row[1:M + 1:2] @ scale[::2] + row[2::2] @ scale))
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 64, 127, 600, 2000])
+def test_series_partial_equals_the_full_row_construction(M):
+    # the 13 n of verify's Dirichlet records; the even moduli come from two-power Gauss sums
+    ns = (0, 1, 4, 5, 8, -3, -4, -7, 2, 3, 6, -1, -2)
+    parts = series_partial(ns, 3.0, M)
+    for n, part in zip(ns, parts):
+        expected = _series_partial_from_the_full_row(n, 3.0, M)
+        assert (part.real.hex(), part.imag.hex()) == (expected.real.hex(), expected.imag.hex()), n
+        single = series_partial(n, 2.5 + 1j, M)
+        assert complex(single) == _series_partial_from_the_full_row(n, 2.5 + 1j, M), n

@@ -236,8 +236,9 @@ def test_lattice_sum_matches_complex_log_formula():
     cases += [(2, 1.0, 0.3 + 0.8j), (2, 1.0, 0.1 + 12j)]
     for k, s, tau in cases:
         expected = _lattice_sum_complex_log(k, s, tau, 61)
-        got = _lattice_sum(k, s, tau, 61)
+        got, points = _lattice_sum(k, s, tau, 61)
         assert abs(got - expected) < 1e-13 * abs(expected), (k, s, tau)
+        assert points == 31 * (2 * int(np.ceil(61 * (1.0 + abs(tau)))) + 1)
     with pytest.raises(ValueError):
         eisenstein_direct("E", -1, 2.0, 1j, CFG)
 
@@ -422,3 +423,15 @@ def test_eisenstein_routes_refuse_a_non_finite_s(monkeypatch, s):
             eisenstein_direct(kind, 1, s, 0.2 + 0.8j)
     with pytest.raises(ValueError, match=r"need a finite s, got s=-?(nan|inf)$"):
         eisenstein_fourier(1, s, 0.2 + 0.8j)
+
+
+@pytest.mark.parametrize("v", [3.0, 5.0, 20.0])
+@pytest.mark.parametrize("k, s", [(1, 1.0), (2, 1.0), (2, 0.25)])
+def test_fourier_route_is_finite_at_large_v(k, s, v):
+    # from v = 2.8 on, e(h tau) at h = -40 would overflow where rho_h has underflowed
+    # to 0, making the sum 0 * inf = nan; a RuntimeWarning fails this test
+    tau = complex(0.3, v)
+    fourier = eisenstein_fourier(k, s, tau, CFG)
+    direct = eisenstein_direct("H", k, s, tau, CFG)
+    assert math.isfinite(fourier.real) and math.isfinite(fourier.imag)
+    assert abs(fourier - direct) <= 5e-3 * abs(direct)

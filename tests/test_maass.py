@@ -1,4 +1,5 @@
 import cmath
+import pickle
 from fractions import Fraction
 from math import exp, pi, sqrt
 
@@ -9,9 +10,9 @@ from scipy.special import gamma as Gamma
 
 from mockform import maass
 from mockform.arithmetic import sigma_divisor
-from mockform.config import EvalConfig
-from mockform.dirichlet_series import series_closed
-from mockform.eisenstein import Gamma04Matrix, modularity_residual
+from mockform.config import BoundedValue, EvalConfig
+from mockform.dirichlet_series import series_closed, series_partial
+from mockform.eisenstein import Gamma04Matrix, eisenstein_direct, lattice_tail_estimate, modularity_residual
 from mockform.maass import (
     alpha_limit,
     completed_hurwitz_series,
@@ -74,7 +75,7 @@ def test_completed_series_values():
     assert abs(val.value - dominant) < 1e-15  # next terms are ~e^{-60 pi}
     assert abs(val.value - (val.holomorphic_part + val.nonholomorphic_part)) == 0
     assert abs(completed_hurwitz_series(1j, CFG).value - COMPLETED_AT_I) < 1e-12
-    assert completed_hurwitz_series(1j, CFG).truncation_tail < 1e-9
+    assert completed_hurwitz_series(1j, CFG).value.bound < 1e-9
 
 
 def test_completed_series_at_large_v():
@@ -82,7 +83,29 @@ def test_completed_series_at_large_v():
     # e^{2 pi n^2 v} would overflow) and the value is the constant term
     val = completed_hurwitz_series(200j, CFG)
     assert abs(val.value - (-1 / 12 + 1 / (8 * pi * sqrt(200)))) < 1e-15
-    assert val.truncation_tail <= 3 * CFG.quad_tol
+    assert val.value.bound <= 3 * CFG.quad_tol
+
+
+def test_truncated_evaluations_are_bounded_values():
+    tau = 0.1 + 0.7j
+    direct = eisenstein_direct("H", 2, 1.0, tau, CFG)
+    values = {
+        "theta": (theta_series(tau, CFG), "proof"),
+        "e2star": (e2_star(tau, CFG), "proof"),
+        "series": (series_partial(5, 3.0, 300), "proof"),
+        "completed": (completed_hurwitz_series(tau, CFG).value, "proof"),
+        "direct": (direct, "estimate"),
+    }
+    for name, (x, kind) in values.items():
+        assert isinstance(x, BoundedValue) and isinstance(x, complex), name
+        assert x.kind == kind and x.terms > 0 and 0 < x.bound < 1e-2, name
+        for result in (x + 1, 1 - x, 2 * x, x * x, x / 3, -x, +x, x ** 2):
+            assert type(result) is complex, name
+        back = pickle.loads(pickle.dumps(x))
+        assert type(back) is BoundedValue, name
+        assert (complex(back), back.bound, back.terms, back.kind) == (complex(x), x.bound, x.terms, x.kind), name
+    assert direct.bound == lattice_tail_estimate(2, 1.0, tau, CFG.lattice_bound, "H")
+    assert direct.terms == sum(eisenstein_direct(kind, 2, 1.0, tau, CFG).terms for kind in "EF")
 
 
 def test_completed_series_guards():
@@ -139,6 +162,34 @@ def test_laplacian_kernel_functions():
     for n in (1, 3):
         fn = lambda t: cmath.exp(2j * pi * n * t)
         assert abs(laplacian_fd(fn, 1.5, tau)) < 1e-6
+
+
+def _laplacian_ten_calls(f, k_weight, tau):
+    """The Laplacian whose two 5-point stencils each evaluate their center, kept as the oracle."""
+    u, v = tau.real, tau.imag
+    h = maass.FD_STEP2 * v
+
+    def stencil(g, x):
+        fm2, fm1, f0, fp1, fp2 = (g(x - 2 * h), g(x - h), g(x), g(x + h), g(x + 2 * h))
+        return ((-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12.0 * h),
+                (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12.0 * h * h))
+
+    fu, fuu = stencil(lambda x: f(complex(x, v)), u)
+    fv, fvv = stencil(lambda y: f(complex(u, y)), v)
+    return -v * v * (fuu + fvv) + 1j * k_weight * v * (fu + 1j * fv)
+
+
+def test_laplacian_fd_evaluates_f_nine_times():
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return series_value(t)
+
+    for tau in (0.3 + 0.9j, -0.1 + 1.7j):
+        calls.clear()
+        assert laplacian_fd(counted, 1.5, tau) == _laplacian_ten_calls(series_value, 1.5, tau)
+        assert len(calls) == len(set(calls)) == 9
 
 
 def test_analytic_shadow_stream():
