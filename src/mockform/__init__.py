@@ -53,7 +53,7 @@ from .eisenstein import (
     automorphy_factor,
     eisenstein_direct,
     eisenstein_fourier,
-    lattice_tail_estimate,
+    lattice_tail_bound,
     modularity_residual,
     multiplier_identity_residual,
     theta_multiplier,

@@ -136,7 +136,7 @@ def _cmd_eval(args) -> int:
         if args.target == "eisenstein":
             value = eisenstein_direct("H", args.k, args.s, tau, cfg)
             fourier = eisenstein_fourier(args.k, args.s, tau, cfg)
-            record.update(k=args.k, s=args.s, value=_c(value), lattice_tail_estimate=value.bound,
+            record.update(k=args.k, s=args.s, value=_c(value), lattice_tail_bound=value.bound,
                           terms=value.terms, fourier_value=_c(fourier),
                           route_difference=abs(value - fourier))
         elif args.target == "H":

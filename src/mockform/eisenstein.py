@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import ceil, floor, isfinite, log2, pi, sqrt
+from functools import lru_cache
+from math import floor, isfinite, log2, pi, sqrt
 from typing import Callable, Literal
 
 import numpy as np
@@ -168,124 +169,127 @@ def _check_k_s(k: int, s: float) -> None:
         raise ValueError(f"the Eisenstein routes need a finite s, got s={s}")
 
 
-def lattice_tail_estimate(k: int, s: float, tau: complex, M: int, kind: Kind = "E") -> float:
-    """Integral-comparison estimate of the truncation error of eisenstein_direct.
+def lattice_tail_bound(k: int, s: float, tau: complex, M: int, kind: Kind = "E") -> float:
+    """Proven bound on the truncation error of eisenstein_direct.
 
-    Points m tau + n with m odd form a lattice of covolume 2v; dropping
-    |m tau + n| > M v and integrating r^{-(k+1/2+2s)} over the remaining
-    density gives (pi / v) (M v)^{2-w} / (w - 2) with w = k + 1/2 + 2s for E.
-    F carries the estimate at -1/(4 tau) times |tau|^{-w}, and H combines
-    them as |zeta(1-2k)| / 2^{2k+1} (sqrt(2) est_E + est_F).
+    The lattice sum keeps the points z = m tau + n (m odd, 1 <= m <= M) with
+    |z| <= R = (M + 2) v, so every dropped point has |z| >= R, and its term
+    has modulus at most |z|^{-w}, w = k + 1/2 + 2s.  The points with m odd
+    form a coset of Z 2 tau + Z, of covolume 2v, whose cells have diameter
+    delta = max |2 tau' +- 1| (2 tau' is 2 tau reduced mod 1), so a disc of
+    radius r holds at most pi (r + delta)^2 / (2v) of them.  Stieltjes
+    integration against that count bounds the dropped sum by
+    w pi / (2v) [R^{2-w} / (w-2) + 2 delta R^{1-w} / (w-1) + delta^2 R^{-w} / w].
+    F carries the bound at -1/(4 tau) times |tau|^{-w}, and H combines them
+    as |zeta(1-2k)| / 2^{2k+1} (sqrt(2) bound_E + bound_F).
     """
     w = k + 0.5 + 2.0 * s
     if w <= 2:
-        raise ValueError("estimate needs k + 1/2 + 2s > 2")
+        raise ValueError("the bound needs k + 1/2 + 2s > 2")
     tau = require_upper_half(tau)
-    if kind == "E":
+    if kind in ("E", "F"):
+        scale = 1.0
+        if kind == "F":     # |tau|^{-w} joins R^{-w} in one power, which neither overflows
+            scale, tau = abs(tau), -1.0 / (4.0 * tau)
         v = tau.imag
-        return pi / v * (M * v) ** (2.0 - w) / (w - 2.0)
-    if kind == "F":
-        return abs(tau) ** -w * lattice_tail_estimate(k, s, -1.0 / (4.0 * tau), M)
+        R = (M + 2) * v
+        cell = complex(2 * tau.real - round(2 * tau.real), 2 * v)
+        delta = max(abs(cell + 1), abs(cell - 1))
+        return (w * pi / (2 * v) * (scale * R) ** -w
+                * (R * R / (w - 2) + 2 * delta * R / (w - 1) + delta * delta / w))
     if kind == "H":
         zk = abs(float(zeta_exact_neg(k)))
-        return zk / 2 ** (2 * k + 1) * (sqrt(2.0) * lattice_tail_estimate(k, s, tau, M)
-                                        + lattice_tail_estimate(k, s, tau, M, "F"))
+        return zk / 2 ** (2 * k + 1) * (sqrt(2.0) * lattice_tail_bound(k, s, tau, M)
+                                        + lattice_tail_bound(k, s, tau, M, "F"))
     raise ValueError(f"unknown kind {kind!r}")
 
 
-# Longer rows are refused before anything is allocated; at M = 301 the points
-# of verify and of the perfbench pool need at most about 1.6k points per row.
+# Longer rows are refused before anything is allocated; a row holds at most
+# 2 (M + 2) v + 1 points, 910 at M = 301 and v = 1.5, the largest v of the perfbench pool.
 MAX_LATTICE_ROW = 2 ** 20
 
-
-# Row m weights its points by (n/m), read as a slice of a tile of whole periods
-# of jacobi_row(m): Q = m * max(1, _TILE_POINTS // m) points plus one period, so a
-# slice of Q points may start at any residue.  A row is multiplied in blocks of Q
-# points through reshape, then its remainder, so no row indexes or copies its
-# symbols.  The tiles stay int8 (the multiply casts them as it goes), and one
-# holds at most max(_TILE_POINTS, m) + m bytes whatever tau is: M = 301 keeps
-# 46 kB, and the cache is emptied past _TILE_BUDGET bytes.
-_TILE_POINTS = 64
-_TILE_BUDGET = 1 << 22
-_tiles: dict[int, np.ndarray] = {}
+# The rows of one class m mod 4 run as one flat sequence of points, row after
+# row, in blocks of _BLOCK points: each block is a fixed set of numpy calls,
+# whatever the lengths of its rows, and its buffers stay below 256 kB.
+_BLOCK = 2048
 
 
-def _symbol_tile(m: int) -> np.ndarray:
-    """(n/m) for n = 0 .. Q + m - 1, Q = tile.size - m a multiple of m."""
-    tile = _tiles.get(m)
-    if tile is None:
-        tile = np.tile(jacobi_row(m), max(1, _TILE_POINTS // m) + 1)
-        if tile.nbytes + sum(t.nbytes for t in _tiles.values()) > _TILE_BUDGET:
-            _tiles.clear()
-        _tiles[m] = tile
-    return tile
+@lru_cache(maxsize=1)
+def _symbol_table(M: int) -> np.ndarray:
+    """jacobi_row(m) for odd m <= M, concatenated: row m starts at ((m - 1) / 2)^2."""
+    table = np.concatenate([jacobi_row(m) for m in range(1, M + 1, 2)])
+    table.flags.writeable = False
+    return table
 
 
 def _lattice_sum(k: int, s: float, tau: complex, M: int) -> tuple[complex, int]:
-    """E_{k+1/2,s}(tau) truncated to odd m <= M and |n| <= M (1 + |tau|), and the number of points summed.
+    """E_{k+1/2,s}(tau) over odd m <= M and |m tau + n| <= (M + 2) v, and the number of points summed.
 
     The terms are (n/m) eps_m^{-2k-1} z^{-k-1/2} |z|^{-2s} with z = m tau + n,
     that is conj(z^k sqrt z) (|z|^2)^{-(k+s+1/2)}, built from real arithmetic
     on z' = |x| + iy (x = Re z, y = Im z): sqrt z' = (t + iy/t)/sqrt 2 with
     t = sqrt(|z| + |x|), which does not cancel, then k complex products in
     place and one real power per point.  Where x < 0, z = -conj(z'), so
-    z^k sqrt z = (-1)^k i conj(z'^k sqrt z'): the partial sum over those
-    points (a prefix, as x ascends in n) is turned by (-1)^k (-i), and the
-    rest is conjugated.  Symbols and powers are real, so each part is one
-    real product of the weights with the (Re, Im) pairs of z'^k sqrt z'.
-    Raises ValueError when a row would hold more than MAX_LATTICE_ROW points.
+    z^k sqrt z = (-1)^k i conj(z'^k sqrt z'): the sum over those points is
+    turned by (-1)^k (-i), and the rest is conjugated.  The weights (n/m)
+    (|z|^2)^{-(k+s+1/2)} are real, split into the two parts by x < 0, and
+    each block is one real product of the two weight rows with the (Re, Im)
+    pairs of z'^k sqrt z'.  eps_m depends on m mod 4 only, so each class of
+    rows is summed on its own.  The symbols are gathered at n mod m from
+    _symbol_table(M).  Raises ValueError when a row could hold more than
+    MAX_LATTICE_ROW points.
     """
     tau = require_upper_half(tau)
-    reach = np.ceil(M * (1.0 + abs(tau)))
-    if 2 * reach + 1 > MAX_LATTICE_ROW:
-        raise ValueError(f"the lattice sum at the point {tau} with M={M} needs rows of "
-                         f"{2 * reach + 1:.4g} points, more than "
-                         f"MAX_LATTICE_ROW = {MAX_LATTICE_ROW}")
-    n_max = int(reach)
-    size = 2 * n_max + 1
-    ns = np.arange(-n_max, n_max + 1, dtype=float)
-    expo = -(k + s + 0.5)
     u, v = tau.real, tau.imag
-    x, r2, w = np.empty(size), np.empty(size), np.empty(size)
-    root, z = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-    pairs = root.view(float).reshape(size, 2)      # (Re, Im) of each term
-    z_re, z_im, root_re, root_im = z.real, z.imag, root.real, root.imag
-    rows = range(1, M + 1, 2)
-    sums = np.empty((len(rows), 2, 2))             # per row: prefix and rest, (Re, Im)
-    # past k ~ 110 the powers z^k overflow and the weights underflow: inf * 0
+    if 2 * (M + 2) * v + 1 > MAX_LATTICE_ROW:
+        raise ValueError(f"the lattice sum at the point {tau} with M={M} needs rows of up to "
+                         f"{2 * (M + 2) * v + 1:.4g} points, more than "
+                         f"MAX_LATTICE_ROW = {MAX_LATTICE_ROW}")
+    table = _symbol_table(M)
+    u -= round(u)           # tau + 1 sums the same terms over the same disc: take |u| <= 1/2
+    expo = -(k + s + 0.5)
+    total, points = 0j, 0
+    z, root, weights = np.empty(_BLOCK, complex), np.empty(_BLOCK, complex), np.empty((2, _BLOCK))
+    # past k ~ 110 the powers z^k can overflow and the weights underflow: inf * 0
     # gives nan, which is refused below instead of warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, m in enumerate(rows):
-            mu, y = m * u, m * v
-            np.add(ns, mu, out=x)                  # ascending in n
-            np.multiply(x, x, out=r2)
-            r2 += y * y
-            np.abs(x, out=z_re)
-            z_im.fill(y)
-            np.sqrt(r2, out=x)
-            x += z_re
-            np.sqrt(x, out=root_re)
-            np.divide(y, root_re, out=root_im)
-            for _ in range(k):
-                root *= z
-            np.power(r2, expo, out=w)
-            tile = _symbol_tile(m)
-            period, start = tile.size - m, -n_max % m
-            whole = size - size % period
-            blocks = w[:whole].reshape(-1, period)
-            np.multiply(blocks, tile[start:start + period], out=blocks)
-            w[whole:] *= tile[start:start + size - whole]
-            j = min(max(ceil(-mu) + n_max, 0), size)   # x < 0 exactly before j
-            np.dot(w[:j], pairs[:j], out=sums[row, 0])
-            np.dot(w[j:], pairs[j:], out=sums[row, 1])
-        # eps_m^{-2k-1} depends on m mod 4 only; 1/sqrt 2 completes sqrt z'
-        eps = np.array([epsilon_factor(m) ** (-2 * k - 1) for m in rows[:2]]) / sqrt(2.0)
-        head = sums[:, 0, 0] + 1j * sums[:, 0, 1]
-        rest = sums[:, 1, 0] - 1j * sums[:, 1, 1]
-        total = (np.resize(eps, len(rows)) * ((-1) ** k * -1j * head + rest)).sum()
-    if not np.isfinite(total):
+        for first in (1, 3):
+            m = np.arange(first, M + 1, 4)
+            mu = m * u
+            half = v * np.sqrt((M + 2) ** 2 - m * m)      # row m keeps |m u + n| <= half
+            lo = np.ceil(-mu - half)
+            count = np.maximum(np.floor(half - mu) - lo + 1, 0).astype(np.int64)
+            edges = np.concatenate(([0], np.cumsum(count)))
+            shift = lo.astype(np.int64) - edges[:-1]       # n = i + shift at flat index i
+            base = ((m - 1) // 2) ** 2                     # where row m starts in the table
+            sums = np.zeros((2, 2))                        # x >= 0 and x < 0, (Re, Im)
+            for start in range(0, int(edges[-1]), _BLOCK):
+                cut = np.minimum(np.maximum(edges, start), start + _BLOCK)
+                row = np.arange(m.size).repeat(cut[1:] - cut[:-1])
+                n = shift[row] + np.arange(start, start + row.size)
+                x = n + mu[row]
+                zb, rb, (w_pos, w_neg) = z[:row.size], root[:row.size], weights[:, :row.size]
+                np.abs(x, out=zb.real)
+                np.multiply(m[row], v, out=zb.imag)
+                r2 = x * x + zb.imag * zb.imag
+                np.sqrt(np.sqrt(r2) + zb.real, out=rb.real)
+                np.divide(zb.imag, rb.real, out=rb.imag)
+                for _ in range(k):
+                    rb *= zb
+                np.power(r2, expo, out=w_pos)
+                w_pos *= table[n % m[row] + base[row]]
+                np.multiply(w_pos, x < 0, out=w_neg)
+                w_pos -= w_neg
+                pairs = rb.view(float).reshape(-1, 2)
+                sums[0] += w_pos @ pairs                   # matrix-vector products: a matrix
+                sums[1] += w_neg @ pairs                   # product would grow the RSS by 0.25 MB
+            rest, head = sums[0, 0] - 1j * sums[0, 1], sums[1, 0] + 1j * sums[1, 1]
+            # 1/sqrt 2 completes sqrt z'
+            total += epsilon_factor(first) ** (-2 * k - 1) / sqrt(2.0) * ((-1) ** k * -1j * head + rest)
+            points += int(edges[-1])
+    if not cmath.isfinite(total):
         raise ValueError(f"the lattice sum at k={k}, s={s}, tau={tau} overflows a float")
-    return complex(total), len(rows) * size
+    return complex(total), points
 
 
 def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
@@ -297,7 +301,7 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
     the (-2s)-power of |tau| is forced by the |c tau + d|^{2s} transformation
     law (and by the tau-independence of the constant Fourier term).  H is
     the combination zeta(1-2k)/2^{2k+1} [(1 + i^{2k+1}) E + i^{2k+1} F].
-    Its bound is lattice_tail_estimate(k, s, tau, M, kind), an "estimate"; its terms the points summed.
+    Its bound is lattice_tail_bound(k, s, tau, M, kind), a "proof"; its terms the points summed.
     F and H raise ValueError where |tau|^{-(k+1/2+2s)} passes 2^MAX_POWER_LOG2.
     """
     if k < 0:
@@ -322,7 +326,7 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
         points = e.terms + f.terms
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return BoundedValue(value, lattice_tail_estimate(k, s, tau, M, kind), points, "estimate")
+    return BoundedValue(value, lattice_tail_bound(k, s, tau, M, kind), points, "proof")
 
 
 FOURIER_BOUND = 40          # largest |h| in eisenstein_fourier's sum

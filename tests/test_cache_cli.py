@@ -23,7 +23,7 @@ import mockform
 from mockform import class_numbers, cli, verify
 from mockform.cli import main
 from mockform.config import MIN_QUAD_TOL, EvalConfig
-from mockform.eisenstein import eisenstein_direct, lattice_tail_estimate
+from mockform.eisenstein import eisenstein_direct, lattice_tail_bound
 from mockform.maass import completed_hurwitz_series, e2_star, e2_truncation, theta_series, theta_truncation
 
 
@@ -489,10 +489,12 @@ def test_cli_eval_float_overflow_is_one_stderr_line(capsys):
     assert "k <= 130" in captured.err
     # at s = 150 the Fourier route's divisor sums sigma_{2k+4s-1}(f) would overflow,
     # at k = 130 and |tau| = 1e-3 the power |tau|^{-(k+1/2+2s)} of F would, and at
-    # tau = 1e-9 i the lattice rows of F would hold 1.5e11 points: all three are refused
+    # tau = 1e-9 i the lattice rows of F would hold 1.5e11 points, and at k = 120 and
+    # tau = 0.1 + 1.5i the powers z^k of the lattice sum overflow: all four are refused
     for argv, limit in ((["--k", "2", "--s", "150", "--tau", "0,1"], "2^1000"),
                         (["--k", "130", "--s", "1", "--tau", "0,0.001"], "2^1000"),
-                        (["--tau", "0,1e-9"], "MAX_LATTICE_ROW")):
+                        (["--tau", "0,1e-9"], "MAX_LATTICE_ROW"),
+                        (["--k", "120", "--s", "1", "--tau", "0.1,1.5"], "overflows a float")):
         assert main(["eval", "--target", "eisenstein"] + argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -559,9 +561,9 @@ def test_cli_eval_eisenstein_dual(capsys):
     assert code == 0
     rec = payload["results"][0]
     assert rec["route_difference"] < 5e-3 * abs(complex(*rec["value"]))
-    # the truncation estimate of the lattice value it prints
-    assert rec["lattice_tail_estimate"] == lattice_tail_estimate(2, 1.0, 1j, 301, "H")
-    assert 0 < rec["lattice_tail_estimate"] < 1e-5
+    # the truncation bound of the lattice value it prints
+    assert rec["lattice_tail_bound"] == lattice_tail_bound(2, 1.0, 1j, 301, "H")
+    assert 0 < rec["lattice_tail_bound"] < 1e-5
 
 
 def test_cli_eval_eisenstein_is_finite_at_large_v(capsys):
@@ -582,10 +584,10 @@ def test_cli_eval_reports_the_bound_and_terms_of_its_value(capsys, target):
              "theta": lambda: theta_series(tau),
              "e2star": lambda: e2_star(tau),
              "eisenstein": lambda: eisenstein_direct("H", 2, 1.0, tau)}[target]()
-    bound = rec["lattice_tail_estimate" if target == "eisenstein" else "truncation_tail"]
+    bound = rec["lattice_tail_bound" if target == "eisenstein" else "truncation_tail"]
     assert (complex(*rec["value"]), bound, rec["terms"]) == (value, value.bound, value.terms)
     # the CLI reads the bound off the value instead of deriving it again
-    assert not {"theta_truncation", "e2_truncation", "lattice_tail_estimate"} & set(vars(cli))
+    assert not {"theta_truncation", "e2_truncation", "lattice_tail_bound"} & set(vars(cli))
 
 
 def test_cli_eval_errors(capsys):

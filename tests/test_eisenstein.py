@@ -25,7 +25,7 @@ from mockform.eisenstein import (
     eisenstein_direct,
     eisenstein_fourier,
     j_factor,
-    lattice_tail_estimate,
+    lattice_tail_bound,
     modularity_residual,
     multiplier_identity_residual,
     random_words,
@@ -143,10 +143,10 @@ def test_direct_series_domain():
 
 
 def test_large_orders_are_refused_without_warnings():
-    # at k = 120 the powers z^k of the lattice sum overflow (it returned nan with
-    # RuntimeWarnings from k = 113 at this tau); from k = 131 zeta(1 - 2k) leaves
-    # the float range, and both routes refuse such k before any work
-    tau = 0.1 + 0.6j
+    # at k = 120 the powers z^k of the lattice sum overflow on the disc |z| <= 303 v
+    # of M = 301 at this tau; from k = 131 zeta(1 - 2k) leaves the float range,
+    # and both routes refuse such k before any work
+    tau = 0.1 + 1.5j
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for kind in ("E", "H"):
@@ -156,6 +156,17 @@ def test_large_orders_are_refused_without_warnings():
                       lambda k: eisenstein_fourier(k, 1.0, tau, CFG)):
             with pytest.raises(ValueError, match="k <= 130"):
                 route(131)
+
+
+def test_large_order_within_the_float_range_matches_the_oracle():
+    # at v = 0.6 the disc keeps |z| <= 181.8, where z^120 stays finite
+    tau = 0.1 + 0.6j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, points = _lattice_sum(120, 1.0, tau, 301)
+    expected, count = _lattice_sum_complex_log(120, 1.0, tau, 301)
+    assert points == count
+    assert abs(got - expected) < 1e-13 * abs(expected)
 
 
 def test_float_range_limits_are_typed_errors():
@@ -211,15 +222,18 @@ def test_f_defining_relation():
 
 
 def _lattice_sum_complex_log(k, s, tau, M):
-    """The lattice sum with every power taken as exp(-(k+1/2) log z) |z|^{-2s}."""
-    total = 0j
-    n_max = int(np.ceil(M * (1.0 + abs(tau))))
-    ns = np.arange(-n_max, n_max + 1)
+    """The lattice sum over the disc |m tau + n| <= (M + 2) v, with every power
+    taken as exp(-(k+1/2) log z) |z|^{-2s}, and its points counted one by one."""
+    radius = (M + 2) * tau.imag
+    total, points = 0j, 0
     for m in range(1, M + 1, 2):
+        ns = np.arange(math.floor(-m * tau.real - radius), math.ceil(-m * tau.real + radius) + 1)
+        ns = ns[np.abs(m * tau + ns) <= radius]
         z = m * tau + ns
         terms = jacobi_row(m)[ns % m] * np.exp(-(k + 0.5) * np.log(z)) * np.abs(z) ** (-2.0 * s)
         total += epsilon_factor(m) ** (-2 * k - 1) * terms.sum()
-    return complex(total)
+        points += ns.size
+    return complex(total), points
 
 
 def test_lattice_sum_matches_complex_log_formula():
@@ -229,27 +243,28 @@ def test_lattice_sum_matches_complex_log_formula():
     # F points -1/(4 tau) with |tau| up to 2: Im z is small and Re z < 0 dominates
     big = [2.0 * cmath.exp(1j * rng.uniform(0.3, pi - 0.3)) for _ in range(2)]
     taus += [-1.0 / (4.0 * t) for t in taus[:2] + big]
-    # k = 0 makes no complex product and k = 5 makes five; the last two share
-    # M with rows of 229 and 1589 points, so the second reuses every
-    # symbol tile of the first over more whole periods
-    cases = [(k, s, tau) for k, s in WORKLOAD_PAIRS + ((0, 1.0), (5, 0.5)) for tau in taus]
-    cases += [(2, 1.0, 0.3 + 0.8j), (2, 1.0, 0.1 + 12j)]
-    for k, s, tau in cases:
-        expected = _lattice_sum_complex_log(k, s, tau, 61)
-        got, points = _lattice_sum(k, s, tau, 61)
+    # k = 0 makes no complex product and k = 5 makes five
+    cases = [(k, s, tau, 61) for k, s in WORKLOAD_PAIRS + ((0, 1.0), (5, 0.5)) for tau in taus]
+    # a class of rows m mod 4 longer than a block, so a block boundary falls
+    # inside a row; then rows longer than a block
+    cases += [(2, 1.0, 0.3 + 1.5j, 61), (0, 1.0, 0.3 + 1.5j, 61), (5, 0.5, 0.1 + 12j, 101)]
+    assert _lattice_sum(0, 1.0, 0.3 + 1.5j, 61)[1] > 2 * eisenstein._BLOCK
+    assert 2 * (101 + 2) * 12 > eisenstein._BLOCK
+    for k, s, tau, M in cases:
+        expected, count = _lattice_sum_complex_log(k, s, tau, M)
+        got, points = _lattice_sum(k, s, tau, M)
         assert abs(got - expected) < 1e-13 * abs(expected), (k, s, tau)
-        assert points == 31 * (2 * int(np.ceil(61 * (1.0 + abs(tau)))) + 1)
+        assert points == count, (k, s, tau)
+        # E is 1-periodic, and tau + 7 keeps the same points of the disc
+        shifted, moved = _lattice_sum(k, s, tau + 7, M)
+        assert abs(shifted - got) < 1e-13 * abs(got) and moved == points, (k, s, tau)
     with pytest.raises(ValueError):
         eisenstein_direct("E", -1, 2.0, 1j, CFG)
 
 
-def _tile_bytes():
-    return sum(tile.nbytes for tile in eisenstein._tiles.values())
-
-
 def test_lattice_sum_memory_is_bounded():
-    # the row buffers are allocated once per sum, and the symbol tiles do not
-    # grow with |tau|: this keeps the benchmark's peak_rss_mb flat
+    # the block buffers do not grow with the number of points, and the symbol
+    # table depends on M alone: this keeps the benchmark's peak_rss_mb flat
     _lattice_sum(2, 1.0, 0.5 + 1.5j, 301)
     tracemalloc.start()
     try:
@@ -258,36 +273,41 @@ def test_lattice_sum_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
-    eisenstein._tiles.clear()
-    _lattice_sum(2, 1.0, 0.5 + 1j, 61)
-    near = _tile_bytes()
-    eisenstein._tiles.clear()
-    _lattice_sum(2, 1.0, 200j, 61)                # rows of 24 523 points
-    assert _tile_bytes() == near > 0
+    sizes = []
+    for tau in (0.5 + 1j, 200j):                     # rows of up to 127 and 25 201 points
+        eisenstein._symbol_table.cache_clear()
+        _lattice_sum(2, 1.0, tau, 61)
+        assert eisenstein._symbol_table.cache_info().currsize == 1
+        sizes.append(eisenstein._symbol_table(61).nbytes)
+    assert sizes == [31 ** 2, 31 ** 2]
+
+
+def _assert_tail_bound_covers_refinement(kinds):
+    # every point of the rows up to 3M inside their larger disc that the rows up
+    # to M leave out has |z| >= (M + 2) v, so the bound covers the difference
+    for M in (61, 151):
+        for tau in (complex(u, v) for u in (-0.5, 0.5) for v in (0.6, 1.5)):
+            for k, s in WORKLOAD_PAIRS:
+                for kind in kinds:
+                    coarse = eisenstein_direct(kind, k, s, tau, CFG.with_(lattice_bound=M))
+                    fine = eisenstein_direct(kind, k, s, tau, CFG.with_(lattice_bound=3 * M))
+                    assert coarse.bound == lattice_tail_bound(k, s, tau, M, kind)
+                    assert coarse.kind == "proof"
+                    assert abs(coarse - fine) <= coarse.bound, (kind, k, s, tau, M)
 
 
 def test_lattice_tail_estimate_bounds_refinement():
-    tau = 0.2 + 0.9j
-    for (k, s) in ((1, 1.0), (2, 1.0)):
-        coarse = eisenstein_direct("E", k, s, tau, CFG.with_(lattice_bound=151))
-        fine = eisenstein_direct("E", k, s, tau, CFG.with_(lattice_bound=601))
-        observed = abs(coarse - fine)
-        estimate = lattice_tail_estimate(k, s, tau, 151)
-        assert observed < 20 * estimate
-        assert estimate < 1e-2
+    _assert_tail_bound_covers_refinement("EF")
+    # at 3e4 + i, |tau|^{-w} underflows and R^{-w} at -1/(4 tau) overflows on their own
+    assert 0 < lattice_tail_bound(60, 1.0, 3e4 + 1j, 151, "F") < math.inf
     with pytest.raises(ValueError):
-        lattice_tail_estimate(1, 0.0, tau, 100)
+        lattice_tail_bound(1, 0.0, 1j, 151)
     with pytest.raises(ValueError):
-        lattice_tail_estimate(2, 1.0, tau, 100, "X")
+        lattice_tail_bound(2, 1.0, 1j, 151, "X")
 
 
 def test_h_lattice_tail_estimate_bounds_refinement():
-    for tau in (0.1 + 0.8j, -0.4 + 1.3j):
-        for k, s in WORKLOAD_PAIRS:
-            coarse = eisenstein_direct("H", k, s, tau, CFG.with_(lattice_bound=151))
-            fine = eisenstein_direct("H", k, s, tau, CFG.with_(lattice_bound=601))
-            estimate = lattice_tail_estimate(k, s, tau, 151, "H")
-            assert abs(coarse - fine) < estimate, (k, s, tau)
+    _assert_tail_bound_covers_refinement("H")
 
 
 def test_dual_route_agreement():

@@ -12,7 +12,7 @@ from mockform import maass
 from mockform.arithmetic import sigma_divisor
 from mockform.config import BoundedValue, EvalConfig
 from mockform.dirichlet_series import series_closed, series_partial
-from mockform.eisenstein import Gamma04Matrix, eisenstein_direct, lattice_tail_estimate, modularity_residual
+from mockform.eisenstein import Gamma04Matrix, eisenstein_direct, lattice_tail_bound, modularity_residual
 from mockform.maass import (
     alpha_limit,
     completed_hurwitz_series,
@@ -94,7 +94,7 @@ def test_truncated_evaluations_are_bounded_values():
         "e2star": (e2_star(tau, CFG), "proof"),
         "series": (series_partial(5, 3.0, 300), "proof"),
         "completed": (completed_hurwitz_series(tau, CFG).value, "proof"),
-        "direct": (direct, "estimate"),
+        "direct": (direct, "proof"),
     }
     for name, (x, kind) in values.items():
         assert isinstance(x, BoundedValue) and isinstance(x, complex), name
@@ -104,7 +104,7 @@ def test_truncated_evaluations_are_bounded_values():
         back = pickle.loads(pickle.dumps(x))
         assert type(back) is BoundedValue, name
         assert (complex(back), back.bound, back.terms, back.kind) == (complex(x), x.bound, x.terms, x.kind), name
-    assert direct.bound == lattice_tail_estimate(2, 1.0, tau, CFG.lattice_bound, "H")
+    assert direct.bound == lattice_tail_bound(2, 1.0, tau, CFG.lattice_bound, "H")
     assert direct.terms == sum(eisenstein_direct(kind, 2, 1.0, tau, CFG).terms for kind in "EF")
 
 
