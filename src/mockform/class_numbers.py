@@ -7,7 +7,7 @@ int64 sixths 6 H(N).  The class number relations of Kronecker and Hurwitz pin
 every entry: ClassNumberTable holds such a row and checks it with
 _first_wrong_entry once, on construction, whether the row was enumerated
 (build_table, behind hurwitz_table) or loaded from a cache.  Bulk consumers
-read the row (sixths, which the cache stores as it is, floats, which the completed
+read the row (sixths, which the cache stores as it is, floats, the prefix the completed
 series sums, or lowest_terms, the int64 columns n, p, q of H(n) = p/q that the CLI
 prints); Fractions come only from value and hurwitz_class_number.
 Cohen's H(r, N) is the scalar formula route.
@@ -100,7 +100,7 @@ class ClassNumberTable:
         if n is not None:
             raise ValueError(f"H({n}) = {Fraction(int(row[n]), 6)} is not the Hurwitz class number")
         row.flags.writeable = False
-        self.sixths = row
+        self.sixths, self._floats = row, []
 
     @property
     def max_n(self) -> int:
@@ -112,10 +112,14 @@ class ClassNumberTable:
             raise ValueError(f"n={n} outside table range 0..{self.max_n}")
         return Fraction(int(self.sixths[n]), 6) if n else Fraction(-1, 12)
 
-    @functools.cached_property
-    def floats(self) -> list[float]:
-        """H(n) = 6 H / 6 as floats, n = 0..max_n (entry 0 is 0.0), built on first use."""
-        return (self.sixths / 6).tolist()
+    def floats(self, n: int) -> list[float]:
+        """H(m) = 6 H / 6 as floats for m = 0..min(n, max_n) at least (entry 0 is 0.0), built on first
+        use and kept; a larger n replaces the list by one at least twice as long, up to max_n."""
+        floats = self._floats
+        if len(floats) <= n:
+            floats = (self.sixths[:min(max(2 * len(floats), n + 1), self.max_n + 1)] / 6).tolist()
+            self._floats = floats
+        return floats
 
     def lowest_terms(self, max_n: int) -> np.ndarray:
         """int64 rows (n, p, q), n = 0..max_n, with H(n) = p/q in lowest terms; ValueError past the table."""

@@ -115,14 +115,11 @@ def _cmd_hurwitz(args) -> int:
     rows = table.lowest_terms(args.max_n)
     if args.format == "csv":
         print("n,H(n)" + "\n%d,%d/%d" * len(rows) % tuple(rows.ravel().tolist()))
-    else:
-        payload = {
-            "command": "hurwitz",
-            "params": {"max_n": args.max_n},
-            "results": [{"n": n, "value": f"{p}/{q}"} for n, p, q in rows.tolist()],
-            "summary": {"entries": len(rows)},
-        }
-        print(json.dumps(payload, indent=2))
+    else:       # the text json.dumps(payload, indent=2) gives, without its pure-Python encoder
+        row = '\n    {\n      "n": %d,\n      "value": "%d/%d"\n    }'
+        print('{\n  "command": "hurwitz",\n  "params": {\n    "max_n": %d\n  },\n  "results": [' % args.max_n
+              + ",".join([row] * len(rows)) % tuple(rows.ravel().tolist())
+              + '\n  ],\n  "summary": {\n    "entries": %d\n  }\n}' % len(rows))
     return 0
 
 

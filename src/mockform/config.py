@@ -21,7 +21,8 @@ MAX_TABLE_N = 2 ** 20 - 1
 class EvalConfig:
     """Truncation bounds and the tolerance.
 
-    lattice_bound   largest odd modulus m in direct lattice sums
+    lattice_bound   largest odd modulus m in direct lattice sums (H sums the part
+                    with the smaller share of its bound to fewer)
     q_terms         cap on q-series terms, at most MAX_TABLE_N
     quad_tol        absolute tolerance for quadrature and series tails,
                     at least MIN_QUAD_TOL and finite

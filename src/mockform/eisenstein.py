@@ -11,9 +11,9 @@ the Fourier expansion through the Dirichlet series E_n and the kernel rho.
 from __future__ import annotations
 
 import cmath
+import random
 from dataclasses import dataclass
-from functools import lru_cache
-from math import floor, isfinite, log2, pi, sqrt
+from math import floor, inf, isfinite, isqrt, log2, pi, sqrt
 from typing import Callable, Literal
 
 import numpy as np
@@ -61,7 +61,7 @@ LOWER = Gamma04Matrix(1, 0, 4, 1)              # generator with c = 4
 GENERATORS = (SHIFT, LOWER)
 
 
-def random_words(rng: np.random.Generator, count: int,
+def random_words(rng: random.Random, count: int,
                  require_b: bool = False) -> list[Gamma04Matrix]:
     """Random Gamma_0(4) members as words of 1 to 12 generators and inverses.
 
@@ -73,8 +73,8 @@ def random_words(rng: np.random.Generator, count: int,
     out: list[Gamma04Matrix] = []
     while len(out) < count:
         a, b, c, d = IDENTITY.entries()
-        for _ in range(rng.integers(1, 13)):
-            p, q, r, t = alphabet[rng.integers(0, 4)]
+        for _ in range(rng.randrange(1, 13)):
+            p, q, r, t = alphabet[rng.randrange(4)]
             a, b, c, d = a * p + b * r, a * q + b * t, c * p + d * r, c * q + d * t
         if rng.random() < 0.5:
             a, b, c, d = -a, -b, -c, -d
@@ -170,7 +170,7 @@ def _check_k_s(k: int, s: float) -> None:
 
 
 def lattice_tail_bound(k: int, s: float, tau: complex, M: int, kind: Kind = "E") -> float:
-    """Proven bound on the truncation error of eisenstein_direct.
+    """Proven bound on the truncation error of eisenstein_direct for E or F at modulus M.
 
     The lattice sum keeps the points z = m tau + n (m odd, 1 <= m <= M) with
     |z| <= R = (M + 2) v, so every dropped point has |z| >= R, and its term
@@ -180,28 +180,23 @@ def lattice_tail_bound(k: int, s: float, tau: complex, M: int, kind: Kind = "E")
     radius r holds at most pi (r + delta)^2 / (2v) of them.  Stieltjes
     integration against that count bounds the dropped sum by
     w pi / (2v) [R^{2-w} / (w-2) + 2 delta R^{1-w} / (w-1) + delta^2 R^{-w} / w].
-    F carries the bound at -1/(4 tau) times |tau|^{-w}, and H combines them
-    as |zeta(1-2k)| / 2^{2k+1} (sqrt(2) bound_E + bound_F).
+    F carries the bound at -1/(4 tau) times |tau|^{-w}.
     """
     w = k + 0.5 + 2.0 * s
     if w <= 2:
         raise ValueError("the bound needs k + 1/2 + 2s > 2")
     tau = require_upper_half(tau)
-    if kind in ("E", "F"):
-        scale = 1.0
-        if kind == "F":     # |tau|^{-w} joins R^{-w} in one power, which neither overflows
-            scale, tau = abs(tau), -1.0 / (4.0 * tau)
-        v = tau.imag
-        R = (M + 2) * v
-        cell = complex(2 * tau.real - round(2 * tau.real), 2 * v)
-        delta = max(abs(cell + 1), abs(cell - 1))
-        return (w * pi / (2 * v) * (scale * R) ** -w
-                * (R * R / (w - 2) + 2 * delta * R / (w - 1) + delta * delta / w))
-    if kind == "H":
-        zk = abs(float(zeta_exact_neg(k)))
-        return zk / 2 ** (2 * k + 1) * (sqrt(2.0) * lattice_tail_bound(k, s, tau, M)
-                                        + lattice_tail_bound(k, s, tau, M, "F"))
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind not in ("E", "F"):
+        raise ValueError(f"unknown kind {kind!r}")
+    scale = 1.0
+    if kind == "F":     # |tau|^{-w} joins R^{-w} in one power, which neither overflows
+        scale, tau = abs(tau), -1.0 / (4.0 * tau)
+    v = tau.imag
+    R = (M + 2) * v
+    cell = complex(2 * tau.real - round(2 * tau.real), 2 * v)
+    delta = max(abs(cell + 1), abs(cell - 1))
+    return (w * pi / (2 * v) * (scale * R) ** -w
+            * (R * R / (w - 2) + 2 * delta * R / (w - 1) + delta * delta / w))
 
 
 # Longer rows are refused before anything is allocated; a row holds at most
@@ -214,12 +209,20 @@ MAX_LATTICE_ROW = 2 ** 20
 _BLOCK = 2048
 
 
-@lru_cache(maxsize=1)
+# jacobi_row(m) for odd m, concatenated: row m starts at ((m - 1) / 2)^2, so the
+# rows m <= M are a prefix, and the table only grows to the largest M asked for
+_symbols = np.zeros(0, np.int8)
+
+
 def _symbol_table(M: int) -> np.ndarray:
-    """jacobi_row(m) for odd m <= M, concatenated: row m starts at ((m - 1) / 2)^2."""
-    table = np.concatenate([jacobi_row(m) for m in range(1, M + 1, 2)])
-    table.flags.writeable = False
-    return table
+    """jacobi_row(m) for odd m <= M, concatenated: a read-only prefix of _symbols."""
+    global _symbols
+    table, size = _symbols, ((M + 1) // 2) ** 2
+    if table.size < size:
+        table = np.concatenate([table] + [jacobi_row(m) for m in range(2 * isqrt(table.size) + 1, M + 1, 2)])
+        table.flags.writeable = False
+        _symbols = table
+    return table[:size]
 
 
 def _lattice_sum(k: int, s: float, tau: complex, M: int) -> tuple[complex, int]:
@@ -300,9 +303,15 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
     its defining relation F(tau) = tau^{-k-1/2} |tau|^{-2s} E(-1/(4 tau));
     the (-2s)-power of |tau| is forced by the |c tau + d|^{2s} transformation
     law (and by the tau-independence of the constant Fourier term).  H is
-    the combination zeta(1-2k)/2^{2k+1} [(1 + i^{2k+1}) E + i^{2k+1} F].
-    Its bound is lattice_tail_bound(k, s, tau, M, kind), a "proof"; its terms the points summed.
-    F and H raise ValueError where |tau|^{-(k+1/2+2s)} passes 2^MAX_POWER_LOG2.
+    the combination zeta(1-2k)/2^{2k+1} [(1 + i^{2k+1}) E + i^{2k+1} F], so
+    its bound is |zeta(1-2k)|/2^{2k+1} (sqrt 2 bound_E + bound_F): the part
+    with the larger share keeps M = cfg.lattice_bound, and the other sums
+    only to the smallest odd M' <= M at which its share is at most a quarter
+    of that (found by bisection; lattice_tail_bound falls as M grows), so
+    H's bound is at most 1.25 times the bound of both parts at M.  E and F
+    have the bound lattice_tail_bound(k, s, tau, M, kind).  Every bound is a
+    "proof"; terms counts the points summed.  F and H raise ValueError where
+    |tau|^{-(k+1/2+2s)} passes 2^MAX_POWER_LOG2.
     """
     if k < 0:
         raise ValueError(f"lattice sum needs k >= 0, got k={k}")
@@ -320,10 +329,22 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
         value, points = _lattice_sum(k, s, -1.0 / (4.0 * tau), M)
         value = cmath.exp(-(k + 0.5) * cmath.log(tau)) * abs(tau) ** (-2.0 * s) * value
     elif kind == "H":
-        e, f = (eisenstein_direct(part, k, s, tau, cfg) for part in "EF")
-        i_odd = 1j ** (2 * k + 1)
-        value = float(zeta_exact_neg(k)) / 2 ** (2 * k + 1) * ((1 + i_odd) * e + i_odd * f)
-        points = e.terms + f.terms
+        def share(part: str, M: int) -> float:
+            try:
+                return (sqrt(2.0) if part == "E" else 1.0) * lattice_tail_bound(k, s, tau, M, part)
+            except OverflowError:       # far below M a bound can leave the float range
+                return inf
+        major = max("EF", key=lambda part: share(part, M))
+        minor, quarter = "EF".replace(major, ""), share(major, M) / 4
+        lo, hi = 0, M // 2              # M' = min(2j + 1, M) for j in [lo, hi]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if share(minor, 2 * mid + 1) <= quarter else (mid + 1, hi)
+        e, f = (eisenstein_direct(part, k, s, tau, cfg if part == major else
+                                  cfg.with_(lattice_bound=min(2 * lo + 1, M))) for part in "EF")
+        zk, i_odd = float(zeta_exact_neg(k)) / 2 ** (2 * k + 1), 1j ** (2 * k + 1)
+        return BoundedValue(zk * ((1 + i_odd) * e + i_odd * f), abs(zk) * (sqrt(2.0) * e.bound + f.bound),
+                            e.terms + f.terms, "proof")
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return BoundedValue(value, lattice_tail_bound(k, s, tau, M, kind), points, "proof")

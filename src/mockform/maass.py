@@ -124,7 +124,7 @@ def completed_hurwitz_series(tau: complex,
     q = cmath.exp(2j * pi * tau)
     holo = complex(-1.0 / 12.0)
     qn = 1.0 + 0j
-    for h in hurwitz_table(N).floats[1:N + 1]:
+    for h in hurwitz_table(N).floats(N)[1:N + 1]:
         qn *= q
         if h:
             holo += h * qn

@@ -19,6 +19,7 @@ in "closest" how near -Theta/16 comes at its best sample point.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -102,7 +103,7 @@ class _Records(list):
 def verify_multiplier(cfg: EvalConfig = DEFAULT_CONFIG,
                       seed: int = DEFAULT_SEED) -> list[ReportRecord]:
     out = _Records()
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     words = random_words(rng, 1000, require_b=True)
     worst = max(multiplier_identity_residual(g) for g in words)
     out.add("multiplier_top_row_identity", {"samples": 1000}, worst, 1e-14)
@@ -243,7 +244,7 @@ def verify_modularity(cfg: EvalConfig = DEFAULT_CONFIG,
 
 
 def _shadow_sample_points(seed: int, count: int = 20):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     return [complex(rng.uniform(0.0, 1.0), rng.uniform(0.3, 3.0)) for _ in range(count)]
 
 
@@ -286,7 +287,7 @@ def verify_shadow(cfg: EvalConfig = DEFAULT_CONFIG,
 def verify_laplacian(cfg: EvalConfig = DEFAULT_CONFIG,
                      seed: int = DEFAULT_SEED) -> list[ReportRecord]:
     out = _Records()
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(10):
         tau = complex(rng.uniform(0.0, 1.0), rng.uniform(0.5, 2.0))

@@ -294,6 +294,11 @@ def test_cli_hurwitz_json_schema(tmp_path, capsys):
     assert code == 0
     assert set(payload) == {"command", "params", "results", "summary"}
     assert payload["results"][0] == {"n": 0, "value": "-1/12"}
+    # the text is json.dumps's at indent 2, also for a table of one entry
+    for max_n in (0, 1, 12):
+        assert main(["hurwitz", "--max", str(max_n), "--format", "json", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_cli_hurwitz_usage_error(capsys):
@@ -489,12 +494,12 @@ def test_cli_eval_float_overflow_is_one_stderr_line(capsys):
     assert "k <= 130" in captured.err
     # at s = 150 the Fourier route's divisor sums sigma_{2k+4s-1}(f) would overflow,
     # at k = 130 and |tau| = 1e-3 the power |tau|^{-(k+1/2+2s)} of F would, and at
-    # tau = 1e-9 i the lattice rows of F would hold 1.5e11 points, and at k = 120 and
-    # tau = 0.1 + 1.5i the powers z^k of the lattice sum overflow: all four are refused
+    # tau = 1e-9 i the lattice rows of F would hold 1.5e11 points, and at k = 130 and
+    # tau = 0.27i the powers z^k of F's lattice sum overflow: all four are refused
     for argv, limit in ((["--k", "2", "--s", "150", "--tau", "0,1"], "2^1000"),
                         (["--k", "130", "--s", "1", "--tau", "0,0.001"], "2^1000"),
                         (["--tau", "0,1e-9"], "MAX_LATTICE_ROW"),
-                        (["--k", "120", "--s", "1", "--tau", "0.1,1.5"], "overflows a float")):
+                        (["--k", "130", "--s", "1", "--tau", "0,0.27"], "overflows a float")):
         assert main(["eval", "--target", "eisenstein"] + argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -562,7 +567,10 @@ def test_cli_eval_eisenstein_dual(capsys):
     rec = payload["results"][0]
     assert rec["route_difference"] < 5e-3 * abs(complex(*rec["value"]))
     # the truncation bound of the lattice value it prints
-    assert rec["lattice_tail_bound"] == lattice_tail_bound(2, 1.0, 1j, 301, "H")
+    assert rec["lattice_tail_bound"] == eisenstein_direct("H", 2, 1.0, 1j).bound
+    # H's bound is its parts', at most 1.25 times the bound of both at M = 301
+    single = 1 / 120 / 2 ** 5 * (sqrt(2.0) * lattice_tail_bound(2, 1.0, 1j, 301) + lattice_tail_bound(2, 1.0, 1j, 301, "F"))
+    assert single <= rec["lattice_tail_bound"] <= 1.25 * single
     assert 0 < rec["lattice_tail_bound"] < 1e-5
 
 
@@ -643,7 +651,7 @@ def test_cli_verify_text_prints_plain_floats(capsys):
     assert main(["verify", "--suite", "shadow"]) == 2
     out = capsys.readouterr().out
     assert "np." not in out
-    assert re.search(r"shadow_fd_theta_over_16 \{'samples': 20, 'closest': 0\.0414\d+\} ", out), out
+    assert re.search(r"shadow_fd_theta_over_16 \{'samples': 20, 'closest': 0\.0336\d+\} ", out), out
 
 
 def test_verify_records_split_each_suite_clock(monkeypatch):

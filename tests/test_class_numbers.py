@@ -559,8 +559,17 @@ def test_formula_cross_check_refuses_a_flipped_character(monkeypatch, d, p):
             verify.verify_dirichlet(max_n=40)
 
 
-def test_floats_are_the_class_numbers_built_on_first_use():
+def test_floats_are_the_class_numbers_built_on_first_use(monkeypatch):
     table = build_table(300)
-    assert "floats" not in vars(table)          # a cache hit constructs the table and stops there
-    assert table.floats == [0.0] + [float(table.value(n)) for n in range(1, 301)]
-    assert table.floats is table.floats
+    assert table._floats == []                  # a cache hit constructs the table and stops there
+    expected = [0.0] + [float(table.value(n)) for n in range(1, 301)]
+    floats = table.floats(20)
+    assert floats == expected[:21]              # only the prefix asked for
+    assert table.floats(20) is floats
+    floats = table.floats(30)
+    assert floats == expected[:42] and table.floats(10) is floats      # grown by doubling, then kept
+    assert table.floats(300) == expected and table.floats(500) == expected
+    # after a long table, the completed series builds only the prefix it reads
+    monkeypatch.setattr(class_numbers, "_table", build_table(2 ** 16 - 1))
+    completed_hurwitz_series(0.1 + 1j)
+    assert 0 < len(class_numbers._table._floats) < 100

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import tracemalloc
 import warnings
 from math import pi, sqrt
@@ -70,7 +71,7 @@ def test_theta_multiplier_examples():
 
 def test_theta_multiplier_against_theta_function():
     # v(g) is the actual multiplier of the theta function
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     tau = 0.273 + 0.91j
     checked = 0
     for g in random_words(rng, 400):
@@ -85,13 +86,13 @@ def test_theta_multiplier_against_theta_function():
 
 
 def test_multiplier_identity_on_words():
-    rng = np.random.default_rng(12345)
+    rng = random.Random(12345)
     for g in random_words(rng, 1000, require_b=True):
         assert multiplier_identity_residual(g) < 1e-14, g
 
 
 def test_cocycle_sign_and_shift():
-    rng = np.random.default_rng(2)
+    rng = random.Random(2)
     tau = 0.3 + 0.9j
     assert cocycle_sign(IDENTITY, Gamma04Matrix(1, 0, 4, 1), tau) == 1
     checked = 0
@@ -113,7 +114,7 @@ def test_sigma_shift_rejects_unnormalized():
 
 
 def test_automorphy_cocycle_universal():
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     tau = 0.41 + 1.2j
     for _ in range(100):
         g1, g2 = random_words(rng, 2)
@@ -125,7 +126,7 @@ def test_automorphy_cocycle_universal():
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), u=st.floats(-1.0, 1.0), v=st.floats(0.05, 3.0))
 def test_automorphy_cocycle_over_random_words(seed, u, v):
-    g1, g2 = random_words(np.random.default_rng(seed), 2)
+    g1, g2 = random_words(random.Random(seed), 2)
     tau = complex(u, v)
     lhs = automorphy_factor(g1 @ g2, tau)
     rhs = automorphy_factor(g1, g2.apply(tau)) * automorphy_factor(g2, tau)
@@ -144,14 +145,15 @@ def test_direct_series_domain():
 
 def test_large_orders_are_refused_without_warnings():
     # at k = 120 the powers z^k of the lattice sum overflow on the disc |z| <= 303 v
-    # of M = 301 at this tau; from k = 131 zeta(1 - 2k) leaves the float range,
+    # of M = 301 at this tau, and at k = 130 on F's disc at 0.27i, which H keeps at M = 301
+    # (|z| <= 280); from k = 131 zeta(1 - 2k) leaves the float range,
     # and both routes refuse such k before any work
     tau = 0.1 + 1.5j
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for kind in ("E", "H"):
+        for kind, k, at in (("E", 120, tau), ("H", 130, 0.27j)):
             with pytest.raises(ValueError, match="overflows a float"):
-                eisenstein_direct(kind, 120, 1.0, tau, CFG)
+                eisenstein_direct(kind, k, 1.0, at, CFG)
         for route in (lambda k: eisenstein_direct("H", k, 1.0, tau, CFG),
                       lambda k: eisenstein_fourier(k, 1.0, tau, CFG)):
             with pytest.raises(ValueError, match="k <= 130"):
@@ -167,6 +169,19 @@ def test_large_order_within_the_float_range_matches_the_oracle():
     expected, count = _lattice_sum_complex_log(120, 1.0, tau, 301)
     assert points == count
     assert abs(got - expected) < 1e-13 * abs(expected)
+    # H at 0.1 + 1.5i sums its minor part E only to a disc where z^120 stays finite
+    tau = 0.1 + 1.5j
+    moduli = _h_moduli(120, 1.0, tau, 301)[0]
+    assert moduli == {"E": moduli["E"], "F": 301} and 303 * 1.5 > 368 > (moduli["E"] + 2) * 1.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eisenstein_direct("H", 120, 1.0, tau, CFG)
+    e = _lattice_sum_complex_log(120, 1.0, tau, moduli["E"])[0]
+    f = (cmath.exp(-120.5 * cmath.log(tau)) * abs(tau) ** -2.0
+         * _lattice_sum_complex_log(120, 1.0, -1 / (4 * tau), 301)[0])
+    zk, i_odd = float(cohen_class_number(120, 0)) / 2 ** 241, 1j ** 241
+    expected = zk * ((1 + i_odd) * e + i_odd * f)
+    assert abs(got - expected) < 1e-13 * abs(expected) and got.bound < 1e-20
 
 
 def test_float_range_limits_are_typed_errors():
@@ -262,9 +277,9 @@ def test_lattice_sum_matches_complex_log_formula():
         eisenstein_direct("E", -1, 2.0, 1j, CFG)
 
 
-def test_lattice_sum_memory_is_bounded():
+def test_lattice_sum_memory_is_bounded(monkeypatch):
     # the block buffers do not grow with the number of points, and the symbol
-    # table depends on M alone: this keeps the benchmark's peak_rss_mb flat
+    # table depends on the largest M alone: this keeps the benchmark's peak_rss_mb flat
     _lattice_sum(2, 1.0, 0.5 + 1.5j, 301)
     tracemalloc.start()
     try:
@@ -275,39 +290,116 @@ def test_lattice_sum_memory_is_bounded():
     assert peak < 256 * 1024
     sizes = []
     for tau in (0.5 + 1j, 200j):                     # rows of up to 127 and 25 201 points
-        eisenstein._symbol_table.cache_clear()
+        monkeypatch.setattr(eisenstein, "_symbols", np.zeros(0, np.int8))
         _lattice_sum(2, 1.0, tau, 61)
-        assert eisenstein._symbol_table.cache_info().currsize == 1
-        sizes.append(eisenstein._symbol_table(61).nbytes)
+        sizes.append(eisenstein._symbols.nbytes)
     assert sizes == [31 ** 2, 31 ** 2]
+    # a smaller M reads a prefix of the table, and a larger one extends it
+    table = eisenstein._symbols
+    _lattice_sum(2, 1.0, 0.5 + 1j, 31)
+    assert eisenstein._symbols is table and eisenstein._symbol_table(31).base is table
+    _lattice_sum(2, 1.0, 0.5 + 1j, 101)
+    assert eisenstein._symbols.nbytes == 51 ** 2 and not eisenstein._symbols.flags.writeable
+    assert np.array_equal(eisenstein._symbols[:31 ** 2], table)
+    assert np.array_equal(eisenstein._symbols, np.concatenate([jacobi_row(m) for m in range(1, 102, 2)]))
 
 
-def _assert_tail_bound_covers_refinement(kinds):
+def _assert_tail_bound_covers_refinement(kinds, taus):
     # every point of the rows up to 3M inside their larger disc that the rows up
     # to M leave out has |z| >= (M + 2) v, so the bound covers the difference
     for M in (61, 151):
-        for tau in (complex(u, v) for u in (-0.5, 0.5) for v in (0.6, 1.5)):
+        for tau in taus:
             for k, s in WORKLOAD_PAIRS:
                 for kind in kinds:
                     coarse = eisenstein_direct(kind, k, s, tau, CFG.with_(lattice_bound=M))
                     fine = eisenstein_direct(kind, k, s, tau, CFG.with_(lattice_bound=3 * M))
-                    assert coarse.bound == lattice_tail_bound(k, s, tau, M, kind)
+                    if kind != "H":
+                        assert coarse.bound == lattice_tail_bound(k, s, tau, M, kind)
                     assert coarse.kind == "proof"
                     assert abs(coarse - fine) <= coarse.bound, (kind, k, s, tau, M)
 
 
 def test_lattice_tail_estimate_bounds_refinement():
-    _assert_tail_bound_covers_refinement("EF")
+    _assert_tail_bound_covers_refinement("EF", [complex(u, v) for u in (-0.5, 0.5) for v in (0.6, 1.5)])
     # at 3e4 + i, |tau|^{-w} underflows and R^{-w} at -1/(4 tau) overflows on their own
     assert 0 < lattice_tail_bound(60, 1.0, 3e4 + 1j, 151, "F") < math.inf
     with pytest.raises(ValueError):
         lattice_tail_bound(1, 0.0, 1j, 151)
-    with pytest.raises(ValueError):
-        lattice_tail_bound(2, 1.0, 1j, 151, "X")
+    for kind in ("H", "X"):                             # H's bound is its parts', from eisenstein_direct
+        with pytest.raises(ValueError, match="unknown kind"):
+            lattice_tail_bound(2, 1.0, 1j, 151, kind)
+
+
+# H's grid: |tau| < 1/2, and about 0.1, where E's share of the bound is the larger; v from 0.1 to 1.5
+H_TAUS = (0.05 + 0.1j, 0.1 + 0.25j, -0.3 + 0.3j, 0.2 + 0.4j, -0.5 + 0.6j, 0.5 + 0.6j, 0.05 + 1j,
+          -0.5 + 1.5j, 0.5 + 1.5j)
 
 
 def test_h_lattice_tail_estimate_bounds_refinement():
-    _assert_tail_bound_covers_refinement("H")
+    _assert_tail_bound_covers_refinement("H", H_TAUS)
+
+
+def _h_moduli(k, s, tau, M):
+    """The moduli H sums E and F to, by a linear scan: the part with the larger share of H's
+    bound (sqrt 2 bound_E against bound_F) keeps M, the other takes the smallest odd M' <= M
+    whose share is at most a quarter of that, else M."""
+    share = {"E": lambda m: sqrt(2.0) * lattice_tail_bound(k, s, tau, m, "E"),
+             "F": lambda m: lattice_tail_bound(k, s, tau, m, "F")}
+    major = "E" if share["E"](M) >= share["F"](M) else "F"
+    minor = "EF".replace(major, "")
+    moduli = {major: M, minor: next((m for m in range(1, M, 2) if share[minor](m) <= share[major](M) / 4), M)}
+    return moduli, major, minor, share
+
+
+def test_h_sums_its_minor_part_to_the_smallest_modulus_within_a_quarter():
+    shrunk, majors = 0, set()
+    for M in (61, 151, 301):
+        for tau in H_TAUS + (0.2 + 0.8j, -0.3 + 1.1j):
+            for k, s in WORKLOAD_PAIRS:
+                moduli, major, minor, share = _h_moduli(k, s, tau, M)
+                h = eisenstein_direct("H", k, s, tau, CFG.with_(lattice_bound=M))
+                e, f = (eisenstein_direct(part, k, s, tau, CFG.with_(lattice_bound=moduli[part])) for part in "EF")
+                zk, i_odd = float(cohen_class_number(k, 0)) / 2 ** (2 * k + 1), 1j ** (2 * k + 1)
+                assert complex(h) == zk * ((1 + i_odd) * e + i_odd * f), (k, s, tau, M)
+                assert h.terms == e.terms + f.terms and h.kind == "proof"
+                assert h.bound == abs(zk) * (sqrt(2.0) * e.bound + f.bound)
+                # M' <= M is minimal: at M' - 2 the minor share would pass a quarter of the major's
+                m = moduli[minor]
+                assert m <= M and m % 2 == 1
+                assert m == 1 or share[minor](m - 2) > share[major](M) / 4
+                # so the bound grows by at most a quarter over both parts at M
+                single = abs(zk) * (share["E"](M) + share["F"](M))
+                assert single <= h.bound <= 1.25 * single, (k, s, tau, M)
+                shrunk += m < M
+                majors.add(major)
+    assert majors == {"E", "F"} and shrunk > 150             # of 198 cases
+    # far below M the minor part's bound can leave the float range: such an M' is too small
+    tau = 0.3 + 0.002j
+    with pytest.raises(OverflowError):
+        lattice_tail_bound(2, 100.0, tau, 1)
+    h = eisenstein_direct("H", 2, 100.0, tau, CFG)
+    single = 2 ** -5 / 120 * (sqrt(2.0) * lattice_tail_bound(2, 100.0, tau, 301)
+                              + lattice_tail_bound(2, 100.0, tau, 301, "F"))
+    assert cmath.isfinite(h) and single < h.bound <= 1.25 * single
+
+
+def test_h_minor_part_builds_no_symbol_table(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return jacobi_row(m)
+
+    monkeypatch.setattr(eisenstein, "jacobi_row", counted)
+    monkeypatch.setattr(eisenstein, "_symbols", np.zeros(0, np.int8))
+    tau = 0.2 + 0.8j
+    moduli, major, minor, _ = _h_moduli(2, 1.0, tau, 301)
+    assert (major, minor) == ("F", "E") and moduli["E"] < 301
+    eisenstein_direct("H", 2, 1.0, tau, CFG)
+    assert calls == list(range(1, 302, 2))              # each row once, for the part that keeps M
+    for tau in (0.2 + 0.8j, -0.3 + 1.1j, 0.1 + 0.25j):
+        eisenstein_direct("H", 2, 1.0, tau, CFG)
+    assert len(calls) == 151
 
 
 def test_dual_route_agreement():
@@ -369,10 +461,10 @@ def test_weight_five_halves_q_expansion():
 def test_principal_power_branch_conventions():
     # z^{k+1/2} = z^k sqrt(z), and the quotient of half powers collapses when
     # the arguments differ by an angle in (0, pi)
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
     for _ in range(200):
         z = complex(rng.uniform(-3, 3), rng.uniform(0.05, 3.0))
-        k = int(rng.integers(1, 4))
+        k = rng.randrange(1, 4)
         assert abs(cmath.exp((k + 0.5) * cmath.log(z)) - z ** k * cmath.sqrt(z)) \
             < 1e-12 * abs(z) ** (k + 0.5)
         tau = complex(rng.uniform(-1, 1), rng.uniform(0.1, 2.0))
@@ -411,8 +503,8 @@ def _words_by_dataclass(rng, count, require_b=False):
     out = []
     while len(out) < count:
         g = IDENTITY
-        for _ in range(rng.integers(1, 13)):
-            g = g @ alphabet[rng.integers(0, 4)]
+        for _ in range(rng.randrange(1, 13)):
+            g = g @ alphabet[rng.randrange(4)]
         if rng.random() < 0.5:
             g = -g
         if require_b and g.b == 0:
@@ -424,7 +516,7 @@ def _words_by_dataclass(rng, count, require_b=False):
 @pytest.mark.parametrize("seed", range(10))
 def test_random_words_match_the_dataclass_product(seed):
     for count, require_b in ((200, True), (50, False)):
-        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
         words = random_words(rng, count, require_b=require_b)
         assert words == _words_by_dataclass(oracle_rng, count, require_b)
         assert all(type(g) is Gamma04Matrix and type(g.a) is int for g in words)

@@ -104,8 +104,13 @@ def test_truncated_evaluations_are_bounded_values():
         back = pickle.loads(pickle.dumps(x))
         assert type(back) is BoundedValue, name
         assert (complex(back), back.bound, back.terms, back.kind) == (complex(x), x.bound, x.terms, x.kind), name
-    assert direct.bound == lattice_tail_bound(2, 1.0, tau, CFG.lattice_bound, "H")
-    assert direct.terms == sum(eisenstein_direct(kind, 2, 1.0, tau, CFG).terms for kind in "EF")
+    # H sums F to M and E, the minor share of its bound here, to a smaller disc
+    M = CFG.lattice_bound
+    single = 1 / 120 / 2 ** 5 * (sqrt(2.0) * lattice_tail_bound(2, 1.0, tau, M)
+                                 + lattice_tail_bound(2, 1.0, tau, M, "F"))
+    assert single < direct.bound <= 1.25 * single
+    e, f = eisenstein_direct("E", 2, 1.0, tau, CFG), eisenstein_direct("F", 2, 1.0, tau, CFG)
+    assert f.terms < direct.terms < e.terms + f.terms
 
 
 def test_completed_series_guards():
