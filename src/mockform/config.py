@@ -21,7 +21,7 @@ MAX_TABLE_N = 2 ** 20 - 1
 class EvalConfig:
     """Truncation bounds and the tolerance.
 
-    lattice_bound   largest odd modulus m in direct lattice sums (H sums the part
+    lattice_bound   largest modulus m in direct lattice sums, odd (H sums the part
                     with the smaller share of its bound to fewer)
     q_terms         cap on q-series terms, at most MAX_TABLE_N
     quad_tol        absolute tolerance for quadrature and series tails,
@@ -36,6 +36,10 @@ class EvalConfig:
         for name in ("lattice_bound", "q_terms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.lattice_bound % 2 == 0:
+            # lattice_tail_bound needs the first dropped row to be m = M + 2, whose points
+            # all lie at |m tau + n| >= (M + 2) v
+            raise ValueError(f"lattice_bound must be odd, got {self.lattice_bound}")
         if self.q_terms > MAX_TABLE_N:
             raise ValueError(f"q_terms must be at most MAX_TABLE_N = {MAX_TABLE_N}, got {self.q_terms}")
         if not self.quad_tol >= MIN_QUAD_TOL:

@@ -175,11 +175,14 @@ def lattice_tail_bound(k: int, s: float, tau: complex, M: int, kind: Kind = "E")
     The lattice sum keeps the points z = m tau + n (m odd, 1 <= m <= M) with
     |z| <= R = (M + 2) v, so every dropped point has |z| >= R, and its term
     has modulus at most |z|^{-w}, w = k + 1/2 + 2s.  The points with m odd
-    form a coset of Z 2 tau + Z, of covolume 2v, whose cells have diameter
-    delta = max |2 tau' +- 1| (2 tau' is 2 tau reduced mod 1), so a disc of
-    radius r holds at most pi (r + delta)^2 / (2v) of them.  Stieltjes
-    integration against that count bounds the dropped sum by
-    w pi / (2v) [R^{2-w} / (w-2) + 2 delta R^{1-w} / (w-1) + delta^2 R^{-w} / w].
+    form the coset tau + Z 2 tau + Z, of covolume 2v, whose cells have
+    diameter delta = max |2 tau' +- 1| (2 tau' is 2 tau reduced mod 1), so a
+    disc of radius r holds at most pi (r + delta)^2 / (2v) of them.  z -> -z
+    maps the coset onto itself and none of its points is real, so the summed
+    points (m >= 1) are exactly half of those in any disc about 0: at most
+    pi (r + delta)^2 / (4v).  Stieltjes integration against that count bounds
+    the dropped sum by
+    w pi / (4v) [R^{2-w} / (w-2) + 2 delta R^{1-w} / (w-1) + delta^2 R^{-w} / w].
     F carries the bound at -1/(4 tau) times |tau|^{-w}.
     """
     w = k + 0.5 + 2.0 * s
@@ -195,7 +198,7 @@ def lattice_tail_bound(k: int, s: float, tau: complex, M: int, kind: Kind = "E")
     R = (M + 2) * v
     cell = complex(2 * tau.real - round(2 * tau.real), 2 * v)
     delta = max(abs(cell + 1), abs(cell - 1))
-    return (w * pi / (2 * v) * (scale * R) ** -w
+    return (w * pi / (4 * v) * (scale * R) ** -w
             * (R * R / (w - 2) + 2 * delta * R / (w - 1) + delta * delta / w))
 
 

@@ -16,6 +16,7 @@ difference operators measure it numerically.
 from __future__ import annotations
 
 import cmath
+import functools
 from fractions import Fraction
 from math import ceil, exp, expm1, log, pi, sqrt
 from typing import Callable, NamedTuple
@@ -104,6 +105,43 @@ def hurwitz_truncation(v: float, tol: float, max_terms: int) -> tuple[int, float
                      4, max_terms, v, tol, r, 1 / (1 - r) ** 2, _after_power)
 
 
+# keys (v, quad_tol, q_terms) whose height part is kept: a Laplacian stencil
+# visits 5 heights, a shadow stencil 3
+_HEIGHT_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_HEIGHT_CACHE_SIZE)
+def _height_part(v: float, tol: float, q_terms: int) -> tuple[int, float, int, complex,
+                                                             tuple[tuple[float, complex], ...]]:
+    """What the completed series at height v needs of v alone.
+
+    N from hurwitz_truncation, the bound and the terms of the value, the
+    constant 1/(8 pi sqrt(v)), and for each nonholomorphic term that is kept
+    its real factor n Gamma(-1/2, 4 pi n^2 v)/(4 sqrt(pi)) and its phase
+    -2 pi i n^2, so that the term is factor e^{phase tau}.  Raises ValueError,
+    on every call, when the holomorphic part needs more than q_terms terms.
+    """
+    N, holo_tail = hurwitz_truncation(v, tol, q_terms)
+    # |term n| < (n / (4 sqrt(pi))) x^{-3/2} e^{-2 pi n^2 v} with x = 4 pi n^2 v, from
+    # Gamma(-1/2, x) < e^{-x} x^{-3/2} and |q^{-n^2}| = e^{2 pi n^2 v}.  Terms are
+    # kept while that bound reaches tol, which keeps e^{2 pi n^2 v} below about
+    # 1/tol, in the float range as tol >= MIN_QUAD_TOL; at large v no term is
+    # kept at all.
+    nonholo_terms = []
+    n = 1
+    while True:
+        x = 4.0 * pi * n * n * v
+        if _QUARTER_ROOT * n * x ** -1.5 * exp(-2 * pi * n * n * v) < tol:
+            break
+        nonholo_terms.append((_QUARTER_ROOT * n * upper_incomplete_gamma(-0.5, x), -2j * pi * n * n))
+        n += 1
+    # dropped incomplete-gamma terms decay superexponentially; with v >= 0.05
+    # the term ratio stays below e^{-0.3 pi}, so twice the next-term bound
+    # covers the whole remainder
+    return (N, holo_tail + 2 * tol, N + n - 1, complex(1.0 / (8.0 * pi * sqrt(v))),
+            tuple(nonholo_terms))
+
+
 def completed_hurwitz_series(tau: complex,
                              cfg: EvalConfig = DEFAULT_CONFIG) -> HarmonicFormValue:
     """Evaluate the completed class number series at tau (v >= 0.05).
@@ -114,13 +152,19 @@ def completed_hurwitz_series(tau: complex,
     bounds everything dropped from both series, and value.terms counts the
     terms of both.  Raises ValueError when the holomorphic part needs more
     than q_terms terms for a tail below quad_tol.
+
+    Every coefficient depends on v alone, so the work splits in two.  The
+    height part, _height_part(v, quad_tol, q_terms), runs the truncation
+    scan and the Gamma(-1/2, .) loop; it is kept for the last
+    _HEIGHT_CACHE_SIZE keys, so stencil points that share a height pay for
+    it once.  The phase part, in each call, forms only q^n and e(-n^2 tau),
+    in the order of a single pass, so the split changes no bit of the result.
     """
     tau = require_upper_half(tau)
     v = tau.imag
     if v < 0.05:
         raise ValueError(f"truncation floor: require v >= 0.05, got v={v}")
-    tol = cfg.quad_tol
-    N, holo_tail = hurwitz_truncation(v, tol, cfg.q_terms)
+    N, bound, terms, nonholo, nonholo_terms = _height_part(v, cfg.quad_tol, cfg.q_terms)
     q = cmath.exp(2j * pi * tau)
     holo = complex(-1.0 / 12.0)
     qn = 1.0 + 0j
@@ -129,24 +173,9 @@ def completed_hurwitz_series(tau: complex,
         if h:
             holo += h * qn
 
-    nonholo = complex(1.0 / (8.0 * pi * sqrt(v)))
-    # |term n| < (n / (4 sqrt(pi))) x^{-3/2} e^{-2 pi n^2 v} with x = 4 pi n^2 v, from
-    # Gamma(-1/2, x) < e^{-x} x^{-3/2} and |q^{-n^2}| = e^{2 pi n^2 v}.  Terms are
-    # added while that bound reaches tol, which keeps e^{2 pi n^2 v} below about
-    # 1/tol, in the float range as tol >= MIN_QUAD_TOL; at large v no term is
-    # added at all.
-    n = 1
-    while True:
-        x = 4.0 * pi * n * n * v
-        if _QUARTER_ROOT * n * x ** -1.5 * exp(-2 * pi * n * n * v) < tol:
-            break
-        nonholo += (_QUARTER_ROOT * n * upper_incomplete_gamma(-0.5, x)
-                    * cmath.exp(-2j * pi * n * n * tau))
-        n += 1
-    # dropped incomplete-gamma terms decay superexponentially; with v >= 0.05
-    # the term ratio stays below e^{-0.3 pi}, so twice the next-term bound
-    # covers the whole remainder
-    return HarmonicFormValue(BoundedValue(holo + nonholo, holo_tail + 2 * tol, N + n - 1), holo, nonholo)
+    for factor, phase in nonholo_terms:
+        nonholo += factor * cmath.exp(phase * tau)
+    return HarmonicFormValue(BoundedValue(holo + nonholo, bound, terms), holo, nonholo)
 
 
 def alpha_limit(h: int, v: float) -> complex:

@@ -750,6 +750,16 @@ def test_cli_bad_config_is_usage_error(capsys):
     assert err.strip() == "mockform: bad configuration: lattice_bound must be positive"
 
 
+def test_cli_even_lattice_bound_is_usage_error(capsys):
+    # the proven lattice bound holds only when the rows end at an odd M
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--target", "eisenstein", "--tau", "0,1", "--lattice-bound", "60"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["mockform: bad configuration: lattice_bound must be odd, got 60"]
+
+
 def test_cli_quad_tol_below_floor_is_usage_error(capsys):
     # at v = 113 the first nonholomorphic term bound is about 1e-314: a subnormal
     # quad_tol would admit that term, whose e^{2 pi v} overflows a float
@@ -780,7 +790,7 @@ def test_cli_non_finite_float_config_is_usage_error(capsys, argv, message):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "modularity", "--q-terms", "5"],
-    ["verify", "--suite", "fourier", "--lattice-bound", "2000000"],
+    ["verify", "--suite", "fourier", "--lattice-bound", "2000001"],
 ], ids=["q-terms", "lattice-bound"])
 def test_cli_verify_domain_violation_exits_2(capsys, argv):
     assert main(argv) == 2

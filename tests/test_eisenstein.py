@@ -330,6 +330,44 @@ def test_lattice_tail_estimate_bounds_refinement():
             lattice_tail_bound(2, 1.0, 1j, 151, kind)
 
 
+def _reduced_cell_diameter(tau):
+    cell = complex(2 * tau.real - round(2 * tau.real), 2 * tau.imag)
+    return max(abs(cell + 1), abs(cell - 1))
+
+
+def test_lattice_tail_bound_counts_half_the_coset():
+    # the summed points m tau + n (m >= 1 odd) are half of the coset tau + Z 2 tau + Z,
+    # which z -> -z maps onto itself with no real point: a disc about 0 of radius r
+    # holds at most pi (r + delta)^2 / (4v) of them
+    for tau in (0.5j, 1j, 0.3 + 0.6j, -0.5 + 1.5j, 0.45 + 0.1j):
+        u, v = tau.real, tau.imag
+        delta = _reduced_cell_diameter(tau)
+        for r in (0.5, 1.0, 3.0, 10.0, 25.0):
+            count = sum(1 for m in range(1, int(r / v) + 1, 2)
+                        for n in range(math.floor(-m * u - r), math.ceil(-m * u + r) + 1)
+                        if abs(m * tau + n) <= r)
+            assert count <= pi * (r + delta) ** 2 / (4 * v), (tau, r)
+    # the bound is that count's Stieltjes integral beyond R = (M + 2) v, in closed form
+    for tau in (1j, 0.3 + 0.6j, 0.45 + 0.1j):
+        for k, s in WORKLOAD_PAIRS:
+            w, R, delta = k + 0.5 + 2 * s, 63 * tau.imag, _reduced_cell_diameter(tau)
+            expected = w * pi / (4 * tau.imag) * (R ** (2 - w) / (w - 2) + 2 * delta * R ** (1 - w) / (w - 1)
+                                                  + delta ** 2 * R ** -w / w)
+            assert lattice_tail_bound(k, s, tau, 61) == pytest.approx(expected, rel=1e-12)
+
+
+def test_even_lattice_bound_is_refused():
+    # at an even M the rows stop at M - 1, so points of row M + 1 inside the disc
+    # |z| <= (M + 2) v would be dropped below the radius the bound assumes: at
+    # tau = i and M = 60, the 23 points of row 61 with |z| < 62
+    assert sum(1 for n in range(-62, 63) if abs(61j + n) < 62) == 23
+    with pytest.raises(ValueError, match="lattice_bound must be odd, got 60"):
+        EvalConfig(lattice_bound=60)
+    with pytest.raises(ValueError, match="lattice_bound must be odd, got 2"):
+        CFG.with_(lattice_bound=2)
+    assert EvalConfig(lattice_bound=61).lattice_bound == 61
+
+
 # H's grid: |tau| < 1/2, and about 0.1, where E's share of the bound is the larger; v from 0.1 to 1.5
 H_TAUS = (0.05 + 0.1j, 0.1 + 0.25j, -0.3 + 0.3j, 0.2 + 0.4j, -0.5 + 0.6j, 0.5 + 0.6j, 0.05 + 1j,
           -0.5 + 1.5j, 0.5 + 1.5j)

@@ -10,10 +10,13 @@ from scipy.special import gamma as Gamma
 
 from mockform import maass
 from mockform.arithmetic import sigma_divisor
-from mockform.config import BoundedValue, EvalConfig
+from mockform.class_numbers import hurwitz_table
+from mockform.config import DEFAULT_CONFIG, BoundedValue, EvalConfig, require_upper_half
 from mockform.dirichlet_series import series_closed, series_partial
 from mockform.eisenstein import Gamma04Matrix, eisenstein_direct, lattice_tail_bound, modularity_residual
 from mockform.maass import (
+    _QUARTER_ROOT,
+    HarmonicFormValue,
     alpha_limit,
     completed_hurwitz_series,
     e2_star,
@@ -116,6 +119,118 @@ def test_truncated_evaluations_are_bounded_values():
 def test_completed_series_guards():
     with pytest.raises(ValueError):
         completed_hurwitz_series(0.5 + 0.02j, CFG)
+
+
+def reference_completed_hurwitz_series(tau: complex,
+                                       cfg: EvalConfig = DEFAULT_CONFIG) -> HarmonicFormValue:
+    """The definition: completed_hurwitz_series as one pass per point, keeping nothing between calls."""
+    tau = require_upper_half(tau)
+    v = tau.imag
+    if v < 0.05:
+        raise ValueError(f"truncation floor: require v >= 0.05, got v={v}")
+    tol = cfg.quad_tol
+    N, holo_tail = hurwitz_truncation(v, tol, cfg.q_terms)
+    q = cmath.exp(2j * pi * tau)
+    holo = complex(-1.0 / 12.0)
+    qn = 1.0 + 0j
+    for h in hurwitz_table(N).floats(N)[1:N + 1]:
+        qn *= q
+        if h:
+            holo += h * qn
+
+    nonholo = complex(1.0 / (8.0 * pi * sqrt(v)))
+    # |term n| < (n / (4 sqrt(pi))) x^{-3/2} e^{-2 pi n^2 v} with x = 4 pi n^2 v, from
+    # Gamma(-1/2, x) < e^{-x} x^{-3/2} and |q^{-n^2}| = e^{2 pi n^2 v}.  Terms are
+    # added while that bound reaches tol, which keeps e^{2 pi n^2 v} below about
+    # 1/tol, in the float range as tol >= MIN_QUAD_TOL; at large v no term is
+    # added at all.
+    n = 1
+    while True:
+        x = 4.0 * pi * n * n * v
+        if _QUARTER_ROOT * n * x ** -1.5 * exp(-2 * pi * n * n * v) < tol:
+            break
+        nonholo += (_QUARTER_ROOT * n * upper_incomplete_gamma(-0.5, x)
+                    * cmath.exp(-2j * pi * n * n * tau))
+        n += 1
+    # dropped incomplete-gamma terms decay superexponentially; with v >= 0.05
+    # the term ratio stays below e^{-0.3 pi}, so twice the next-term bound
+    # covers the whole remainder
+    return HarmonicFormValue(BoundedValue(holo + nonholo, holo_tail + 2 * tol, N + n - 1), holo, nonholo)
+
+
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _assert_matches_reference(tau, cfg):
+    got, want = completed_hurwitz_series(tau, cfg), reference_completed_hurwitz_series(tau, cfg)
+    assert [_bits(x) for x in got] == [_bits(x) for x in want], tau
+    assert (got.value.bound.hex(), got.value.terms, got.value.kind) == \
+        (want.value.bound.hex(), want.value.terms, want.value.kind), tau
+
+
+def test_completed_series_matches_its_reference_bit_for_bit():
+    maass._height_part.cache_clear()
+    heights = (0.05, 0.07, 0.1, 0.2, 0.35, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0)
+    for v in heights:                   # the first u at each height misses, the others hit
+        for u in (-0.5, -0.13, 0.0, 0.3, 0.49):
+            _assert_matches_reference(complex(u, v), CFG)
+    info = maass._height_part.cache_info()
+    assert (info.misses, info.hits) == (len(heights), 4 * len(heights))
+    for tau in (0.2 + 0.45j,) * 3:      # one point again and again
+        _assert_matches_reference(tau, CFG)
+    for tau in (0.1 + 0.37j, 0.1 + 1.1j, -0.3 + 0.37j, 0.25 + 1.1j, 0.4 + 0.37j):   # v1, v2, v1, ...
+        _assert_matches_reference(tau, CFG)
+    # other configurations at heights already kept under the default one
+    for cfg in (EvalConfig(quad_tol=1e-13, q_terms=500), EvalConfig(q_terms=200),
+                EvalConfig(quad_tol=1e-6)):
+        for tau in (0.3 + 0.05j, -0.2 + 0.37j, 0.45 + 3j):
+            _assert_matches_reference(tau, cfg)
+
+
+def test_completed_series_refusals_raise_on_every_call():
+    maass._height_part.cache_clear()
+    completed_hurwitz_series(0.1 + 0.3j, CFG)       # the height is kept under the default key
+    small = EvalConfig(q_terms=5)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="truncation floor"):
+            completed_hurwitz_series(0.5 + 0.049j, CFG)
+        with pytest.raises(ValueError, match="needs more than 5 terms"):
+            completed_hurwitz_series(0.2 + 0.3j, small)
+    assert maass._height_part.cache_info().currsize == 1
+
+
+def test_stencils_compute_each_height_part_once(monkeypatch):
+    # the truncation scan and the Gamma(-1/2, .) loop run once per height, not once per point
+    truncation, gamma = maass.hurwitz_truncation, maass.upper_incomplete_gamma
+    heights, gammas, points = [], [], []
+
+    def counted_truncation(v, tol, max_terms):
+        heights.append(v)
+        return truncation(v, tol, max_terms)
+
+    def counted_gamma(a, x):
+        gammas.append(x)
+        return gamma(a, x)
+
+    def counted_series(tau):
+        points.append(tau)
+        return series_value(tau)
+
+    monkeypatch.setattr(maass, "hurwitz_truncation", counted_truncation)
+    monkeypatch.setattr(maass, "upper_incomplete_gamma", counted_gamma)
+    for stencil, calls, distinct in ((laplacian_fd, 9, 5), (xi_shadow_fd, 4, 3)):
+        maass._height_part.cache_clear()
+        for log in (heights, gammas, points):
+            log.clear()
+        stencil(counted_series, 1.5, 0.1 + 0.5j)
+        assert len(points) == calls and len({tau.imag for tau in points}) == distinct
+        assert len(heights) == len(set(heights)) == distinct
+        info = maass._height_part.cache_info()
+        assert (info.misses, info.hits) == (distinct, calls - distinct)
+        kept = sum(len(maass._height_part(v, CFG.quad_tol, CFG.q_terms)[4]) for v in heights)
+        assert len(gammas) == len(set(gammas)) == kept > 0
 
 
 def test_alpha_limit_cases():
