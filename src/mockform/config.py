@@ -62,19 +62,25 @@ def require_upper_half(tau: complex) -> complex:
     return tau
 
 
+def reduce_mod_one(tau: complex) -> complex:
+    """require_upper_half(tau) - round(Re tau), exact in binary64: each 1-periodic evaluator starts here."""
+    tau = require_upper_half(tau)
+    return tau if -0.5 <= tau.real <= 0.5 else complex(tau.real - round(tau.real), tau.imag)
+
+
 class BoundedValue(complex):
-    """A truncated evaluation: its complex value, a bound on the truncation error, the terms
-    summed (q-powers, moduli or lattice points) and the bound's kind, "proof" or "estimate".
+    """A truncated evaluation: its complex value, a proven bound on the truncation error and
+    the terms summed (q-powers, moduli or lattice points).
 
     Arithmetic on it gives a plain complex.
     """
 
-    __slots__ = ("bound", "terms", "kind")
+    __slots__ = ("bound", "terms")
 
-    def __new__(cls, value: complex, bound: float, terms: int, kind: str = "proof"):
+    def __new__(cls, value: complex, bound: float, terms: int):
         self = complex.__new__(cls, value)
-        self.bound, self.terms, self.kind = bound, terms, kind
+        self.bound, self.terms = bound, terms
         return self
 
-    def __reduce__(self):               # pickle calls __new__ with all four arguments
-        return BoundedValue, (complex(self), self.bound, self.terms, self.kind)
+    def __reduce__(self):               # pickle calls __new__ with all three arguments
+        return BoundedValue, (complex(self), self.bound, self.terms)

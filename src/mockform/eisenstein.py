@@ -19,7 +19,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .arithmetic import epsilon_factor, jacobi_row, kronecker_symbol, zeta_exact_neg
-from .config import DEFAULT_CONFIG, BoundedValue, EvalConfig, require_upper_half
+from .config import DEFAULT_CONFIG, BoundedValue, EvalConfig, reduce_mod_one, require_upper_half
 from .dirichlet_series import MAX_POWER_LOG2, series_closed
 from .special_functions import rho_kernel
 
@@ -245,14 +245,12 @@ def _lattice_sum(k: int, s: float, tau: complex, M: int) -> tuple[complex, int]:
     _symbol_table(M).  Raises ValueError when a row could hold more than
     MAX_LATTICE_ROW points.
     """
-    tau = require_upper_half(tau)
-    u, v = tau.real, tau.imag
+    u, v = reduce_mod_one(tau).real, tau.imag   # tau + 1 sums the same terms over the same disc
     if 2 * (M + 2) * v + 1 > MAX_LATTICE_ROW:
         raise ValueError(f"the lattice sum at the point {tau} with M={M} needs rows of up to "
                          f"{2 * (M + 2) * v + 1:.4g} points, more than "
                          f"MAX_LATTICE_ROW = {MAX_LATTICE_ROW}")
     table = _symbol_table(M)
-    u -= round(u)           # tau + 1 sums the same terms over the same disc: take |u| <= 1/2
     expo = -(k + s + 0.5)
     total, points = 0j, 0
     z, root, weights = np.empty(_BLOCK, complex), np.empty(_BLOCK, complex), np.empty((2, _BLOCK))
@@ -312,16 +310,16 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
     only to the smallest odd M' <= M at which its share is at most a quarter
     of that (found by bisection; lattice_tail_bound falls as M grows), so
     H's bound is at most 1.25 times the bound of both parts at M.  E and F
-    have the bound lattice_tail_bound(k, s, tau, M, kind).  Every bound is a
-    "proof"; terms counts the points summed.  F and H raise ValueError where
-    |tau|^{-(k+1/2+2s)} passes 2^MAX_POWER_LOG2.
+    have the bound lattice_tail_bound(k, s, tau, M, kind); terms counts the
+    points summed.  All three are 1-periodic, so tau is first reduced mod 1.
+    F and H raise ValueError where |tau|^{-(k+1/2+2s)} passes 2^MAX_POWER_LOG2.
     """
     if k < 0:
         raise ValueError(f"lattice sum needs k >= 0, got k={k}")
     _check_k_s(k, s)
     if k + 0.5 + 2 * s <= 2:
         raise ValueError(f"lattice sum diverges at k={k}, s={s}: need k + 2s > 3/2")
-    tau = require_upper_half(tau)
+    tau = reduce_mod_one(tau)
     if kind in ("F", "H") and -(k + 0.5 + 2 * s) * log2(abs(tau)) > MAX_POWER_LOG2:
         raise ValueError(f"F needs |tau|^-(k+1/2+2s) <= 2^{MAX_POWER_LOG2}, beyond which it "
                          f"overflows a float; got k={k}, s={s}, |tau|={abs(tau):.3g}")
@@ -347,10 +345,10 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
                                   cfg.with_(lattice_bound=min(2 * lo + 1, M))) for part in "EF")
         zk, i_odd = float(zeta_exact_neg(k)) / 2 ** (2 * k + 1), 1j ** (2 * k + 1)
         return BoundedValue(zk * ((1 + i_odd) * e + i_odd * f), abs(zk) * (sqrt(2.0) * e.bound + f.bound),
-                            e.terms + f.terms, "proof")
+                            e.terms + f.terms)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return BoundedValue(value, lattice_tail_bound(k, s, tau, M, kind), points, "proof")
+    return BoundedValue(value, lattice_tail_bound(k, s, tau, M, kind), points)
 
 
 FOURIER_BOUND = 40          # largest |h| in eisenstein_fourier's sum
@@ -380,7 +378,7 @@ def eisenstein_fourier(k: int, s: float, tau: complex,
         raise ValueError("eisenstein_fourier requires s >= 0")
     if k + 2 * s <= 1:
         raise ValueError(f"closed-form coefficients diverge at k={k}, s={s}")
-    tau = require_upper_half(tau)
+    tau = reduce_mod_one(tau)
     v = tau.imag
     zk = float(zeta_exact_neg(k))
     flip = 1 if k % 2 == 0 else -1

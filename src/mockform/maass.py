@@ -18,18 +18,20 @@ from __future__ import annotations
 import cmath
 import functools
 from fractions import Fraction
-from math import ceil, exp, expm1, log, pi, sqrt
+from math import exp, inf, log, log1p, pi, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .arithmetic import divisor_sums
 from .class_numbers import hurwitz_class_number, hurwitz_table
-from .config import DEFAULT_CONFIG, BoundedValue, EvalConfig, require_upper_half
+from .config import DEFAULT_CONFIG, BoundedValue, EvalConfig, reduce_mod_one, require_upper_half
 from .dirichlet_series import series_closed
 from .special_functions import rho_kernel, upper_incomplete_gamma
 
 _QUARTER_ROOT = 1.0 / (4.0 * sqrt(pi))
+_TWO_PI_I = 2j * pi
+_H0 = complex(-1.0 / 12.0)             # H(0), the constant term of sum H(n) q^n
 
 
 class HarmonicFormValue(NamedTuple):
@@ -38,71 +40,82 @@ class HarmonicFormValue(NamedTuple):
     nonholomorphic_part: complex
 
 
-def _truncate(series: str, tail: Callable[[int], float], first: int, max_terms: int,
-              v: float, tol: float, r: float, lead: float,
-              terms_at: Callable[[float], float]) -> tuple[int, float]:
-    """The first N >= first with tail(N) <= tol, and tail(N); ValueError past max_terms.
+def _tail(a: float, b: float) -> float:
+    """a/(1 - b/a): the bound on sum_{n>N} t(n) from a = t(N+1) and b = t(N+2).
 
-    Every tail(N) is at least lead r^{g(N)}, with g increasing and terms_at
-    its inverse.  With lead r^e = tol, each N < terms_at(e) - 1 has
-    g(N) < e - 1, so tail(N) > tol/r: the scan starts there and steps one
-    term at a time.  It does not bisect, because a tail may rise before it
-    falls.
+    t is a term bound whose ratio t(n+1)/t(n) does not increase, so every
+    dropped term is at most a (b/a)^j, j >= 0.  inf while b >= a; 0 once a
+    underflows.
     """
-    if r == 0.0 or tol >= lead:
-        N = first
-    elif r == 1.0:
-        N = max_terms
-    else:
-        N = ceil(terms_at(log(tol / lead) / log(r))) - 1
-    N = max(first, min(N, max_terms))
-    while (bound := tail(N)) > tol:
+    return a / (1.0 - b / a) if b < a else inf if a else 0.0
+
+
+def _truncate(series: str, term: Callable[[int], float], first: int, max_terms: int,
+              v: float, tol: float, hint: float) -> tuple[int, float]:
+    """The least N >= first with _tail(term(N+1), term(N+2)) <= tol, and that tail.
+
+    term(n) bounds the modulus of term n.  Raises ValueError past max_terms:
+    no series is truncated silently.  The tail is inf until its ratio falls
+    below 1 and only falls from there on, so "tail <= tol" changes once as N
+    grows: the walk starts at the hint, clamped to [first, max_terms], steps
+    down or up to the least such N, and its result does not depend on the hint.
+    """
+    N = first if not hint > first else max_terms if hint >= max_terms else int(hint)
+    a, b = term(N + 1), term(N + 2)
+    if (bound := _tail(a, b)) <= tol:
+        while N > first and (lower := _tail(prev := term(N), a)) <= tol:
+            N, bound, a = N - 1, lower, prev
+        return N, bound
+    while bound > tol:
         if N >= max_terms:
             raise ValueError(f"{series} needs more than {max_terms} terms "
                              f"at v = {v} for a tail below {tol}")
         N += 1
+        a, b = b, term(N + 2)
+        bound = _tail(a, b)
     return N, bound
 
 
-def _after_power(e: float) -> float:
-    """The N with N + 1 = e: inverse of the leading power r^{N+1}."""
-    return e - 1.0
+def _power_hint(c: float, p: int, a: float, r: float, tol: float) -> float:
+    """About the N where c N^p r^N/(1 - r) reaches tol, r = e^{-a}: where _truncate starts."""
+    L = log(c / tol)
+    return (L + (p * log1p(L / a) if L > 0 else 0.0) - log1p(-r)) / a if r < 1.0 else inf
 
 
 _THETA_MAX_TERMS = 400
 
 
 def theta_truncation(v: float, tol: float) -> tuple[int, float]:
-    """Terms N and tail bound 2 r^{N^2}/(1 - r), r = e^{-2 pi v}, of Theta at height v.
-
-    N >= 2 is the first whose bound is at most tol.  Raises ValueError when
-    that takes more than 400 terms: the series is not truncated silently.
-    """
+    """Terms N >= 2, at most 400, and tail of Theta at height v from the term bound 2 r^{n^2}, r = e^{-2 pi v}."""
     r = exp(-2 * pi * v)
-    one_minus_r = -expm1(-2 * pi * v)
-    return _truncate("theta_series", lambda N: 2 * r ** (N * N) / one_minus_r,
-                     2, _THETA_MAX_TERMS, v, tol, r, 2 / one_minus_r, sqrt)
+    return _truncate("theta_series", lambda n: 2 * r ** (n * n), 2, _THETA_MAX_TERMS, v, tol,
+                     sqrt(max(log(2 / tol), 0.0) / (2 * pi * v)) - 1)
 
 
 def theta_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundedValue:
     """Theta(tau) = sum_{n in Z} q^{n^2} over |n| <= N, where theta_truncation puts the tail below quad_tol."""
-    tau = require_upper_half(tau)
+    tau = reduce_mod_one(tau)
     N, tail = theta_truncation(tau.imag, cfg.quad_tol)
-    n = np.arange(1, N + 1)
-    return BoundedValue(1.0 + 2.0 * np.exp(2j * pi * tau * n * n).sum(), tail, N)
+    x, y = -2 * pi * tau.imag, 2 * pi * tau.real     # q^{n^2} = e^{(x + iy) n^2} is 0, not nan, once it underflows
+    total = sum(cmath.exp(complex(x * n * n, y * n * n)) for n in range(1, N + 1))
+    return BoundedValue(1.0 + 2.0 * total, tail, N)
 
 
 def hurwitz_truncation(v: float, tol: float, max_terms: int) -> tuple[int, float]:
-    """Terms N and tail bound (N+1) r^{N+1}/(1-r)^2, r = e^{-2 pi v}, of sum H(n) q^n.
+    """Terms N >= 4 and tail of sum H(n) q^n from the term bound n r^n (H(n) <= n), r = e^{-2 pi v}."""
+    a = 2 * pi * v
+    r = exp(-a)
+    return _truncate("completed_hurwitz_series", lambda n: n * r ** n, 4, max_terms, v, tol,
+                     _power_hint(1.0, 1, a, r, tol))
 
-    As H(n) <= n, sum_{n>N} H(n) r^n <= sum_{n>N} n r^n <= (N+1) r^{N+1}/(1-r)^2.
-    N >= 4 is the first whose bound is at most tol.  Raises ValueError when
-    that takes more than max_terms terms: the series is not truncated silently.
+
+def _nonholomorphic_term(n: int, v: float) -> float:
+    """(n / (4 sqrt(pi))) x^{-3/2} e^{-x/2}, x = 4 pi n^2 v, above |term n| of the nonholomorphic part.
+
+    Gamma(-1/2, x) < e^{-x} x^{-3/2} and |q^{-n^2}| = e^{x/2}; the ratio to n + 1 falls with n.
     """
-    r = exp(-2 * pi * v)
-    return _truncate("completed_hurwitz_series",
-                     lambda N: (N + 1) * r ** (N + 1) / (1 - r) ** 2,
-                     4, max_terms, v, tol, r, 1 / (1 - r) ** 2, _after_power)
+    x = 4.0 * pi * v * n * n
+    return _QUARTER_ROOT * n * x ** -1.5 * exp(-0.5 * x)
 
 
 # keys (v, quad_tol, q_terms) whose height part is kept: a Laplacian stencil
@@ -111,64 +124,55 @@ _HEIGHT_CACHE_SIZE = 16
 
 
 @functools.lru_cache(maxsize=_HEIGHT_CACHE_SIZE)
-def _height_part(v: float, tol: float, q_terms: int) -> tuple[int, float, int, complex,
-                                                             tuple[tuple[float, complex], ...]]:
+def _height_part(v: float, tol: float, q_terms: int) -> tuple:
     """What the completed series at height v needs of v alone.
 
-    N from hurwitz_truncation, the bound and the terms of the value, the
-    constant 1/(8 pi sqrt(v)), and for each nonholomorphic term that is kept
-    its real factor n Gamma(-1/2, 4 pi n^2 v)/(4 sqrt(pi)) and its phase
-    -2 pi i n^2, so that the term is factor e^{phase tau}.  Raises ValueError,
-    on every call, when the holomorphic part needs more than q_terms terms.
+    The bound and the terms of the value, the floats H(1..N) of the
+    certified hurwitz_table(N) with N from hurwitz_truncation, the constant
+    1/(8 pi sqrt(v)), and for each nonholomorphic term that is kept its real
+    factor n Gamma(-1/2, 4 pi n^2 v)/(4 sqrt(pi)) and its phase -2 pi i n^2,
+    so that the term is factor e^{phase tau}.  Raises ValueError, on every
+    call, when the holomorphic part needs more than q_terms terms.
     """
     N, holo_tail = hurwitz_truncation(v, tol, q_terms)
-    # |term n| < (n / (4 sqrt(pi))) x^{-3/2} e^{-2 pi n^2 v} with x = 4 pi n^2 v, from
-    # Gamma(-1/2, x) < e^{-x} x^{-3/2} and |q^{-n^2}| = e^{2 pi n^2 v}.  Terms are
-    # kept while that bound reaches tol, which keeps e^{2 pi n^2 v} below about
-    # 1/tol, in the float range as tol >= MIN_QUAD_TOL; at large v no term is
-    # kept at all.
+    # keeping terms until _tail reaches tol keeps e^{x/2} below about 1/tol, in the
+    # float range as tol >= MIN_QUAD_TOL; at large v no term is kept at all
     nonholo_terms = []
-    n = 1
-    while True:
-        x = 4.0 * pi * n * n * v
-        if _QUARTER_ROOT * n * x ** -1.5 * exp(-2 * pi * n * n * v) < tol:
-            break
-        nonholo_terms.append((_QUARTER_ROOT * n * upper_incomplete_gamma(-0.5, x), -2j * pi * n * n))
+    n, a, b = 1, _nonholomorphic_term(1, v), _nonholomorphic_term(2, v)
+    while (nonholo_tail := _tail(a, b)) > tol:
+        nonholo_terms.append((_QUARTER_ROOT * n * upper_incomplete_gamma(-0.5, 4.0 * pi * n * n * v),
+                              -2j * pi * n * n))
         n += 1
-    # dropped incomplete-gamma terms decay superexponentially; with v >= 0.05
-    # the term ratio stays below e^{-0.3 pi}, so twice the next-term bound
-    # covers the whole remainder
-    return (N, holo_tail + 2 * tol, N + n - 1, complex(1.0 / (8.0 * pi * sqrt(v))),
-            tuple(nonholo_terms))
+        a, b = b, _nonholomorphic_term(n + 1, v)
+    return (holo_tail + nonholo_tail, N + n - 1, hurwitz_table(N).floats(N)[1:N + 1],
+            complex(1.0 / (8.0 * pi * sqrt(v))), tuple(nonholo_terms))
 
 
 def completed_hurwitz_series(tau: complex,
                              cfg: EvalConfig = DEFAULT_CONFIG) -> HarmonicFormValue:
     """Evaluate the completed class number series at tau (v >= 0.05).
 
-    The holomorphic part adds H(n) q^n for n = 1..N, reading H(n) as the
-    floats of the certified hurwitz_table(N); the nonholomorphic part sums
-    incomplete gamma terms that decay like e^{-2 pi n^2 v}.  value.bound
-    bounds everything dropped from both series, and value.terms counts the
-    terms of both.  Raises ValueError when the holomorphic part needs more
-    than q_terms terms for a tail below quad_tol.
+    value.bound bounds everything dropped from both series, and value.terms
+    counts the terms of both.  Raises ValueError when the holomorphic part
+    needs more than q_terms terms for a tail below quad_tol.
 
-    Every coefficient depends on v alone, so the work splits in two.  The
-    height part, _height_part(v, quad_tol, q_terms), runs the truncation
-    scan and the Gamma(-1/2, .) loop; it is kept for the last
-    _HEIGHT_CACHE_SIZE keys, so stencil points that share a height pay for
-    it once.  The phase part, in each call, forms only q^n and e(-n^2 tau),
-    in the order of a single pass, so the split changes no bit of the result.
+    Every coefficient depends on v alone.  The height part, _height_part(v,
+    quad_tol, q_terms), truncates both series, reads H(1..N) as floats of the
+    certified hurwitz_table(N) and forms the Gamma(-1/2, .) factors; it is
+    kept for the last _HEIGHT_CACHE_SIZE keys, so stencil points that share a
+    height pay for it once.  Each call reduces tau mod 1 and forms only q^n
+    and e(-n^2 tau), in the order of a single pass, so the split changes no
+    bit of the result.
     """
-    tau = require_upper_half(tau)
+    tau = reduce_mod_one(tau)
     v = tau.imag
     if v < 0.05:
         raise ValueError(f"truncation floor: require v >= 0.05, got v={v}")
-    N, bound, terms, nonholo, nonholo_terms = _height_part(v, cfg.quad_tol, cfg.q_terms)
-    q = cmath.exp(2j * pi * tau)
-    holo = complex(-1.0 / 12.0)
+    bound, terms, h_floats, nonholo, nonholo_terms = _height_part(v, cfg.quad_tol, cfg.q_terms)
+    q = cmath.exp(_TWO_PI_I * tau)
+    holo = _H0
     qn = 1.0 + 0j
-    for h in hurwitz_table(N).floats(N)[1:N + 1]:
+    for h in h_floats:
         qn *= q
         if h:
             holo += h * qn
@@ -286,32 +290,20 @@ def xi_shadow_analytic(max_exponent: int = 400) -> list[ShadowCoefficient]:
 
 
 def e2_truncation(v: float, tol: float, max_terms: int) -> tuple[int, float]:
-    """Terms N and tail bound 24 sum_{m>N} m^2 r^m, r = e^{-2 pi v}, of E2 at height v.
-
-    sigma_1(m) <= m^2 makes this a bound on 24 sum_{m>N} sigma_1(m) |q|^m;
-    in closed form it is 24 r^{N+1} ((N+1)^2/(1-r) + 2(N+1) r/(1-r)^2 + r(1+r)/(1-r)^3).
-    N >= 1 is the first whose bound is at most tol.  Raises ValueError when
-    that takes more than max_terms terms: the series is not truncated silently.
-    """
-    r = exp(-2 * pi * v)
-    # w = 1/(1 - r): at tiny v its powers overflow to inf, where dividing by
-    # powers of 1 - r would raise ZeroDivisionError
-    w = 1.0 / -expm1(-2 * pi * v)
-
-    def tail(N):
-        M = N + 1
-        return 24 * r ** M * w * (M * M + 2 * M * r * w + r * (1 + r) * w * w)
-
-    # tail(N) >= 24 r^{N+1} w (N+1)^2 >= 24 w r^{N+1}
-    return _truncate("e2_star", tail, 1, max_terms, v, tol, r, 24 * w, _after_power)
+    """Terms N >= 1 and tail of E2 at height v from the term bound 24 n^2 r^n (sigma_1(n) <= n^2), r = e^{-2 pi v}."""
+    a = 2 * pi * v
+    r = exp(-a)
+    return _truncate("e2_star", lambda n: 24 * n * n * r ** n, 1, max_terms, v, tol,
+                     _power_hint(24.0, 2, a, r, tol))
 
 
 def e2_star(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundedValue:
     """Completed weight-2 Eisenstein series E2(tau) - 3/(pi v), summed to q^N where e2_truncation puts the tail below quad_tol."""
-    tau = require_upper_half(tau)
+    tau = reduce_mod_one(tau)
     v = tau.imag
     N, tail = e2_truncation(v, cfg.quad_tol, cfg.q_terms)
-    q_n = np.exp(2j * pi * tau * np.arange(1, N + 1))
+    n, z = np.arange(1, N + 1), 2j * pi * tau
+    q_n = np.exp(z.real * n + 1j * (z.imag * n))      # 0, not nan, once q^n underflows
     return BoundedValue(complex(1.0 - 24.0 * (divisor_sums(N)[0][1:] * q_n).sum()) - 3.0 / (pi * v), tail, N)
 
 

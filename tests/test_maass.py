@@ -1,5 +1,6 @@
 import cmath
 import pickle
+import warnings
 from fractions import Fraction
 from math import exp, pi, sqrt
 
@@ -9,9 +10,9 @@ import pytest
 from scipy.special import gamma as Gamma
 
 from mockform import maass
-from mockform.arithmetic import sigma_divisor
+from mockform.arithmetic import divisor_sums, sigma_divisor
 from mockform.class_numbers import hurwitz_table
-from mockform.config import DEFAULT_CONFIG, BoundedValue, EvalConfig, require_upper_half
+from mockform.config import DEFAULT_CONFIG, BoundedValue, EvalConfig, reduce_mod_one
 from mockform.dirichlet_series import series_closed, series_partial
 from mockform.eisenstein import Gamma04Matrix, eisenstein_direct, lattice_tail_bound, modularity_residual
 from mockform.maass import (
@@ -50,7 +51,10 @@ def test_theta_periodicity_and_values():
     assert abs(theta_series(10j, CFG) - (1 + 2 * exp(-20 * pi))) < 1e-8
     assert abs(theta_series(1j, CFG) - THETA_AT_I) < 1e-13
     # classical closed form at nome e^{-pi}
-    assert abs(theta_series(0.5j, CFG) - pi ** 0.25 / Gamma(0.75)) < 1e-13
+    closed = pi ** 0.25 / Gamma(0.75)
+    assert abs(theta_series(0.5j, CFG.with_(quad_tol=1e-14)) - closed) < 1e-13
+    value = theta_series(0.5j, CFG)
+    assert abs(value - closed) <= value.bound + 1e-15
 
 
 def test_theta_against_mpmath_jtheta():
@@ -65,11 +69,12 @@ def test_theta_against_mpmath_jtheta():
 
 
 def test_theta_refuses_beyond_400_terms():
-    # at v = 1e-6 the capped series gave 597.02 where jtheta gives 707.107
-    for v in (1e-6, 3e-5):
+    # at v = 1e-6 the capped series gave 597.02 where jtheta gives 707.107; at
+    # quad_tol = 1e-10 the 400 terms reach down to v = 2.557e-5
+    for v in (1e-6, 2.55e-5):
         with pytest.raises(ValueError, match="more than 400 terms"):
             theta_series(complex(0.0, v), CFG)
-    assert theta_truncation(3.3e-5, CFG.quad_tol)[0] <= 400
+    assert theta_truncation(2.56e-5, CFG.quad_tol)[0] == 400
 
 
 def test_completed_series_values():
@@ -93,20 +98,20 @@ def test_truncated_evaluations_are_bounded_values():
     tau = 0.1 + 0.7j
     direct = eisenstein_direct("H", 2, 1.0, tau, CFG)
     values = {
-        "theta": (theta_series(tau, CFG), "proof"),
-        "e2star": (e2_star(tau, CFG), "proof"),
-        "series": (series_partial(5, 3.0, 300), "proof"),
-        "completed": (completed_hurwitz_series(tau, CFG).value, "proof"),
-        "direct": (direct, "proof"),
+        "theta": theta_series(tau, CFG),
+        "e2star": e2_star(tau, CFG),
+        "series": series_partial(5, 3.0, 300),
+        "completed": completed_hurwitz_series(tau, CFG).value,
+        "direct": direct,
     }
-    for name, (x, kind) in values.items():
+    for name, x in values.items():
         assert isinstance(x, BoundedValue) and isinstance(x, complex), name
-        assert x.kind == kind and x.terms > 0 and 0 < x.bound < 1e-2, name
+        assert x.terms > 0 and 0 < x.bound < 1e-2, name
         for result in (x + 1, 1 - x, 2 * x, x * x, x / 3, -x, +x, x ** 2):
             assert type(result) is complex, name
         back = pickle.loads(pickle.dumps(x))
         assert type(back) is BoundedValue, name
-        assert (complex(back), back.bound, back.terms, back.kind) == (complex(x), x.bound, x.terms, x.kind), name
+        assert (complex(back), back.bound, back.terms) == (complex(x), x.bound, x.terms), name
     # H sums F to M and E, the minor share of its bound here, to a smaller disc
     M = CFG.lattice_bound
     single = 1 / 120 / 2 ** 5 * (sqrt(2.0) * lattice_tail_bound(2, 1.0, tau, M)
@@ -124,7 +129,7 @@ def test_completed_series_guards():
 def reference_completed_hurwitz_series(tau: complex,
                                        cfg: EvalConfig = DEFAULT_CONFIG) -> HarmonicFormValue:
     """The definition: completed_hurwitz_series as one pass per point, keeping nothing between calls."""
-    tau = require_upper_half(tau)
+    tau = reduce_mod_one(tau)
     v = tau.imag
     if v < 0.05:
         raise ValueError(f"truncation floor: require v >= 0.05, got v={v}")
@@ -139,23 +144,15 @@ def reference_completed_hurwitz_series(tau: complex,
             holo += h * qn
 
     nonholo = complex(1.0 / (8.0 * pi * sqrt(v)))
-    # |term n| < (n / (4 sqrt(pi))) x^{-3/2} e^{-2 pi n^2 v} with x = 4 pi n^2 v, from
-    # Gamma(-1/2, x) < e^{-x} x^{-3/2} and |q^{-n^2}| = e^{2 pi n^2 v}.  Terms are
-    # added while that bound reaches tol, which keeps e^{2 pi n^2 v} below about
-    # 1/tol, in the float range as tol >= MIN_QUAD_TOL; at large v no term is
-    # added at all.
+    # terms are added until the tail t(n)/(1 - t(n+1)/t(n)) of the rest reaches tol
+    t = lambda n: maass._nonholomorphic_term(n, v)
     n = 1
-    while True:
+    while (nonholo_tail := maass._tail(t(n), t(n + 1))) > tol:
         x = 4.0 * pi * n * n * v
-        if _QUARTER_ROOT * n * x ** -1.5 * exp(-2 * pi * n * n * v) < tol:
-            break
         nonholo += (_QUARTER_ROOT * n * upper_incomplete_gamma(-0.5, x)
                     * cmath.exp(-2j * pi * n * n * tau))
         n += 1
-    # dropped incomplete-gamma terms decay superexponentially; with v >= 0.05
-    # the term ratio stays below e^{-0.3 pi}, so twice the next-term bound
-    # covers the whole remainder
-    return HarmonicFormValue(BoundedValue(holo + nonholo, holo_tail + 2 * tol, N + n - 1), holo, nonholo)
+    return HarmonicFormValue(BoundedValue(holo + nonholo, holo_tail + nonholo_tail, N + n - 1), holo, nonholo)
 
 
 def _bits(z):
@@ -166,8 +163,7 @@ def _bits(z):
 def _assert_matches_reference(tau, cfg):
     got, want = completed_hurwitz_series(tau, cfg), reference_completed_hurwitz_series(tau, cfg)
     assert [_bits(x) for x in got] == [_bits(x) for x in want], tau
-    assert (got.value.bound.hex(), got.value.terms, got.value.kind) == \
-        (want.value.bound.hex(), want.value.terms, want.value.kind), tau
+    assert (got.value.bound.hex(), got.value.terms) == (want.value.bound.hex(), want.value.terms), tau
 
 
 def test_completed_series_matches_its_reference_bit_for_bit():
@@ -229,7 +225,7 @@ def test_stencils_compute_each_height_part_once(monkeypatch):
         assert len(heights) == len(set(heights)) == distinct
         info = maass._height_part.cache_info()
         assert (info.misses, info.hits) == (distinct, calls - distinct)
-        kept = sum(len(maass._height_part(v, CFG.quad_tol, CFG.q_terms)[4]) for v in heights)
+        kept = sum(len(maass._height_part(v, CFG.quad_tol, CFG.q_terms)[-1]) for v in heights)
         assert len(gammas) == len(set(gammas)) == kept > 0
 
 
@@ -354,7 +350,8 @@ def test_e2star_matches_the_scalar_sigma_loop():
         N, _ = e2_truncation(tau.imag, cfg.quad_tol, cfg.q_terms)
         n = np.arange(1, N + 1)
         sigma = np.array([sigma_divisor(1, m) for m in range(1, N + 1)], dtype=float)
-        expected = complex(1.0 - 24.0 * (sigma * np.exp(2j * pi * tau * n)).sum()) - 3.0 / (pi * tau.imag)
+        q_n = np.exp(2j * pi * reduce_mod_one(tau) * n)             # e2_star reduces tau mod 1
+        expected = complex(1.0 - 24.0 * (sigma * q_n).sum()) - 3.0 / (pi * tau.imag)
         assert e2_star(tau, cfg) == expected, tau
 
 
@@ -391,61 +388,68 @@ def test_e2star_refuses_beyond_q_terms():
     assert 4000 < N <= 10_000 and tail <= CFG.quad_tol
 
 
-def _one_step_truncate(series, tail, first, max_terms, v, tol):
+def _one_step_truncate(series, term, first, max_terms, v, tol):
     """The scan that tries every N from first on, one term at a time (the oracle)."""
     N = first
-    while tail(N) > tol:
+    while (tail := maass._tail(term(N + 1), term(N + 2))) > tol:
         if N >= max_terms:
             raise ValueError(f"{series} needs more than {max_terms} terms "
                              f"at v = {v} for a tail below {tol}")
         N += 1
-    return N, tail(N)
+    return N, tail
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _truncations(v, tol):
+    return (lambda: theta_truncation(v, tol), lambda: hurwitz_truncation(v, tol, CFG.q_terms),
+            lambda: e2_truncation(v, tol, CFG.q_terms))
 
 
 def test_truncation_skips_ahead_to_the_same_terms(monkeypatch):
-    # each truncation runs both scans on its own tail: the same N, the same tail
-    # and the same refusal, with fewer than half the tail evaluations
+    # each truncation's own term bound goes through the one-step scan, and through
+    # _truncate from its own hint and from the hints 0, N and 10 N: the same N, the
+    # same tail and the same refusal every time
     real = maass._truncate
     seen = []
 
-    def counted(tail, calls):
-        def wrapped(N):
-            calls[0] += 1
-            return tail(N)
-        return wrapped
-
-    def both(series, tail, first, max_terms, v, tol, *lead):
-        outcomes, counts = [], []
-        for scan, extra in ((_one_step_truncate, ()), (real, lead)):
-            calls = [0]
-            try:
-                outcomes.append(scan(series, counted(tail, calls), first, max_terms, v, tol,
-                                     *extra))
-            except ValueError as exc:
-                outcomes.append(str(exc))
-            counts.append(calls[0])
-        seen.append((series, v, tol, *outcomes, *counts))
-        return outcomes[1]
+    def both(series, term, first, max_terms, v, tol, hint):
+        oracle = _outcome(_one_step_truncate, series, term, first, max_terms, v, tol)
+        N = oracle[0] if isinstance(oracle, tuple) else max_terms
+        for start in (hint, 0, N, 10 * N):
+            assert _outcome(real, series, term, first, max_terms, v, tol, start) == oracle, \
+                (series, v, tol, start)
+        seen.append((series, oracle))
+        return real(series, term, first, max_terms, v, tol, hint)
 
     monkeypatch.setattr(maass, "_truncate", both)
     for v in np.geomspace(1e-3, 5.0, 31):
         for tol in (1e-6, 1e-10, 1e-14):
-            for truncation in (theta_truncation,
-                               lambda v, tol: hurwitz_truncation(v, tol, CFG.q_terms),
-                               lambda v, tol: e2_truncation(v, tol, CFG.q_terms)):
+            for truncation in _truncations(float(v), tol):
                 try:
-                    truncation(float(v), tol)
+                    truncation()
                 except ValueError:
                     pass
     assert len(seen) == 31 * 3 * 3
-    for series, v, tol, oracle, got, _, _ in seen:
-        assert got == oracle, (series, v, tol)
     # at v = 1e-3 both q-series need more than q_terms terms; theta never does
-    refused = {series for series, *_, got, _, _ in seen if isinstance(got, str)}
+    refused = {series for series, oracle in seen if isinstance(oracle, str)}
     assert refused == {"completed_hurwitz_series", "e2_star"}
-    oracle_calls = sum(row[-2] for row in seen)
-    calls = sum(row[-1] for row in seen)
-    assert calls < oracle_calls / 2, (calls, oracle_calls)
+
+
+def test_truncation_hints_land_within_a_few_terms(monkeypatch):
+    tail, calls = maass._tail, []
+    monkeypatch.setattr(maass, "_tail", lambda a, b: calls.append(a) or tail(a, b))
+    for v in (0.05, 0.1, 0.3, 1.0, 3.0):
+        for tol in (1e-6, 1e-10, 1e-14):
+            for truncation in _truncations(v, tol):
+                calls.clear()
+                truncation()
+                assert len(calls) <= 5, (v, tol, len(calls))
 
 
 def test_s_limit_check():
@@ -485,3 +489,137 @@ def test_fourier_coefficient_extraction():
 def test_u_average_constant_term():
     mean = fourier_coefficient(series_value, 0, 1.0, 64)
     assert abs(mean - (-1 / 12 + 1 / (8 * pi))) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Every tail against an independent sum of what it drops.
+
+_GRID_V = (0.05, 0.1, 0.3, 1.0, 3.0)
+_GRID_TOL = (1e-6, 1e-10, 1e-14)
+
+
+def _captured_terms(monkeypatch, v, tol):
+    """{series: (N, tail, term bound)} of the three holomorphic truncations at (v, tol)."""
+    real, got = maass._truncate, {}
+
+    def capture(series, term, *args):
+        got[series] = (*real(series, term, *args), term)
+        return got[series][:2]
+
+    monkeypatch.setattr(maass, "_truncate", capture)
+    for truncation in _truncations(v, tol):
+        truncation()
+    monkeypatch.setattr(maass, "_truncate", real)
+    return got
+
+
+def _assert_ratio_falls(term, upto):
+    """term(n+1)/term(n) does not increase for n <= upto, while the terms are normal floats."""
+    ratios = [term(n + 1) / term(n) for n in range(1, upto + 1) if term(n + 1) >= 2.3e-308]
+    assert all(b <= a for a, b in zip(ratios, ratios[1:])), ratios
+
+
+# a tail is evaluated in binary64 from e^{-2 pi v}, so it may fall short of the exact
+# dropped sum by its own rounding: theta's, which is its first dropped term to within
+# r^{2N+3}, undershoots by 1.5e-15 relative at v = 0.3, tol = 1e-14
+_ROUNDING = 1e-12
+
+
+@pytest.mark.parametrize("v", _GRID_V)
+def test_holomorphic_tails_cover_what_they_drop(monkeypatch, v):
+    # 150 digits resolve theta's dropped sum (down to 1e-74 at v = 3) next to its 1
+    with mpmath.workdps(150):
+        r = mpmath.exp(-2 * mpmath.pi * v)
+        for tol in _GRID_TOL:
+            got = _captured_terms(monkeypatch, v, tol)
+            N, tail, term = got["theta_series"]
+            kept = 1 + 2 * mpmath.fsum(r ** (n * n) for n in range(1, N + 1))
+            dropped = {"theta_series": mpmath.jtheta(3, 0, r) - kept}
+            N, _, term = got["completed_hurwitz_series"]
+            h = hurwitz_table(N + 300).floats(N + 300)
+            dropped["completed_hurwitz_series"] = mpmath.fsum(h[n] * r ** n for n in range(N + 1, N + 301))
+            N, _, term = got["e2_star"]
+            sigma = divisor_sums(N + 300)[0]
+            dropped["e2_star"] = 24 * mpmath.fsum(int(sigma[n]) * r ** n for n in range(N + 1, N + 301))
+            for series, (N, tail, term) in got.items():
+                assert float(dropped[series]) <= tail * (1 + _ROUNDING) and tail <= tol, (series, v, tol)
+                _assert_ratio_falls(term, 2 * N)
+            # each term bound lies above its term
+            N, _, term = got["completed_hurwitz_series"]
+            assert all(h[n] * float(r ** n) <= term(n) for n in range(1, 2 * N + 1))
+            N, _, term = got["e2_star"]
+            assert all(24 * int(sigma[n]) * float(r ** n) <= term(n) for n in range(1, 2 * N + 1))
+
+
+def _nonholomorphic_modulus(n, v):
+    """|term n| of the nonholomorphic part, n Gamma(-1/2, x) e^{x/2} / (4 sqrt(pi)) with x = 4 pi n^2 v."""
+    x = 4 * mpmath.pi * n * n * v
+    return n * mpmath.gammainc(-0.5, x) * mpmath.exp(x / 2) / (4 * mpmath.sqrt(mpmath.pi))
+
+
+@pytest.mark.parametrize("v", _GRID_V)
+def test_nonholomorphic_tail_covers_what_it_drops(monkeypatch, v):
+    tail, tails = maass._tail, []
+    monkeypatch.setattr(maass, "_tail", lambda a, b: tails.append(tail(a, b)) or tails[-1])
+    with mpmath.workdps(30):
+        for tol in _GRID_TOL:
+            maass._height_part.cache_clear()
+            tails.clear()
+            N = hurwitz_truncation(v, tol, CFG.q_terms)[0]
+            M = len(maass._height_part(v, tol, CFG.q_terms)[-1])
+            nonholo_tail = tails[-1]                    # the last tail the height part tested
+            dropped = mpmath.fsum(_nonholomorphic_modulus(n, v) for n in range(M + 1, M + 40))
+            assert float(dropped) <= nonholo_tail * (1 + _ROUNDING) and nonholo_tail <= tol, (v, tol)
+            term = lambda n: maass._nonholomorphic_term(n, v)
+            _assert_ratio_falls(term, 2 * max(N, M))
+            assert all(_nonholomorphic_modulus(n, v) <= term(n) for n in range(1, 2 * max(N, M) + 1)
+                       if term(n) >= 2.3e-308)
+
+
+# ---------------------------------------------------------------------------
+# Translation and huge heights.
+
+
+def _completed_mpmath(tau, N, M):
+    """The completed series at the exact point tau, summed to q^N and to M nonholomorphic terms, at 30 digits."""
+    h = hurwitz_table(N).floats(N)
+    with mpmath.workdps(30):
+        t = mpmath.mpc(tau.real, tau.imag)
+        q = mpmath.exp(2j * mpmath.pi * t)
+        v = t.imag
+        total = -mpmath.mpf(1) / 12 + 1 / (8 * mpmath.pi * mpmath.sqrt(v))
+        total += mpmath.fsum(h[n] * q ** n for n in range(1, N + 1))
+        total += mpmath.fsum(n * mpmath.gammainc(-0.5, 4 * mpmath.pi * n * n * v)
+                             * mpmath.exp(-2j * mpmath.pi * n * n * t) for n in range(1, M + 1)) \
+            / (4 * mpmath.sqrt(mpmath.pi))
+        return complex(total)
+
+
+def test_periodic_evaluators_reduce_tau_mod_one():
+    # at a large |u| the phases lose no digits: each value meets a 30-digit oracle at
+    # the exact binary64 point within its bound
+    tau = 1e6 + 0.3j
+    with mpmath.workdps(30):
+        expected = complex(mpmath.jtheta(3, 0, mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))))
+    value = theta_series(tau, CFG)
+    assert value == theta_series(0.3j, CFG) and abs(value - expected) <= value.bound + 1e-15
+    tau = 1e6 + 0.3 + 0.5j
+    value = e2_star(tau, CFG)
+    assert abs(value - _e2star_lambert(tau)) <= value.bound + 1e-14
+    for tau in (1e9 + 0.3 + 0.06j, -7.0 + 0.2 + 0.5j):
+        series = completed_hurwitz_series(tau, CFG)
+        v = series.value
+        N = hurwitz_truncation(tau.imag, CFG.quad_tol, CFG.q_terms)[0]
+        assert abs(v - _completed_mpmath(tau, N, v.terms - N)) <= v.bound + 1e-13, tau
+        assert series == completed_hurwitz_series(reduce_mod_one(tau), CFG)
+    assert reduce_mod_one(1e300 + 1j) == 1j and reduce_mod_one(-2.5 + 1j) == -0.5 + 1j
+
+
+def test_huge_heights_give_finite_values():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (1e308j, 1e308 + 1j, 0.25 + 1e300j):
+            for value in (theta_series(tau, CFG), e2_star(tau, CFG)):
+                assert cmath.isfinite(value) and value.bound <= CFG.quad_tol, tau
+        assert theta_series(1e308j, CFG) == 1.0
+        assert e2_star(1e308j, CFG) == 1.0 - 3.0 / (pi * 1e308)
