@@ -35,7 +35,7 @@ for tau in (1j, 10j, 0.3 + 0.6j):
     print(f"  tau = {tau}: {val.value:.12f}")
     print(f"      holomorphic    {val.holomorphic_part:.12f}")
     print(f"      nonholomorphic {val.nonholomorphic_part:.12f}"
-          f"   (tail bound {val.value.bound:.1e})")
+          f"   (error bound {val.value.bound:.1e})")
 print(f"  large v check: -1/12 + 1/(8 pi sqrt(10)) = "
       f"{-1/12 + 1/(8*pi*sqrt(10)):.12f}")
 

@@ -19,29 +19,24 @@ MAX_TABLE_N = 2 ** 20 - 1
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Truncation bounds and the tolerance.
+    """The lattice truncation and the tolerance.
 
     lattice_bound   largest modulus m in direct lattice sums, odd (H sums the part
                     with the smaller share of its bound to fewer)
-    q_terms         cap on q-series terms, at most MAX_TABLE_N
     quad_tol        absolute tolerance for quadrature and series tails,
                     at least MIN_QUAD_TOL and finite
     """
 
     lattice_bound: int = 301
-    q_terms: int = 4000
     quad_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("lattice_bound", "q_terms"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        if self.lattice_bound < 1:
+            raise ValueError("lattice_bound must be positive")
         if self.lattice_bound % 2 == 0:
             # lattice_tail_bound needs the first dropped row to be m = M + 2, whose points
             # all lie at |m tau + n| >= (M + 2) v
             raise ValueError(f"lattice_bound must be odd, got {self.lattice_bound}")
-        if self.q_terms > MAX_TABLE_N:
-            raise ValueError(f"q_terms must be at most MAX_TABLE_N = {MAX_TABLE_N}, got {self.q_terms}")
         if not self.quad_tol >= MIN_QUAD_TOL:
             raise ValueError(f"quad_tol must be at least {MIN_QUAD_TOL:g}, "
                              f"got {self.quad_tol!r}")
@@ -69,8 +64,9 @@ def reduce_mod_one(tau: complex) -> complex:
 
 
 class BoundedValue(complex):
-    """A truncated evaluation: its complex value, a proven bound on the truncation error and
-    the terms summed (q-powers, moduli or lattice points).
+    """A truncated evaluation: its complex value, a proven bound on its error (the truncation;
+    for the q-series of maass also the rounding of their sums) and the terms summed
+    (q-powers, moduli or lattice points).
 
     Arithmetic on it gives a plain complex.
     """

@@ -393,9 +393,11 @@ def eisenstein_fourier(k: int, s: float, tau: complex,
 
 def modularity_residual(f: Callable[[complex], complex], k: int, s: float,
                         g: Gamma04Matrix, tau: complex) -> float:
-    """|f(g tau) - (c/d) eps_d^{-2k-1} (c tau + d)^{k+1/2} |c tau + d|^{2s} f(tau)|."""
+    """|f(g tau) - J(g, tau)^{2k+1} |c tau + d|^{2s} f(tau)|, J = automorphy_factor.
+
+    J^{2k+1} = (c/d) eps_d^{-2k-1} (c tau + d)^{k+1/2}: (c/d) is +-1, and the
+    principal square root to the power 2k + 1 is exp((k + 1/2) Log(c tau + d)).
+    """
     tau = require_upper_half(tau)
-    z = complex(g.c * tau + g.d)
-    factor = (kronecker_symbol(g.c, g.d) * epsilon_factor(g.d) ** (-2 * k - 1)
-              * cmath.exp((k + 0.5) * cmath.log(z)) * abs(z) ** (2.0 * s))
+    factor = automorphy_factor(g, tau) ** (2 * k + 1) * abs(g.c * tau + g.d) ** (2.0 * s)
     return abs(f(g.apply(tau)) - factor * f(tau))

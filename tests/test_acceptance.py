@@ -137,4 +137,4 @@ def test_verify_all_matches_benchmark_reference(monkeypatch, capsys):
     records = [[r.check_name, r.parameters, r.residual, r.tolerance, r.passed]
                for s in SUITES for r in _suite(s)]
     assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == (
-        "15436e08351ab526acfd2e2fff718d99026a851ec428354f929e25158706d0f5")
+        "c9b8780562c97aa1c4e57628f314853e2402a40d3574cc3a1aefa3799c80ee55")

@@ -451,9 +451,10 @@ def test_cli_eval_theta(capsys):
 
 def test_cli_eval_theta_reports_its_tail_bound(capsys):
     assert main(["eval", "--target", "theta", "--tau", "0.3,1e-3", "--format", "json"]) == 0
-    tail = json.loads(capsys.readouterr().out)["results"][0]["truncation_tail"]
-    assert tail == theta_truncation(1e-3, 1e-10)[1]
-    assert 0 < tail <= 1e-10 and tail != 1e-10
+    bound = json.loads(capsys.readouterr().out)["results"][0]["truncation_tail"]
+    # the truncation tail plus the rounding of the sum
+    assert bound == theta_series(0.3 + 1e-3j).bound > theta_truncation(1e-3, 1e-10)[1]
+    assert 0 < bound <= 1e-10
 
 
 def test_cli_eval_at_large_u_and_huge_heights(capsys):
@@ -480,21 +481,13 @@ def test_cli_eval_theta_refuses_below_its_range(capsys):
 
 def test_cli_eval_e2star_reports_its_tail_bound(capsys):
     assert main(["eval", "--target", "e2star", "--tau", "0.3,0.05", "--format", "json"]) == 0
-    tail = json.loads(capsys.readouterr().out)["results"][0]["truncation_tail"]
-    assert tail == e2_truncation(0.05, 1e-10, 4000)[1]
-    assert 0 < tail <= 1e-10 and tail != 1e-10
+    bound = json.loads(capsys.readouterr().out)["results"][0]["truncation_tail"]
+    assert bound == e2_star(0.3 + 0.05j).bound > e2_truncation(0.05, 1e-10)[1]
+    assert 0 < bound <= 1e-10
 
 
 def test_cli_eval_e2star_refuses_beyond_q_terms(capsys):
     assert main(["eval", "--target", "e2star", "--tau", "0,1e-3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("mockform: evaluation outside the convergence domain: ")
-
-
-def test_cli_eval_h_refuses_beyond_q_terms(capsys):
-    # v = 0.05 needs about 100 terms of sum H(n) q^n for a tail below 1e-10
-    assert main(["eval", "--target", "H", "--tau", "0,0.05", "--q-terms", "50"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("mockform: evaluation outside the convergence domain: ")
@@ -711,25 +704,19 @@ def test_cli_fourier_bound_is_a_usage_error(capsys, argv):
     assert captured.out == "" and "unrecognized arguments: --fourier-bound" in captured.err
 
 
-def test_cli_q_terms_past_max_table_n_is_refused_before_allocating(capsys):
-    # a cap of 10^12 let e2star at v = 1e-5 sum about 10^6 terms; the refusal comes first
-    argv = ["eval", "--target", "e2star", "--tau", "0,1e-5", "--q-terms", str(10 ** 12)]
-    tracemalloc.start()
-    try:
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert exc.value.code == 1 and peak < 1 << 20
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        f"mockform: bad configuration: q_terms must be at most MAX_TABLE_N = {MAX_TABLE_N}, got {10 ** 12}"]
+@pytest.mark.parametrize("argv", [
+    ["eval", "--target", "e2star", "--tau", "0,1e-4", "--q-terms", "100000"],
+    ["verify", "--suite", "modularity", "--q-terms", "5"],
+], ids=["eval", "verify"])
+def test_cli_q_terms_is_a_usage_error(capsys, argv):
+    # the q-series caps are fixed (400 terms for theta, 4000 for the others), not options
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "modularity", "--q-terms", str(MAX_TABLE_N + 1)])
+        main(argv)
     assert exc.value.code == 1
-    assert EvalConfig(q_terms=MAX_TABLE_N).q_terms == MAX_TABLE_N
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and sum(line.startswith("usage: ") for line in lines) == 1
+    assert lines[-1] == f"mockform: error: unrecognized arguments: --q-terms {argv[-1]}"
 
 
 def test_cli_verify_negative_seed_is_a_usage_error(capsys):
@@ -805,9 +792,8 @@ def test_cli_non_finite_float_config_is_usage_error(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--suite", "modularity", "--q-terms", "5"],
     ["verify", "--suite", "fourier", "--lattice-bound", "2000001"],
-], ids=["q-terms", "lattice-bound"])
+], ids=["lattice-bound"])
 def test_cli_verify_domain_violation_exits_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -373,7 +373,7 @@ def test_one_evaluation_builds_the_row_once(monkeypatch, empty_row):
         return sixths(max_n)
 
     monkeypatch.setattr(class_numbers, "_sixths_by_forms", counted)
-    N, _ = hurwitz_truncation(0.05, 1e-10, 4000)
+    N, _ = hurwitz_truncation(0.05, 1e-10)
     completed_hurwitz_series(0.3 + 0.05j)
     assert calls == [127] and N == 91          # the next power of two >= N + 1, once
     completed_hurwitz_series(0.1 + 0.05j)
@@ -415,7 +415,7 @@ def test_every_row_is_certified_once(monkeypatch, empty_row, tmp_path):
 @pytest.mark.parametrize("tau", [0.05j, 0.3 + 0.05j, -0.4 + 0.2j, 0.25 + 1j, 2.0 + 3j])
 def test_holomorphic_part_matches_per_n_oracle(tau):
     # the loop of completed_hurwitz_series, with H(n) from the per-N oracle
-    N, _ = hurwitz_truncation(tau.imag, 1e-10, 4000)
+    N, _ = hurwitz_truncation(tau.imag, 1e-10)
     q = cmath.exp(2j * pi * (tau - round(tau.real)))        # the series reduces tau mod 1
     holo = complex(-1.0 / 12.0)
     qn = 1.0 + 0j

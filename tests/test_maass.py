@@ -12,7 +12,7 @@ from scipy.special import gamma as Gamma
 from mockform import maass
 from mockform.arithmetic import divisor_sums, sigma_divisor
 from mockform.class_numbers import hurwitz_table
-from mockform.config import DEFAULT_CONFIG, BoundedValue, EvalConfig, reduce_mod_one
+from mockform.config import DEFAULT_CONFIG, MIN_QUAD_TOL, BoundedValue, EvalConfig, reduce_mod_one
 from mockform.dirichlet_series import series_closed, series_partial
 from mockform.eisenstein import Gamma04Matrix, eisenstein_direct, lattice_tail_bound, modularity_residual
 from mockform.maass import (
@@ -65,7 +65,8 @@ def test_theta_against_mpmath_jtheta():
             expected = complex(mpmath.jtheta(3, 0, mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau))))
         _, tail = theta_truncation(tau.imag, CFG.quad_tol)
         assert tail <= CFG.quad_tol
-        assert abs(theta_series(tau, CFG) - expected) <= tail + 1e-11, tau
+        value = theta_series(tau, CFG)
+        assert tail < value.bound and abs(value - expected) <= value.bound, tau
 
 
 def test_theta_refuses_beyond_400_terms():
@@ -134,7 +135,7 @@ def reference_completed_hurwitz_series(tau: complex,
     if v < 0.05:
         raise ValueError(f"truncation floor: require v >= 0.05, got v={v}")
     tol = cfg.quad_tol
-    N, holo_tail = hurwitz_truncation(v, tol, cfg.q_terms)
+    N, holo_tail = hurwitz_truncation(v, tol)
     q = cmath.exp(2j * pi * tau)
     holo = complex(-1.0 / 12.0)
     qn = 1.0 + 0j
@@ -143,8 +144,10 @@ def reference_completed_hurwitz_series(tau: complex,
         if h:
             holo += h * qn
 
-    nonholo = complex(1.0 / (8.0 * pi * sqrt(v)))
-    # terms are added until the tail t(n)/(1 - t(n+1)/t(n)) of the rest reaches tol
+    c0 = 1.0 / (8.0 * pi * sqrt(v))
+    nonholo = complex(c0)
+    # terms are added until the tail t(n)/(1 - t(n+1)/t(n)) of the rest reaches tol;
+    # the rounding of every sum is bounded as _height_part documents it
     t = lambda n: maass._nonholomorphic_term(n, v)
     n = 1
     while (nonholo_tail := maass._tail(t(n), t(n + 1))) > tol:
@@ -152,7 +155,14 @@ def reference_completed_hurwitz_series(tau: complex,
         nonholo += (_QUARTER_ROOT * n * upper_incomplete_gamma(-0.5, x)
                     * cmath.exp(-2j * pi * n * n * tau))
         n += 1
-    return HarmonicFormValue(BoundedValue(holo + nonholo, holo_tail + nonholo_tail, N + n - 1), holo, nonholo)
+    r = exp(-2 * pi * v)
+    S0 = r / (1.0 - r) ** 2
+    S1 = S0 * (1.0 + r) / (1.0 - r)
+    P, aQ = maass._gaussian_sums(2 * pi * v)
+    rounding = maass._U * ((N + 2) / 12 + (N + 3) * S0 + ((14 + 4 * pi * v) * S1 if r else 0.0)
+                           + (n + 4) * c0 + 2 * c0 * ((n + 32) * P + (8 + 2 / v) * aQ))
+    return HarmonicFormValue(BoundedValue(holo + nonholo, holo_tail + nonholo_tail + rounding, N + n - 1),
+                             holo, nonholo)
 
 
 def _bits(z):
@@ -179,22 +189,31 @@ def test_completed_series_matches_its_reference_bit_for_bit():
     for tau in (0.1 + 0.37j, 0.1 + 1.1j, -0.3 + 0.37j, 0.25 + 1.1j, 0.4 + 0.37j):   # v1, v2, v1, ...
         _assert_matches_reference(tau, CFG)
     # other configurations at heights already kept under the default one
-    for cfg in (EvalConfig(quad_tol=1e-13, q_terms=500), EvalConfig(q_terms=200),
+    for cfg in (EvalConfig(quad_tol=1e-13), EvalConfig(quad_tol=MIN_QUAD_TOL),
                 EvalConfig(quad_tol=1e-6)):
         for tau in (0.3 + 0.05j, -0.2 + 0.37j, 0.45 + 3j):
             _assert_matches_reference(tau, cfg)
 
 
-def test_completed_series_refusals_raise_on_every_call():
+def test_completed_series_refusals_raise_on_every_call(monkeypatch):
     maass._height_part.cache_clear()
     completed_hurwitz_series(0.1 + 0.3j, CFG)       # the height is kept under the default key
-    small = EvalConfig(q_terms=5)
     for _ in range(3):
         with pytest.raises(ValueError, match="truncation floor"):
             completed_hurwitz_series(0.5 + 0.049j, CFG)
+    # v >= 0.05 keeps the holomorphic part far below its 4000-term cap; a lower cap
+    # shows that a refused height is refused again, not kept
+    monkeypatch.setattr(maass, "_Q_MAX_TERMS", 5)
+    for _ in range(3):
         with pytest.raises(ValueError, match="needs more than 5 terms"):
-            completed_hurwitz_series(0.2 + 0.3j, small)
+            completed_hurwitz_series(0.2 + 0.35j, CFG)
     assert maass._height_part.cache_info().currsize == 1
+
+
+def test_completed_series_stays_far_below_its_cap():
+    # the floor v = 0.05 at the smallest quad_tol is the most the holomorphic part ever sums
+    assert hurwitz_truncation(0.05, MIN_QUAD_TOL)[0] == 2227 < maass._Q_MAX_TERMS
+    assert completed_hurwitz_series(0.3 + 0.05j, CFG.with_(quad_tol=MIN_QUAD_TOL)).value.terms > 2227
 
 
 def test_stencils_compute_each_height_part_once(monkeypatch):
@@ -202,9 +221,9 @@ def test_stencils_compute_each_height_part_once(monkeypatch):
     truncation, gamma = maass.hurwitz_truncation, maass.upper_incomplete_gamma
     heights, gammas, points = [], [], []
 
-    def counted_truncation(v, tol, max_terms):
+    def counted_truncation(v, tol):
         heights.append(v)
-        return truncation(v, tol, max_terms)
+        return truncation(v, tol)
 
     def counted_gamma(a, x):
         gammas.append(x)
@@ -225,7 +244,7 @@ def test_stencils_compute_each_height_part_once(monkeypatch):
         assert len(heights) == len(set(heights)) == distinct
         info = maass._height_part.cache_info()
         assert (info.misses, info.hits) == (distinct, calls - distinct)
-        kept = sum(len(maass._height_part(v, CFG.quad_tol, CFG.q_terms)[-1]) for v in heights)
+        kept = sum(len(maass._height_part(v, CFG.quad_tol)[-1]) for v in heights)
         assert len(gammas) == len(set(gammas)) == kept > 0
 
 
@@ -345,9 +364,9 @@ def test_e2star():
 
 def test_e2star_matches_the_scalar_sigma_loop():
     # the oracle is e2_star with sigma_1(m) from sigma_divisor, one m at a time
-    cfg = CFG.with_(q_terms=10 ** 5)
-    for tau in (1j, 0.5 + 0.5j, -1 + 1j, 0.3 + 0.01j, 0.3 + 1e-3j, 0.3 + 1e-4j):
-        N, _ = e2_truncation(tau.imag, cfg.quad_tol, cfg.q_terms)
+    cfg = CFG
+    for tau in (1j, 0.5 + 0.5j, -1 + 1j, 0.3 + 0.01j, 0.3 + 2e-3j):
+        N, _ = e2_truncation(tau.imag, cfg.quad_tol)
         n = np.arange(1, N + 1)
         sigma = np.array([sigma_divisor(1, m) for m in range(1, N + 1)], dtype=float)
         q_n = np.exp(2j * pi * reduce_mod_one(tau) * n)             # e2_star reduces tau mod 1
@@ -371,21 +390,22 @@ def _e2star_lambert(tau: complex) -> complex:
 
 @pytest.mark.parametrize("tau", [1j, 1 + 2j, -0.2 + 0.5j, 0.3 + 0.05j, 0.25 + 0.02j])
 def test_e2star_against_lambert_series(tau):
-    _, tail = e2_truncation(tau.imag, CFG.quad_tol, CFG.q_terms)
+    _, tail = e2_truncation(tau.imag, CFG.quad_tol)
     assert 0 <= tail <= CFG.quad_tol
     value = e2_star(tau, CFG)
-    # the tail bounds the truncation; 1e-14 relative covers the float summation
-    assert abs(value - _e2star_lambert(tau)) <= tail + 1e-14 * max(1.0, abs(value))
+    # the bound covers the truncation and the rounding of the sum
+    assert tail < value.bound and abs(value - _e2star_lambert(tau)) <= value.bound
 
 
 def test_e2star_refuses_beyond_q_terms():
-    with pytest.raises(ValueError, match="more than 4000 terms"):
+    # the cap is a fixed 4000 terms, reached just below v = 1.9e-3 at the default quad_tol
+    message = ("e2_star needs more than 4000 terms at v = 0.001 for a tail below 1e-10")
+    with pytest.raises(ValueError) as exc:
         e2_star(0.3 + 1e-3j, CFG)
+    assert str(exc.value) == message
     with pytest.raises(ValueError, match="more than 4000 terms"):
-        e2_truncation(5e-324, CFG.quad_tol, CFG.q_terms)
-    # the same point is fine once q_terms admits the tail
-    N, tail = e2_truncation(1e-3, CFG.quad_tol, 10_000)
-    assert 4000 < N <= 10_000 and tail <= CFG.quad_tol
+        e2_truncation(5e-324, CFG.quad_tol)
+    assert 3900 < e2_truncation(1.9e-3, CFG.quad_tol)[0] <= 4000
 
 
 def _one_step_truncate(series, term, first, max_terms, v, tol):
@@ -407,8 +427,8 @@ def _outcome(scan, *args):
 
 
 def _truncations(v, tol):
-    return (lambda: theta_truncation(v, tol), lambda: hurwitz_truncation(v, tol, CFG.q_terms),
-            lambda: e2_truncation(v, tol, CFG.q_terms))
+    return (lambda: theta_truncation(v, tol), lambda: hurwitz_truncation(v, tol),
+            lambda: e2_truncation(v, tol))
 
 
 def test_truncation_skips_ahead_to_the_same_terms(monkeypatch):
@@ -436,7 +456,7 @@ def test_truncation_skips_ahead_to_the_same_terms(monkeypatch):
                 except ValueError:
                     pass
     assert len(seen) == 31 * 3 * 3
-    # at v = 1e-3 both q-series need more than q_terms terms; theta never does
+    # at v = 1e-3 both q-series need more than their 4000 terms; theta never does
     refused = {series for series, oracle in seen if isinstance(oracle, str)}
     assert refused == {"completed_hurwitz_series", "e2_star"}
 
@@ -519,12 +539,6 @@ def _assert_ratio_falls(term, upto):
     assert all(b <= a for a, b in zip(ratios, ratios[1:])), ratios
 
 
-# a tail is evaluated in binary64 from e^{-2 pi v}, so it may fall short of the exact
-# dropped sum by its own rounding: theta's, which is its first dropped term to within
-# r^{2N+3}, undershoots by 1.5e-15 relative at v = 0.3, tol = 1e-14
-_ROUNDING = 1e-12
-
-
 @pytest.mark.parametrize("v", _GRID_V)
 def test_holomorphic_tails_cover_what_they_drop(monkeypatch, v):
     # 150 digits resolve theta's dropped sum (down to 1e-74 at v = 3) next to its 1
@@ -542,7 +556,7 @@ def test_holomorphic_tails_cover_what_they_drop(monkeypatch, v):
             sigma = divisor_sums(N + 300)[0]
             dropped["e2_star"] = 24 * mpmath.fsum(int(sigma[n]) * r ** n for n in range(N + 1, N + 301))
             for series, (N, tail, term) in got.items():
-                assert float(dropped[series]) <= tail * (1 + _ROUNDING) and tail <= tol, (series, v, tol)
+                assert float(dropped[series]) <= tail <= tol, (series, v, tol)
                 _assert_ratio_falls(term, 2 * N)
             # each term bound lies above its term
             N, _, term = got["completed_hurwitz_series"]
@@ -565,15 +579,64 @@ def test_nonholomorphic_tail_covers_what_it_drops(monkeypatch, v):
         for tol in _GRID_TOL:
             maass._height_part.cache_clear()
             tails.clear()
-            N = hurwitz_truncation(v, tol, CFG.q_terms)[0]
-            M = len(maass._height_part(v, tol, CFG.q_terms)[-1])
+            N = hurwitz_truncation(v, tol)[0]
+            M = len(maass._height_part(v, tol)[-1])
             nonholo_tail = tails[-1]                    # the last tail the height part tested
             dropped = mpmath.fsum(_nonholomorphic_modulus(n, v) for n in range(M + 1, M + 40))
-            assert float(dropped) <= nonholo_tail * (1 + _ROUNDING) and nonholo_tail <= tol, (v, tol)
+            assert float(dropped) <= nonholo_tail <= tol, (v, tol)
             term = lambda n: maass._nonholomorphic_term(n, v)
             _assert_ratio_falls(term, 2 * max(N, M))
             assert all(_nonholomorphic_modulus(n, v) <= term(n) for n in range(1, 2 * max(N, M) + 1)
                        if term(n) >= 2.3e-308)
+
+
+# ---------------------------------------------------------------------------
+# Every bound against the whole series: the truncation and the rounding of the sum.
+
+
+def _theta_jtheta(tau):
+    with mpmath.workdps(40):
+        return complex(mpmath.jtheta(3, 0, mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))))
+
+
+def _e2star_mpmath(tau):
+    """1 - 24 sum n q^n/(1 - q^n) - 3/(pi v) at 40 digits, q^n formed one power at a time."""
+    with mpmath.workdps(40):
+        q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
+        total, qn, n = mpmath.mpf(0), q, 1
+        while abs(qn) * n > mpmath.mpf(10) ** -45:
+            total += n * qn / (1 - qn)
+            qn, n = qn * q, n + 1
+        return complex(1 - 24 * total - 3 / (mpmath.pi * tau.imag))
+
+
+def _completed_whole(tau, tol):
+    """The completed series 400 holomorphic and 10 nonholomorphic terms past the evaluation's own."""
+    N = hurwitz_truncation(tau.imag, tol)[0]
+    terms = completed_hurwitz_series(tau, CFG.with_(quad_tol=tol)).value.terms
+    return _completed_mpmath(tau, N + 400, terms - N + 10)
+
+
+# the first five points are where the truncation tail alone fell short of the error
+@pytest.mark.parametrize("series, tau, tol, terms", [
+    ("e2star", 0.123 + 0.01j, 1e-14, 822),
+    ("e2star", 0.123 + 0.05j, 1e-14, 148),
+    ("theta", 0.123 + 1e-3j, 1e-14, 72),
+    ("theta", 0.123 + 1e-4j, 1e-14, 233),
+    ("theta", 0.123 + 0.3j, 1e-14, 4),
+    ("theta", 0.123 + 2.56e-5j, 1e-10, 400),            # theta's cap
+    ("e2star", 0.123 + 1.9e-3j, 1e-10, 3957),           # just above E2's refusal
+    ("H", 0.123 + 0.05j, 1e-14, 131),                   # the floor of the completed series
+    ("H", 0.123 + 0.05j, MIN_QUAD_TOL, 2273),
+])
+def test_bounds_cover_truncation_and_rounding(series, tau, tol, terms):
+    evaluate, whole = {"theta": (theta_series, _theta_jtheta), "e2star": (e2_star, _e2star_mpmath),
+                       "H": (lambda t, c: completed_hurwitz_series(t, c).value,
+                             lambda t: _completed_whole(t, tol))}[series]
+    value = evaluate(tau, CFG.with_(quad_tol=tol))
+    assert value.terms == terms
+    error = abs(value - whole(tau))
+    assert error <= value.bound, (series, tau, error, value.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -582,13 +645,13 @@ def test_nonholomorphic_tail_covers_what_it_drops(monkeypatch, v):
 
 def _completed_mpmath(tau, N, M):
     """The completed series at the exact point tau, summed to q^N and to M nonholomorphic terms, at 30 digits."""
-    h = hurwitz_table(N).floats(N)
+    sixths = hurwitz_table(N).sixths
     with mpmath.workdps(30):
         t = mpmath.mpc(tau.real, tau.imag)
         q = mpmath.exp(2j * mpmath.pi * t)
         v = t.imag
         total = -mpmath.mpf(1) / 12 + 1 / (8 * mpmath.pi * mpmath.sqrt(v))
-        total += mpmath.fsum(h[n] * q ** n for n in range(1, N + 1))
+        total += mpmath.fsum(mpmath.mpf(int(sixths[n])) / 6 * q ** n for n in range(1, N + 1))
         total += mpmath.fsum(n * mpmath.gammainc(-0.5, 4 * mpmath.pi * n * n * v)
                              * mpmath.exp(-2j * mpmath.pi * n * n * t) for n in range(1, M + 1)) \
             / (4 * mpmath.sqrt(mpmath.pi))
@@ -602,15 +665,15 @@ def test_periodic_evaluators_reduce_tau_mod_one():
     with mpmath.workdps(30):
         expected = complex(mpmath.jtheta(3, 0, mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))))
     value = theta_series(tau, CFG)
-    assert value == theta_series(0.3j, CFG) and abs(value - expected) <= value.bound + 1e-15
+    assert value == theta_series(0.3j, CFG) and abs(value - expected) <= value.bound
     tau = 1e6 + 0.3 + 0.5j
     value = e2_star(tau, CFG)
-    assert abs(value - _e2star_lambert(tau)) <= value.bound + 1e-14
+    assert abs(value - _e2star_lambert(tau)) <= value.bound
     for tau in (1e9 + 0.3 + 0.06j, -7.0 + 0.2 + 0.5j):
         series = completed_hurwitz_series(tau, CFG)
         v = series.value
-        N = hurwitz_truncation(tau.imag, CFG.quad_tol, CFG.q_terms)[0]
-        assert abs(v - _completed_mpmath(tau, N, v.terms - N)) <= v.bound + 1e-13, tau
+        N = hurwitz_truncation(tau.imag, CFG.quad_tol)[0]
+        assert abs(v - _completed_mpmath(tau, N, v.terms - N)) <= v.bound, tau
         assert series == completed_hurwitz_series(reduce_mod_one(tau), CFG)
     assert reduce_mod_one(1e300 + 1j) == 1j and reduce_mod_one(-2.5 + 1j) == -0.5 + 1j
 
