@@ -14,6 +14,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from math import floor, inf, isfinite, isqrt, log2, pi, sqrt
+from sys import float_info
 from typing import Callable, Literal
 
 import numpy as np
@@ -312,7 +313,9 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
     H's bound is at most 1.25 times the bound of both parts at M.  E and F
     have the bound lattice_tail_bound(k, s, tau, M, kind); terms counts the
     points summed.  All three are 1-periodic, so tau is first reduced mod 1.
-    F and H raise ValueError where |tau|^{-(k+1/2+2s)} passes 2^MAX_POWER_LOG2.
+    F and H raise ValueError where |tau|^{-(k+1/2+2s)} passes 2^MAX_POWER_LOG2,
+    and where the height of -1/(4 tau) falls below the normal float range; H
+    also where its value overflows a float.
     """
     if k < 0:
         raise ValueError(f"lattice sum needs k >= 0, got k={k}")
@@ -323,6 +326,9 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
     if kind in ("F", "H") and -(k + 0.5 + 2 * s) * log2(abs(tau)) > MAX_POWER_LOG2:
         raise ValueError(f"F needs |tau|^-(k+1/2+2s) <= 2^{MAX_POWER_LOG2}, beyond which it "
                          f"overflows a float; got k={k}, s={s}, |tau|={abs(tau):.3g}")
+    if kind in ("F", "H") and not (-1.0 / (4.0 * tau)).imag >= float_info.min:
+        raise ValueError(f"F is summed at -1/(4 tau), whose height leaves the normal float range "
+                         f"(below {float_info.min:.4g}) from |tau| ~ 1.1e307 on; got |tau|={abs(tau):.3g}")
     M = cfg.lattice_bound
     if kind == "E":
         value, points = _lattice_sum(k, s, tau, M)
@@ -344,8 +350,10 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
         e, f = (eisenstein_direct(part, k, s, tau, cfg if part == major else
                                   cfg.with_(lattice_bound=min(2 * lo + 1, M))) for part in "EF")
         zk, i_odd = float(zeta_exact_neg(k)) / 2 ** (2 * k + 1), 1j ** (2 * k + 1)
-        return BoundedValue(zk * ((1 + i_odd) * e + i_odd * f), abs(zk) * (sqrt(2.0) * e.bound + f.bound),
-                            e.terms + f.terms)
+        value = zk * ((1 + i_odd) * e + i_odd * f)
+        if not cmath.isfinite(value):
+            raise ValueError(f"H at k={k}, s={s}, tau={tau} overflows a float")
+        return BoundedValue(value, abs(zk) * (sqrt(2.0) * e.bound + f.bound), e.terms + f.terms)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return BoundedValue(value, lattice_tail_bound(k, s, tau, M, kind), points)
@@ -369,7 +377,8 @@ def eisenstein_fourier(k: int, s: float, tau: complex,
     is below e^{-700}.  The ingredient series need k + 2s > 1; the remaining
     s = 0, k = 1 corner is the analytic limit handled by the completed class
     number series.  All rho_h come from one rho_kernel call on the h-array,
-    which makes one Omega call per sign of h.
+    which makes one Omega call per sign of h.  Raises ValueError where the
+    sum leaves the float range.
     """
     if k < 1:
         raise ValueError("eisenstein_fourier requires k >= 1")
@@ -388,7 +397,11 @@ def eisenstein_fourier(k: int, s: float, tau: complex,
     kept = e_n != 0.0                     # E_n vanishes for n = 2, 3 (mod 4)
     hs, e_n = hs[kept], e_n[kept]
     terms = e_n * rho_kernel(hs, k, s, v, cfg) * np.exp(2j * pi * hs * tau)
-    return complex(zk * 2.0 ** (4 * s) + coeff * terms.sum())
+    with np.errstate(over="ignore", invalid="ignore"):      # an overflow is refused below
+        value = complex(zk * 2.0 ** (4 * s) + coeff * terms.sum())
+    if not cmath.isfinite(value):
+        raise ValueError(f"the Fourier route at k={k}, s={s}, tau={tau} overflows a float")
+    return value
 
 
 def modularity_residual(f: Callable[[complex], complex], k: int, s: float,

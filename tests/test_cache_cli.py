@@ -504,11 +504,13 @@ def test_cli_eval_float_overflow_is_one_stderr_line(capsys):
     # at s = 150 the Fourier route's divisor sums sigma_{2k+4s-1}(f) would overflow,
     # at k = 130 and |tau| = 1e-3 the power |tau|^{-(k+1/2+2s)} of F would, and at
     # tau = 1e-9 i the lattice rows of F would hold 1.5e11 points, and at k = 130 and
-    # tau = 0.27i the powers z^k of F's lattice sum overflow: all four are refused
+    # tau = 0.27i the powers z^k of F's lattice sum overflow, and at tau = 1e308 i the
+    # height of F's point -1/(4 tau) underflows to 0: all five are refused
     for argv, limit in ((["--k", "2", "--s", "150", "--tau", "0,1"], "2^1000"),
                         (["--k", "130", "--s", "1", "--tau", "0,0.001"], "2^1000"),
                         (["--tau", "0,1e-9"], "MAX_LATTICE_ROW"),
-                        (["--k", "130", "--s", "1", "--tau", "0,0.27"], "overflows a float")):
+                        (["--k", "130", "--s", "1", "--tau", "0,0.27"], "overflows a float"),
+                        (["--k", "1", "--s", "1", "--tau", "0,1e308"], "normal float range")):
         assert main(["eval", "--target", "eisenstein"] + argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,11 +1,11 @@
 import cmath
 from math import gcd, pi, sqrt
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from mockform.arithmetic import (
     epsilon_factor,
     jacobi_row,
@@ -217,25 +217,10 @@ def test_gamma_real_kernel_against_complex_exp_large_moduli():
             assert abs(gauss_sum_gamma(c, n) - _gamma_by_complex_exp(c, n)) <= 1e-11, (c, n)
 
 
-def _gamma_mpmath(c, n):
-    """gamma_c(n) from its definition in 30-digit mpmath, phases as exact rationals."""
-    with mpmath.workdps(30):
-        terms = []
-        for a in range(1, 2 * c + 1):
-            if c % 2 == 1 and a % 2 == 0:
-                root, symbol = mpmath.mpf(1 - c) / 4, kronecker_symbol(a, c)
-            elif c % 2 == 0 and a % 2 == 1:
-                root, symbol = mpmath.mpf(a) / 4, kronecker_symbol(c, a)
-            else:
-                continue
-            terms.append(symbol * mpmath.expjpi(root - mpmath.mpf(n * a) / c))
-        return complex(mpmath.fsum(terms) / mpmath.sqrt(c))
-
-
 def test_gamma_real_kernel_against_mpmath_at_large_n():
     # |n| ~ 10^4; at the first three the unreduced complex-exp sum is off by 1.5e-11 to 1.8e-11
     for c, n in ((3996, -9999), (3993, -9681), (3993, 8471), (3998, 10 ** 4)):
-        assert abs(gauss_sum_gamma(c, n) - _gamma_mpmath(c, n)) < 1e-13, (c, n)
+        assert abs(gauss_sum_gamma(c, n) - oracles.gauss_sum(c, n)) < 1e-13, (c, n)
 
 
 def test_gamma_imaginary_part_is_exactly_zero():

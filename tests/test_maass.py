@@ -7,8 +7,8 @@ from math import exp, pi, sqrt
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gamma as Gamma
 
+import oracles
 from mockform import maass
 from mockform.arithmetic import divisor_sums, sigma_divisor
 from mockform.class_numbers import hurwitz_table
@@ -50,8 +50,8 @@ def test_theta_periodicity_and_values():
     assert abs(theta_series(tau + 1, CFG) - theta_series(tau, CFG)) < 1e-14
     assert abs(theta_series(10j, CFG) - (1 + 2 * exp(-20 * pi))) < 1e-8
     assert abs(theta_series(1j, CFG) - THETA_AT_I) < 1e-13
-    # classical closed form at nome e^{-pi}
-    closed = pi ** 0.25 / Gamma(0.75)
+    # pi^{1/4}/Gamma(3/4), the classical closed form at nome e^{-pi}
+    closed = oracles.theta(0.5j)
     assert abs(theta_series(0.5j, CFG.with_(quad_tol=1e-14)) - closed) < 1e-13
     value = theta_series(0.5j, CFG)
     assert abs(value - closed) <= value.bound + 1e-15
@@ -61,8 +61,7 @@ def test_theta_against_mpmath_jtheta():
     # Theta(tau) = jtheta(3, 0, q) with nome q = e^{2 pi i tau}; down to v = 4e-5
     # the series needs at most 400 terms at quad_tol = 1e-10
     for tau in (0.3 + 4e-5j, 1e-4j, 0.25 + 1e-3j, -0.4 + 0.01j, 0.1 + 0.3j, 0.7 + 2j):
-        with mpmath.workdps(30):
-            expected = complex(mpmath.jtheta(3, 0, mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau))))
+        expected = oracles.theta(tau)
         _, tail = theta_truncation(tau.imag, CFG.quad_tol)
         assert tail <= CFG.quad_tol
         value = theta_series(tau, CFG)
@@ -374,27 +373,13 @@ def test_e2star_matches_the_scalar_sigma_loop():
         assert e2_star(tau, cfg) == expected, tau
 
 
-def _e2star_lambert(tau: complex) -> complex:
-    """1 - 24 sum n q^n/(1 - q^n) - 3/(pi v) at 30 digits."""
-    with mpmath.workdps(30):
-        q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
-        total, n = mpmath.mpf(0), 1
-        while True:
-            term = n * q ** n / (1 - q ** n)
-            total += term
-            if abs(term) < mpmath.mpf(10) ** -35:
-                break
-            n += 1
-        return complex(1 - 24 * total - 3 / (mpmath.pi * tau.imag))
-
-
 @pytest.mark.parametrize("tau", [1j, 1 + 2j, -0.2 + 0.5j, 0.3 + 0.05j, 0.25 + 0.02j])
 def test_e2star_against_lambert_series(tau):
     _, tail = e2_truncation(tau.imag, CFG.quad_tol)
     assert 0 <= tail <= CFG.quad_tol
     value = e2_star(tau, CFG)
     # the bound covers the truncation and the rounding of the sum
-    assert tail < value.bound and abs(value - _e2star_lambert(tau)) <= value.bound
+    assert tail < value.bound and abs(value - oracles.e2_star(tau)) <= value.bound
 
 
 def test_e2star_refuses_beyond_q_terms():
@@ -548,7 +533,7 @@ def test_holomorphic_tails_cover_what_they_drop(monkeypatch, v):
             got = _captured_terms(monkeypatch, v, tol)
             N, tail, term = got["theta_series"]
             kept = 1 + 2 * mpmath.fsum(r ** (n * n) for n in range(1, N + 1))
-            dropped = {"theta_series": mpmath.jtheta(3, 0, r) - kept}
+            dropped = {"theta_series": oracles.theta(1j * v, 150) - kept}
             N, _, term = got["completed_hurwitz_series"]
             h = hurwitz_table(N + 300).floats(N + 300)
             dropped["completed_hurwitz_series"] = mpmath.fsum(h[n] * r ** n for n in range(N + 1, N + 301))
@@ -568,7 +553,7 @@ def test_holomorphic_tails_cover_what_they_drop(monkeypatch, v):
 def _nonholomorphic_modulus(n, v):
     """|term n| of the nonholomorphic part, n Gamma(-1/2, x) e^{x/2} / (4 sqrt(pi)) with x = 4 pi n^2 v."""
     x = 4 * mpmath.pi * n * n * v
-    return n * mpmath.gammainc(-0.5, x) * mpmath.exp(x / 2) / (4 * mpmath.sqrt(mpmath.pi))
+    return n * oracles.incomplete_gamma(-0.5, x) * mpmath.exp(x / 2) / (4 * mpmath.sqrt(mpmath.pi))
 
 
 @pytest.mark.parametrize("v", _GRID_V)
@@ -594,27 +579,11 @@ def test_nonholomorphic_tail_covers_what_it_drops(monkeypatch, v):
 # Every bound against the whole series: the truncation and the rounding of the sum.
 
 
-def _theta_jtheta(tau):
-    with mpmath.workdps(40):
-        return complex(mpmath.jtheta(3, 0, mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))))
-
-
-def _e2star_mpmath(tau):
-    """1 - 24 sum n q^n/(1 - q^n) - 3/(pi v) at 40 digits, q^n formed one power at a time."""
-    with mpmath.workdps(40):
-        q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
-        total, qn, n = mpmath.mpf(0), q, 1
-        while abs(qn) * n > mpmath.mpf(10) ** -45:
-            total += n * qn / (1 - qn)
-            qn, n = qn * q, n + 1
-        return complex(1 - 24 * total - 3 / (mpmath.pi * tau.imag))
-
-
 def _completed_whole(tau, tol):
     """The completed series 400 holomorphic and 10 nonholomorphic terms past the evaluation's own."""
     N = hurwitz_truncation(tau.imag, tol)[0]
     terms = completed_hurwitz_series(tau, CFG.with_(quad_tol=tol)).value.terms
-    return _completed_mpmath(tau, N + 400, terms - N + 10)
+    return oracles.completed(tau, N + 400, terms - N + 10)
 
 
 # the first five points are where the truncation tail alone fell short of the error
@@ -630,7 +599,7 @@ def _completed_whole(tau, tol):
     ("H", 0.123 + 0.05j, MIN_QUAD_TOL, 2273),
 ])
 def test_bounds_cover_truncation_and_rounding(series, tau, tol, terms):
-    evaluate, whole = {"theta": (theta_series, _theta_jtheta), "e2star": (e2_star, _e2star_mpmath),
+    evaluate, whole = {"theta": (theta_series, oracles.theta), "e2star": (e2_star, oracles.e2_star),
                        "H": (lambda t, c: completed_hurwitz_series(t, c).value,
                              lambda t: _completed_whole(t, tol))}[series]
     value = evaluate(tau, CFG.with_(quad_tol=tol))
@@ -643,37 +612,20 @@ def test_bounds_cover_truncation_and_rounding(series, tau, tol, terms):
 # Translation and huge heights.
 
 
-def _completed_mpmath(tau, N, M):
-    """The completed series at the exact point tau, summed to q^N and to M nonholomorphic terms, at 30 digits."""
-    sixths = hurwitz_table(N).sixths
-    with mpmath.workdps(30):
-        t = mpmath.mpc(tau.real, tau.imag)
-        q = mpmath.exp(2j * mpmath.pi * t)
-        v = t.imag
-        total = -mpmath.mpf(1) / 12 + 1 / (8 * mpmath.pi * mpmath.sqrt(v))
-        total += mpmath.fsum(mpmath.mpf(int(sixths[n])) / 6 * q ** n for n in range(1, N + 1))
-        total += mpmath.fsum(n * mpmath.gammainc(-0.5, 4 * mpmath.pi * n * n * v)
-                             * mpmath.exp(-2j * mpmath.pi * n * n * t) for n in range(1, M + 1)) \
-            / (4 * mpmath.sqrt(mpmath.pi))
-        return complex(total)
-
-
 def test_periodic_evaluators_reduce_tau_mod_one():
     # at a large |u| the phases lose no digits: each value meets a 30-digit oracle at
     # the exact binary64 point within its bound
     tau = 1e6 + 0.3j
-    with mpmath.workdps(30):
-        expected = complex(mpmath.jtheta(3, 0, mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))))
     value = theta_series(tau, CFG)
-    assert value == theta_series(0.3j, CFG) and abs(value - expected) <= value.bound
+    assert value == theta_series(0.3j, CFG) and abs(value - oracles.theta(tau)) <= value.bound
     tau = 1e6 + 0.3 + 0.5j
     value = e2_star(tau, CFG)
-    assert abs(value - _e2star_lambert(tau)) <= value.bound
+    assert abs(value - oracles.e2_star(tau)) <= value.bound
     for tau in (1e9 + 0.3 + 0.06j, -7.0 + 0.2 + 0.5j):
         series = completed_hurwitz_series(tau, CFG)
         v = series.value
         N = hurwitz_truncation(tau.imag, CFG.quad_tol)[0]
-        assert abs(v - _completed_mpmath(tau, N, v.terms - N)) <= v.bound, tau
+        assert abs(v - oracles.completed(tau, N, v.terms - N)) <= v.bound, tau
         assert series == completed_hurwitz_series(reduce_mod_one(tau), CFG)
     assert reduce_mod_one(1e300 + 1j) == 1j and reduce_mod_one(-2.5 + 1j) == -0.5 + 1j
 
