@@ -134,8 +134,8 @@ def _cmd_eval(args) -> int:
             value = eisenstein_direct("H", args.k, args.s, tau, cfg)
             fourier = eisenstein_fourier(args.k, args.s, tau, cfg)
             record.update(k=args.k, s=args.s, value=_c(value), lattice_tail_bound=value.bound,
-                          terms=value.terms, fourier_value=_c(fourier),
-                          route_difference=abs(value - fourier))
+                          terms=value.terms, fourier_value=_c(fourier), fourier_bound=fourier.bound,
+                          fourier_terms=fourier.terms, route_difference=abs(value - fourier))
         elif args.target == "H":
             parts = completed_hurwitz_series(tau, cfg)
             value = parts.value

@@ -149,8 +149,8 @@ MAX_POWER_LOG2 = 1000
 
 
 # E_n(s) depends on n and s alone, and a Fourier-route evaluation asks for the
-# 2 FOURIER_BOUND + 1 coefficients of one s: repeated evaluations at that s
-# (any tau) read them back instead of recomputing L(s, chi_d) and zeta(2s).
+# coefficients of one s up to its cut: repeated evaluations at that s (any tau,
+# up to the lowest v seen) read them back instead of recomputing L(s, chi_d) and zeta(2s).
 @functools.lru_cache(maxsize=4096)
 def series_closed(n: int, s: float) -> float:
     """Closed form of E_n(s) for real s > 1.

@@ -11,16 +11,17 @@ the Fourier expansion through the Dirichlet series E_n and the kernel rho.
 from __future__ import annotations
 
 import cmath
+import functools
 import random
 from dataclasses import dataclass
-from math import floor, inf, isfinite, isqrt, log2, pi, sqrt
+from math import exp, inf, isfinite, isqrt, lgamma, log, log2, pi, sqrt
 from sys import float_info
 from typing import Callable, Literal
 
 import numpy as np
 
-from .arithmetic import epsilon_factor, jacobi_row, kronecker_symbol, zeta_exact_neg
-from .config import DEFAULT_CONFIG, BoundedValue, EvalConfig, reduce_mod_one, require_upper_half
+from .arithmetic import epsilon_factor, jacobi_row, kronecker_symbol, zeta_exact_neg, zeta_numeric
+from .config import DEFAULT_CONFIG, BoundedValue, EvalConfig, _truncate, reduce_mod_one, require_upper_half
 from .dirichlet_series import MAX_POWER_LOG2, series_closed
 from .special_functions import rho_kernel
 
@@ -347,8 +348,11 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
         while lo < hi:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if share(minor, 2 * mid + 1) <= quarter else (mid + 1, hi)
-        e, f = (eisenstein_direct(part, k, s, tau, cfg if part == major else
-                                  cfg.with_(lattice_bound=min(2 * lo + 1, M))) for part in "EF")
+        # the minor part first: where both shares underflow to 0, a refusal of F's overflow
+        # comes before E's whole disc is summed
+        parts = {part: eisenstein_direct(part, k, s, tau, cfg if part == major else
+                                         cfg.with_(lattice_bound=min(2 * lo + 1, M))) for part in (minor, major)}
+        e, f = parts["E"], parts["F"]
         zk, i_odd = float(zeta_exact_neg(k)) / 2 ** (2 * k + 1), 1j ** (2 * k + 1)
         value = zk * ((1 + i_odd) * e + i_odd * f)
         if not cmath.isfinite(value):
@@ -359,26 +363,94 @@ def eisenstein_direct(kind: Kind, k: int, s: float, tau: complex,
     return BoundedValue(value, lattice_tail_bound(k, s, tau, M, kind), points)
 
 
-FOURIER_BOUND = 40          # largest |h| in eisenstein_fourier's sum
-# For h < 0, e(h tau) grows like e^{-2 pi h v}, which overflows past e^{709.78}, while rho_h decays
-# like e^{4 pi h v}; from -2 pi h v = 700 on, their product e^{2 pi h v} < e^{-700} is left out
-_MAX_EXPONENT = 700.0
+# the most |h| on either side of the Fourier sum before the route is refused (theta's cap)
+_FOURIER_MAX_TERMS = 400
+
+
+def _shared_factor(k: int) -> complex:
+    """(1 + i^{2k+1}) zeta(1-2k) 2^{-2k}, the factor every Fourier coefficient c_h of H carries."""
+    return (1 + 1j ** (2 * k + 1)) * float(zeta_exact_neg(k)) / 2 ** (2 * k)
+
+
+def fourier_coefficients(k: int, s: float, v: float, hs, cfg: EvalConfig = DEFAULT_CONFIG):
+    """The Fourier coefficients c_h of H_{k+1/2,s} at height v, and the bounds Omega puts on them.
+
+    c_h = (1 + i^{2k+1}) zeta(1-2k) 2^{-2k} E_{(-1)^k h}(k + 2s) rho_h^{k+1/2}(s, v),
+    formed as (coefficient times E_n) times rho_h, so that
+    H(tau) = zeta(1-2k) 2^{4s} + sum_h c_h e^{2 pi i h tau}.  Takes an int h
+    (returns a complex and a float) or an integer array of h (returns two
+    arrays).  c_h is 0 where E_n vanishes (n = 2, 3 mod 4); the other rho_h
+    come from one rho_kernel call, with one Omega call per sign of h.  The
+    bound is |c_h| with Omega's returned bound in place of Omega.
+    """
+    hs = np.asarray(hs)
+    coeff = _shared_factor(k)
+    scaled = np.array([coeff * series_closed((-1) ** k * int(h), k + 2.0 * s) for h in hs.flat], complex)
+    kept = np.flatnonzero(scaled)
+    rho = rho_kernel(hs.flat[kept], k, s, v, cfg)
+    values, bounds = np.zeros(scaled.size, complex), np.zeros(scaled.size)
+    # one Python complex product each: numpy's may fuse a multiply-add and differ in the last bit
+    values[kept] = [c * r for c, r in zip(scaled[kept].tolist(), rho.value.tolist())]
+    bounds[kept] = np.abs(scaled[kept]) * rho.bound
+    if hs.ndim == 0:
+        return complex(values[0]), float(bounds[0])
+    return values.reshape(hs.shape), bounds.reshape(hs.shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _log_coefficient_bound(sigma: float) -> float:
+    """log(zeta(sigma)^2 zeta(2 sigma - 1)/zeta(2 sigma)), a bound on log |E_n(sigma)| for every n
+    (derived in eisenstein_fourier); kept per sigma, like the E_n themselves."""
+    return 2 * log(zeta_numeric(sigma)) + log(zeta_numeric(2 * sigma - 1) / zeta_numeric(2 * sigma))
+
+
+def _moment_shift(shape: float, e: float) -> float:
+    """An m with E[(x + T)^e] <= (x + m)^e for every x > 0, T of density t^{shape-1} e^{-t}/Gamma(shape), e >= 0.
+
+    For e <= 1, x -> x^e is concave and Jensen gives m = E[T] = shape; for
+    e >= 1, Minkowski's inequality gives m = E[T^e]^{1/e} =
+    (Gamma(shape + e)/Gamma(shape))^{1/e}.  At shape = 0, T = 0 and m = 0.
+    """
+    if shape == 0:
+        return 0.0
+    e = max(e, 1.0)
+    return exp((lgamma(shape + e) - lgamma(shape)) / e)
 
 
 def eisenstein_fourier(k: int, s: float, tau: complex,
-                       cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Fourier-expansion value of H_{k+1/2,s}.
+                       cfg: EvalConfig = DEFAULT_CONFIG) -> BoundedValue:
+    """Fourier-expansion value of H_{k+1/2,s}: zeta(1-2k) 2^{4s} + sum_h c_h e^{2 pi i h tau}.
 
-    H = zeta(1-2k) 2^{4s}
-        + (1 + i^{2k+1}) zeta(1-2k) 2^{-2k}
-          * sum_h E_{(-1)^k h}(k + 2s) rho_h^{k+1/2}(s, v) e^{2 pi i h tau}
+    The c_h are fourier_coefficients(k, s, v, h).  Each side of h = 0 is cut
+    where _truncate puts its tail below half of min(quad_tol, 2^-53 |zeta(1-2k)| 2^{4s})
+    (an ulp of the constant term), from a bound t(h) on |c_h e^{2 pi i h tau}|:
 
-    over |h| <= FOURIER_BOUND, leaving out the h < 0 whose factor e^{2 pi h v}
-    is below e^{-700}.  The ingredient series need k + 2s > 1; the remaining
-    s = 0, k = 1 corner is the analytic limit handled by the completed class
-    number series.  All rho_h come from one rho_kernel call on the h-array,
-    which makes one Omega call per sign of h.  Raises ValueError where the
-    sum leaves the float range.
+    |E_n(sigma)| <= Z = zeta(sigma)^2 zeta(2 sigma - 1)/zeta(2 sigma), sigma = k + 2s > 1,
+    for every n: E_n = L(sigma, chi_d)/zeta(2 sigma) T_sigma(f)/f^{2 sigma - 1} with
+    n = d f^2, |L(sigma, chi_d)| <= zeta(sigma), and
+    T_sigma(f) = sum_{a | f} mu(a) chi_d(a) a^{sigma-1} sigma_{2 sigma-1}(f/a) with
+    sigma_{2 sigma-1}(g) <= g^{2 sigma-1} zeta(2 sigma - 1), so that
+    |T_sigma(f)|/f^{2 sigma-1} <= zeta(2 sigma - 1) sum_{a | f} a^{-sigma} <= zeta(2 sigma - 1) zeta(sigma).
+    (E_0 = zeta(2 sigma - 1)/zeta(2 sigma) is below Z too; h = 0 is always kept.)
+
+    Omega(y, alpha, beta) = E[(1 + T/y)^{alpha-1}] for T of density
+    t^{beta-1} e^{-t}/Gamma(beta) (rho_kernel's integral), so with c = 1/(4 pi v)
+    and m from _moment_shift:
+      h > 0:  h^p Omega(4 pi h v, a, s) = E[(h + c T)^p] <= (h + c m(s, p))^p,
+              p = k - 1/2 + s, a = k + 1/2 + s;
+      h = -j: j^{s-1} Omega(4 pi j v, s, a) = E[(j + c T)^{s-1}] <= (j + c m(a, s - 1))^{s-1}
+              for s >= 1, and <= j^{s-1} <= 1 for s < 1.
+    With |e^{2 pi i h tau}| = e^{-2 pi h v}, and rho's e^{-4 pi j v} for h = -j,
+    t(h) = C (|h| + mu)^e e^{-2 pi |h| v} on each side, with C the modulus of
+    the coefficient, Z and rho's other factors.  Its ratio
+    ((|h| + 1 + mu)/(|h| + mu))^e e^{-2 pi v} does not increase, as _tail needs.
+
+    value.bound is the two tails plus Omega's returned bounds on the kept
+    terms (not the rounding of the sum); value.terms counts the nonzero c_h summed.
+    The ingredient series need k + 2s > 1; the remaining s = 0, k = 1 corner
+    is the analytic limit handled by the completed class number series.
+    Raises ValueError past _FOURIER_MAX_TERMS on a side (below v = 0.02 to
+    0.03 at the default quad_tol), and where the sum leaves the float range.
     """
     if k < 1:
         raise ValueError("eisenstein_fourier requires k >= 1")
@@ -390,18 +462,32 @@ def eisenstein_fourier(k: int, s: float, tau: complex,
     tau = reduce_mod_one(tau)
     v = tau.imag
     zk = float(zeta_exact_neg(k))
-    flip = 1 if k % 2 == 0 else -1
-    coeff = (1 + 1j ** (2 * k + 1)) * zk / 2 ** (2 * k)
-    hs = np.arange(max(-FOURIER_BOUND, floor(-_MAX_EXPONENT / (2 * pi * v)) + 1), FOURIER_BOUND + 1)
-    e_n = np.array([series_closed(flip * int(h), k + 2.0 * s) for h in hs])
-    kept = e_n != 0.0                     # E_n vanishes for n = 2, 3 (mod 4)
-    hs, e_n = hs[kept], e_n[kept]
-    terms = e_n * rho_kernel(hs, k, s, v, cfg) * np.exp(2j * pi * hs * tau)
+    constant = zk * 2.0 ** (4 * s)
+    tol = 0.5 * min(cfg.quad_tol, 2.0 ** -53 * abs(constant))
+    sigma, a, c = k + 2.0 * s, k + 0.5 + s, 1.0 / (4 * pi * v)
+    lead = log(abs(_shared_factor(k))) + _log_coefficient_bound(sigma) + s * log(pi)
+
+    def cut(log_c: float, e: float, mu: float) -> tuple[int, float]:
+        """The last h kept on a side, and its tail, from t(h) = e^{log_c} (h + mu)^e e^{-2 pi v h}."""
+        def term(h: int) -> float:
+            x = log_c + e * log(h + mu) - 2 * pi * v * h
+            return exp(x) if x < 709.0 else inf        # math.exp raises from 709.78 on
+        return _truncate("eisenstein_fourier", term, 0, _FOURIER_MAX_TERMS, v, tol, 0)
+
+    above, tail_above = cut(lead + (k + 0.5) * log(2 * pi) - lgamma(a) - s * log(v),
+                            k - 0.5 + s, c * _moment_shift(s, k - 0.5 + s))
+    # at s = 0, 1/Gamma(s) = 0 removes every h < 0
+    below, tail_below = (cut(lead - (k + 0.5) * log(2.0) - lgamma(s) - a * log(v),
+                             max(s - 1.0, 0.0), c * _moment_shift(a, s - 1.0)) if s > 0 else (0, 0.0))
+    hs = np.arange(-below, above + 1)
+    coefficients, bounds = fourier_coefficients(k, s, v, hs, cfg)
     with np.errstate(over="ignore", invalid="ignore"):      # an overflow is refused below
-        value = complex(zk * 2.0 ** (4 * s) + coeff * terms.sum())
-    if not cmath.isfinite(value):
+        phases = np.exp(2j * pi * hs * tau)
+        value = complex(constant + (coefficients * phases).sum())
+        bound = tail_above + tail_below + float(bounds @ np.abs(phases))
+    if not (cmath.isfinite(value) and isfinite(bound)):
         raise ValueError(f"the Fourier route at k={k}, s={s}, tau={tau} overflows a float")
-    return value
+    return BoundedValue(value, bound, int(np.count_nonzero(coefficients)))
 
 
 def modularity_residual(f: Callable[[complex], complex], k: int, s: float,

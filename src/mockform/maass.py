@@ -25,9 +25,9 @@ import numpy as np
 
 from .arithmetic import divisor_sums
 from .class_numbers import hurwitz_class_number, hurwitz_table
-from .config import DEFAULT_CONFIG, BoundedValue, EvalConfig, reduce_mod_one, require_upper_half
-from .dirichlet_series import series_closed
-from .special_functions import rho_kernel, upper_incomplete_gamma
+from .config import DEFAULT_CONFIG, BoundedValue, EvalConfig, _tail, _truncate, reduce_mod_one, require_upper_half
+from .eisenstein import fourier_coefficients
+from .special_functions import upper_incomplete_gamma
 
 _QUARTER_ROOT = 1.0 / (4.0 * sqrt(pi))
 _TWO_PI_I = 2j * pi
@@ -50,54 +50,12 @@ _H0 = complex(-1.0 / 12.0)             # H(0), the constant term of sum H(n) q^n
 # underflows adds at most 2^-1074 each time, far below the u |1/12| or u |1|
 # that every value's bound holds.
 _U = 2.0 ** -53
-_TAIL_UP = 1.0 + 8 * _U                 # 4 ulps
 
 
 class HarmonicFormValue(NamedTuple):
     value: BoundedValue
     holomorphic_part: complex
     nonholomorphic_part: complex
-
-
-def _tail(a: float, b: float) -> float:
-    """a/(1 - b/a), rounded up by 4 ulps: the bound on sum_{n>N} t(n) from a = t(N+1) and b = t(N+2).
-
-    t is a term bound whose ratio t(n+1)/t(n) does not increase, so every
-    dropped term is at most a (b/a)^j, j >= 0.  inf while b >= a; 0 once a
-    underflows.  The 4 ulps cover the three operations here and the two that
-    add the tail to a rounding bound.  A term bound must also stay above its
-    terms once rounded: theta's, which is tight, rounds r up, and the others
-    (H(n) <= n, sigma_1(n) <= n^2, Gamma(-1/2, x) < e^{-x} x^{-3/2}) exceed
-    the dropped terms by far more than any rounding, also where the ratio is
-    near 1 and the quotient magnifies it.
-    """
-    return a / (1.0 - b / a) * _TAIL_UP if b < a else inf if a else 0.0
-
-
-def _truncate(series: str, term: Callable[[int], float], first: int, max_terms: int,
-              v: float, tol: float, hint: float) -> tuple[int, float]:
-    """The least N >= first with _tail(term(N+1), term(N+2)) <= tol, and that tail.
-
-    term(n) bounds the modulus of term n.  Raises ValueError past max_terms:
-    no series is truncated silently.  The tail is inf until its ratio falls
-    below 1 and only falls from there on, so "tail <= tol" changes once as N
-    grows: the walk starts at the hint, clamped to [first, max_terms], steps
-    down or up to the least such N, and its result does not depend on the hint.
-    """
-    N = first if not hint > first else max_terms if hint >= max_terms else int(hint)
-    a, b = term(N + 1), term(N + 2)
-    if (bound := _tail(a, b)) <= tol:
-        while N > first and (lower := _tail(prev := term(N), a)) <= tol:
-            N, bound, a = N - 1, lower, prev
-        return N, bound
-    while bound > tol:
-        if N >= max_terms:
-            raise ValueError(f"{series} needs more than {max_terms} terms "
-                             f"at v = {v} for a tail below {tol}")
-        N += 1
-        a, b = b, term(N + 2)
-        bound = _tail(a, b)
-    return N, bound
 
 
 def _power_hint(c: float, p: int, a: float, r: float, tol: float) -> float:
@@ -168,6 +126,14 @@ def hurwitz_truncation(v: float, tol: float) -> tuple[int, float]:
                      _power_hint(1.0, 1, a, r, tol))
 
 
+def _nonholomorphic_coefficient(n: int, v: float) -> float:
+    """The coefficient of e^{-2 pi i n^2 tau} in the nonholomorphic part: 1/(8 pi sqrt(v)) at
+    n = 0, and n Gamma(-1/2, 4 pi n^2 v)/(4 sqrt(pi)) for n >= 1."""
+    if n == 0:
+        return 1.0 / (8.0 * pi * sqrt(v))
+    return _QUARTER_ROOT * n * upper_incomplete_gamma(-0.5, 4.0 * pi * n * n * v)
+
+
 def _nonholomorphic_term(n: int, v: float) -> float:
     """(n / (4 sqrt(pi))) x^{-3/2} e^{-x/2}, x = 4 pi n^2 v, above |term n| of the nonholomorphic part.
 
@@ -214,11 +180,10 @@ def _height_part(v: float, tol: float) -> tuple:
     nonholo_terms = []
     n, a, b = 1, _nonholomorphic_term(1, v), _nonholomorphic_term(2, v)
     while (nonholo_tail := _tail(a, b)) > tol:
-        nonholo_terms.append((_QUARTER_ROOT * n * upper_incomplete_gamma(-0.5, 4.0 * pi * n * n * v),
-                              -2j * pi * n * n))
+        nonholo_terms.append((_nonholomorphic_coefficient(n, v), -2j * pi * n * n))
         n += 1
         a, b = b, _nonholomorphic_term(n + 1, v)
-    r, c0 = exp(-2 * pi * v), 1.0 / (8.0 * pi * sqrt(v))
+    r, c0 = exp(-2 * pi * v), _nonholomorphic_coefficient(0, v)
     S0 = r / (1.0 - r) ** 2
     S1 = S0 * (1.0 + r) / (1.0 - r)
     P, aQ = _gaussian_sums(2 * pi * v)
@@ -266,17 +231,18 @@ def alpha_limit(h: int, v: float) -> complex:
 
     -1/12 + 1/(8 pi sqrt(v)) at h = 0; H(h) for h > 0;
     (f / (4 sqrt(pi))) Gamma(-1/2, 4 pi f^2 v) at h = -f^2; zero otherwise.
+    The nonholomorphic coefficients are the ones the series sums.
     """
     if v <= 0:
         raise ValueError("alpha_limit requires v > 0")
     if h == 0:
-        return complex(-1.0 / 12.0 + 1.0 / (8.0 * pi * sqrt(v)))
+        return _H0 + _nonholomorphic_coefficient(0, v)
     if h > 0:
         return complex(float(hurwitz_class_number(h)))
     f = int(round(sqrt(-h)))
     if f * f != -h:
         return 0j
-    return complex(f * _QUARTER_ROOT * upper_incomplete_gamma(-0.5, 4.0 * pi * f * f * v))
+    return complex(_nonholomorphic_coefficient(f, v))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +365,8 @@ def e2_star(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundedValue:
 
 
 def s_limit_check(h: int, v: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Richardson limit of g(s) = -(1-i)/48 E_{-h}(1+2s) rho_h^{3/2}(s, v) as s -> 0.
+    """Richardson limit as s -> 0 of g(s) = c_h, the coefficient of e^{2 pi i h tau} that the Fourier
+    route sums for H_{3/2,s}: fourier_coefficients(1, s, v, h), (1 - i) zeta(-1)/4 E_{-h}(1+2s) rho_h^{3/2}(s, v).
 
     The line through g at s = a = 1e-3 and s = b = 1e-4 meets s = 0 at
     (b g(a) - a g(b)) / (b - a).  Reproduces alpha_limit(h, v) for h != 0; the
@@ -410,8 +377,7 @@ def s_limit_check(h: int, v: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex
     if h == 0:
         raise ValueError("h = 0 requires the analytic zeta-pole limit")
     a, b = 1e-3, 1e-4
-    ga, gb = (-(1 - 1j) / 48.0 * series_closed(-h, 1.0 + 2.0 * s) * rho_kernel(h, 1, s, v, cfg)
-              for s in (a, b))
+    ga, gb = (fourier_coefficients(1, s, v, h, cfg)[0] for s in (a, b))
     result = (b * ga - a * gb) / (b - a)
     if abs(result - gb) > 0.5 * max(abs(ga), abs(gb), 1e-12):
         raise ArithmeticError(

@@ -56,7 +56,7 @@ def upper_incomplete_gamma(s: float, x: float) -> float:
 
 
 class OmegaValue(NamedTuple):
-    """Omega values and bounds on their absolute error (floats, or arrays shaped like y)."""
+    """Omega (or rho) values and bounds on their absolute error (scalars, or arrays shaped like the argument)."""
 
     value: float | np.ndarray
     bound: float | np.ndarray
@@ -146,7 +146,7 @@ def _principal_power(z: complex, w: complex) -> complex:
 
 
 def rho_kernel(h, k: int, s: float, v: float,
-               cfg: EvalConfig = DEFAULT_CONFIG):
+               cfg: EvalConfig = DEFAULT_CONFIG) -> OmegaValue:
     """Fourier kernel rho_h^{k+1/2}(s, v) of the weight k+1/2 Poisson summation.
 
     rho is v^{-k+1/2-2s} e^{2 pi h v} xi(1; k+1/2+s, s; h v) in closed form, where
@@ -159,10 +159,12 @@ def rho_kernel(h, k: int, s: float, v: float,
       h < 0:  (2i)^{-k-1/2} pi^s Gamma(s)^{-1} (-h)^{s-1} v^{-k-1/2-s}
               * e^{4 pi h v} Omega(-4 pi h v, s, k+1/2+s)
 
-    Takes an int h (returns a complex) or an integer array of h (returns a
-    complex array), with one Omega call per sign of h present.  At s = 0
-    the factor 1/Gamma(0) = 0 kills the h <= 0 branches and
-    Omega(., ., 0) = 1 collapses the h > 0 branch to an elementary value.
+    Takes an int h (returns a complex value and a float bound) or an integer
+    array of h (returns a complex array and a float array), with one Omega
+    call per sign of h present; the bound is Omega's returned bound times the
+    modulus of the factor it multiplies.  At s = 0 the factor 1/Gamma(0) = 0
+    kills the h <= 0 branches and Omega(., ., 0) = 1 collapses the h > 0
+    branch to an elementary value, with bound 0.
     """
     if v <= 0:
         raise ValueError("rho_kernel requires v > 0")
@@ -175,20 +177,22 @@ def rho_kernel(h, k: int, s: float, v: float,
     hs = np.asarray(h)
     if hs.dtype.kind not in "iu":
         raise ValueError("rho_kernel takes an integer h or an integer array of h")
-    out = np.zeros(hs.shape, dtype=complex)
+    out, err = np.zeros(hs.shape, dtype=complex), np.zeros(hs.shape)
     pos, neg = hs > 0, hs < 0
     if pos.any():
         hp = hs[pos].astype(float)
-        om = 1.0 if s == 0 else omega(4 * pi * hp * v, a, s, cfg).value
-        out[pos] = (_principal_power(-2j * pi, k + 0.5) * pi ** s * _rgamma(a)
-                    * hp ** (k - 0.5 + s) * v ** (-s) * om)
+        om = OmegaValue(1.0, 0.0) if s == 0 else omega(4 * pi * hp * v, a, s, cfg)
+        factor = (_principal_power(-2j * pi, k + 0.5) * pi ** s * _rgamma(a)
+                  * hp ** (k - 0.5 + s) * v ** (-s))
+        out[pos], err[pos] = factor * om.value, np.abs(factor) * om.bound
     rs = _rgamma(s)
     if rs != 0:
         out[hs == 0] = (_principal_power(1j, -k - 0.5) * 2 * pi * _rgamma(a) * rs
                         * gamma(k - 0.5 + 2 * s) * (2 * v) ** (-k + 0.5 - 2 * s))
         if neg.any():
             hn = hs[neg].astype(float)
-            om = omega(-4 * pi * hn * v, s, a, cfg).value
-            out[neg] = (_principal_power(2j, -k - 0.5) * pi ** s * rs
-                        * (-hn) ** (s - 1.0) * v ** (-k - 0.5 - s) * np.exp(4 * pi * hn * v) * om)
-    return out if out.ndim else complex(out)
+            om = omega(-4 * pi * hn * v, s, a, cfg)
+            factor = (_principal_power(2j, -k - 0.5) * pi ** s * rs
+                      * (-hn) ** (s - 1.0) * v ** (-k - 0.5 - s) * np.exp(4 * pi * hn * v))
+            out[neg], err[neg] = factor * om.value, np.abs(factor) * om.bound
+    return OmegaValue(out, err) if out.ndim else OmegaValue(complex(out), float(err))

@@ -137,4 +137,4 @@ def test_verify_all_matches_benchmark_reference(monkeypatch, capsys):
     records = [[r.check_name, r.parameters, r.residual, r.tolerance, r.passed]
                for s in SUITES for r in _suite(s)]
     assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == (
-        "c9b8780562c97aa1c4e57628f314853e2402a40d3574cc3a1aefa3799c80ee55")
+        "85c926e99708070fc5a5761c221cfbb5a0a2f3c347c747bc47e90fc625ebdbf4")

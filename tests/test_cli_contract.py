@@ -3,6 +3,10 @@
 Every run exits 0, 1 or 2 and prints no traceback.  A nonzero exit leaves
 stdout empty, with one `mockform:` line on stderr, or argparse's usage and
 its error line.  Exit 0 prints only finite numbers and raises no warning.
+
+Not asserted yet: that an `eisenstein` run's route_difference stays within
+lattice_tail_bound + fourier_bound.  Neither bound counts the rounding of its
+route's sums and coefficients, so the clause waits until they do.
 """
 
 import contextlib
@@ -58,9 +62,7 @@ def _eval_argv(draw):
     # entry of each option list, and one --tau in four, is a usage error
     target = draw(st.sampled_from(["H", "theta", "e2star", "eisenstein"]))
     u = draw(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([1e6, -1e9, 3.84e295, -1.7976931348623157e308])))
-    # from v = 200 on, at s >= 150, the lattice sum takes seconds before it refuses an
-    # overflow (1.8 s at v = 200, 7.9 s at v = 1000), so eisenstein heights stop at 4
-    heights = st.floats(0.01, 4.0) if target == "eisenstein" else st.floats(0.01, 1e6)
+    heights = st.floats(0.01, 1e3) if target == "eisenstein" else st.floats(0.01, 1e6)
     v = draw(st.one_of(st.sampled_from(_EXTREMES), heights))
     tau = draw(st.one_of(st.just(f"{u!r},{v!r}"), st.just(f"{u!r},{v!r}"), st.just(f"{u!r},{v!r}"),
                          st.sampled_from(["0,0", "0,-1", "0,nan", "inf,1", "1", "x,1"])))
@@ -78,6 +80,11 @@ def _eval_argv(draw):
 # float range and printed inf or nan with exit 0
 @example(argv=["eval", "--target", "eisenstein", "--tau=0.25,0.02", "--k", "120", "--s", "0.0"])
 @example(argv=["eval", "--target", "eisenstein", "--tau=0.5,0.1", "--k", "130", "--s", "0.0"])
+# the Fourier route at |h| <= 40 printed route_difference 84.0 with exit 0; it now needs more
+# than 400 terms a side and refuses
+@example(argv=["eval", "--target", "eisenstein", "--tau=0.1,0.02", "--k", "1", "--s", "1"])
+# H summed E's whole disc (7.9 s) before refusing F's overflow; it now sums F first
+@example(argv=["eval", "--target", "eisenstein", "--tau=0.37,1000", "--k", "1", "--s", "150"])
 def test_eval_keeps_the_cli_contract(argv):
     _assert_contract(argv)
 

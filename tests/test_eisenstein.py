@@ -25,6 +25,7 @@ from mockform.eisenstein import (
     cocycle_sign,
     eisenstein_direct,
     eisenstein_fourier,
+    fourier_coefficients,
     j_factor,
     lattice_tail_bound,
     modularity_residual,
@@ -196,10 +197,13 @@ def test_float_range_limits_are_typed_errors():
             eisenstein_direct(kind, 130, 1.0, 0.001j, CFG)
         with pytest.raises(ValueError, match="normal float range"):
             eisenstein_direct(kind, 1, 1.0, 1e308j, CFG)
-    # a sum that leaves the float range is refused, not returned as inf or nan
+    # a sum that leaves the float range is refused, not returned as inf or nan; at 0.5 + 0.1i
+    # the Fourier route's terms grow past h = 400 before they fall, so its cut refuses first
     with pytest.raises(ValueError, match="overflows a float"):
         eisenstein_direct("H", 120, 0.0, 0.25 + 0.02j, CFG)
     with pytest.raises(ValueError, match="overflows a float"):
+        eisenstein_fourier(130, 0.0, 0.5 + 0.8j, CFG)
+    with pytest.raises(ValueError, match="eisenstein_fourier needs more than 400 terms at v = 0.1"):
         eisenstein_fourier(130, 0.0, 0.5 + 0.1j, CFG)
 
 
@@ -227,8 +231,8 @@ def test_fourier_route_computes_each_coefficient_once(monkeypatch):
     series_closed.cache_clear()
     first = eisenstein_fourier(2, 1.0, 0.1 + 0.6j, CFG)
     once = len(calls)
-    # one call per kept h != 0 with n = h = 0, 1 (mod 4)
-    assert once == 40
+    # one call per kept h != 0 with n = h = 0, 1 (mod 4): the terms summed but h = 0
+    assert once == first.terms - 1 == 9
     for tau in (0.3 + 0.9j, -0.2 + 1.4j, 0.1 + 0.6j):
         eisenstein_fourier(2, 1.0, tau, CFG)
     assert len(calls) == once
@@ -429,6 +433,25 @@ def test_h_sums_its_minor_part_to_the_smallest_modulus_within_a_quarter():
     assert cmath.isfinite(h) and single < h.bound <= 1.25 * single
 
 
+def test_h_sums_its_minor_part_first(monkeypatch):
+    # at v = 1000 and s = 150 both shares of H's bound underflow to 0 at M = 301, so E keeps
+    # M = 301 and F sums to M' = 47, where its share underflows; F's overflow at -1/(4 tau) is
+    # refused before E's disc (151 rows of up to 606 001 points, about 8 s) is summed
+    calls = []
+    real = eisenstein._lattice_sum
+
+    def counted(k, s, tau, M):
+        calls.append((tau, M))
+        return real(k, s, tau, M)
+
+    monkeypatch.setattr(eisenstein, "_lattice_sum", counted)
+    tau = 0.37 + 1000j
+    assert _h_moduli(1, 150.0, tau, 301)[0] == {"E": 301, "F": 47}
+    with pytest.raises(ValueError, match="overflows a float"):
+        eisenstein_direct("H", 1, 150.0, tau, CFG)
+    assert calls == [(-1.0 / (4.0 * tau), 47)]
+
+
 def test_h_minor_part_builds_no_symbol_table(monkeypatch):
     calls = []
 
@@ -511,6 +534,61 @@ def test_direct_bound_covers_its_error_against_the_oracle(k, s, tau):
     # measured errors 3.6e-10 to 1.0e-6 against bounds 5.1e-8 to 3.4e-3
     value = eisenstein_direct("H", k, s, tau, CFG)
     assert abs(value - oracles.eisenstein_h(k, s, tau)) <= value.bound
+
+
+@pytest.mark.parametrize("v", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize("k, s", WORKLOAD_PAIRS + ((2, 0.0), (1, 2.5), (2, 4.0)))
+def test_fourier_term_bounds_cover_every_term(monkeypatch, k, s, v):
+    # the term bounds eisenstein_fourier hands _truncate, above and below h = 0, stay above
+    # |c_h e(h tau)| = |c_h| e^{-2 pi h v} well past the cut, and their ratios do not increase
+    real, bounds = eisenstein._truncate, []
+
+    def capture(series, term, *args):
+        bounds.append(term)
+        return real(series, term, *args)
+
+    monkeypatch.setattr(eisenstein, "_truncate", capture)
+    eisenstein_fourier(k, s, complex(0.1, v), CFG)
+    assert len(bounds) == (2 if s > 0 else 1)
+    js = np.arange(1, 41)
+    for sign, term in zip((1, -1), bounds):
+        t = np.array([term(int(j)) for j in js])
+        moduli = np.abs(fourier_coefficients(k, s, v, sign * js, CFG)[0]) * np.exp(-2 * pi * js * v)
+        assert np.all(moduli <= t), (sign, np.max(moduli / t))
+        assert np.all(t[2:] * t[:-2] <= t[1:-1] ** 2 * (1 + 1e-12)), sign
+
+
+# each (k, s, Re tau) of _ORACLE_POINTS at its own height and at three lower ones, where the cut
+# keeps up to 147 h a side
+_FOURIER_GRID = [(k, s, tau) for k, s, point in _ORACLE_POINTS
+                 for tau in (point, *(complex(point.real, v) for v in (0.3, 0.1, 0.05)))]
+
+
+@pytest.mark.parametrize("k, s, tau", _FOURIER_GRID)
+def test_fourier_bound_covers_its_error_against_the_oracle(monkeypatch, k, s, tau):
+    # the bound holds the two tails and Omega's bounds; 1e-15 |H| is the stated allowance for the
+    # rounding of the rest.  E_n comes from the oracle, rounded once: series_closed's own rounding
+    # (zeta(5)/zeta(6) is 2.1e-15 off) reads 2.3e-15 |H| at (1, 1, 0.2 + 0.3i), as at |h| <= 40,
+    # and no bound counts it yet
+    dps = oracles.DPS if tau.imag > 0.5 else 20
+    oracle = oracles.eisenstein_h(k, s, tau, dps)
+    monkeypatch.setattr(eisenstein, "series_closed", lambda n, t: float(oracles.dirichlet_series(n, t, dps)))
+    value = eisenstein_fourier(k, s, tau, CFG)
+    assert abs(value - oracle) <= value.bound + 1e-15 * abs(oracle), (value.bound, value.terms)
+
+
+@pytest.mark.parametrize("k, s", [(1, 1.0), (2, 0.25)])
+def test_fourier_route_at_small_v_meets_the_direct_route_or_refuses(k, s):
+    # |h| <= 40 was 1.04 and 0.29 off here, relative, with exit 0; the cut needs more than
+    # 400 terms a side, so the route refuses
+    tau = 0.1 + 0.02j
+    try:
+        fourier = eisenstein_fourier(k, s, tau, CFG)
+    except ValueError as exc:
+        assert "eisenstein_fourier needs more than 400 terms at v = 0.02" in str(exc)
+        return
+    direct = eisenstein_direct("H", k, s, tau, CFG.with_(lattice_bound=1201))
+    assert abs(fourier - direct) <= fourier.bound + direct.bound
 
 
 def test_weight_five_halves_q_expansion():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mockform import maass
+from mockform import config, maass
 from mockform.arithmetic import divisor_sums, sigma_divisor
 from mockform.class_numbers import hurwitz_table
 from mockform.config import DEFAULT_CONFIG, MIN_QUAD_TOL, BoundedValue, EvalConfig, reduce_mod_one
@@ -447,8 +447,9 @@ def test_truncation_skips_ahead_to_the_same_terms(monkeypatch):
 
 
 def test_truncation_hints_land_within_a_few_terms(monkeypatch):
-    tail, calls = maass._tail, []
-    monkeypatch.setattr(maass, "_tail", lambda a, b: calls.append(a) or tail(a, b))
+    # _truncate lives in config, next to BoundedValue, and looks _tail up there
+    tail, calls = config._tail, []
+    monkeypatch.setattr(config, "_tail", lambda a, b: calls.append(a) or tail(a, b))
     for v in (0.05, 0.1, 0.3, 1.0, 3.0):
         for tol in (1e-6, 1e-10, 1e-14):
             for truncation in _truncations(v, tol):
@@ -468,7 +469,7 @@ def test_s_limit_check():
 def _neville_limit(h, v, samples):
     """Neville extrapolation to s = 0 of -(1-i)/48 E_{-h}(1+2s) rho_h^{3/2}(s, v) over the samples."""
     xs = sorted(samples, reverse=True)
-    table = [-(1 - 1j) / 48.0 * series_closed(-h, 1.0 + 2.0 * s) * rho_kernel(h, 1, s, v, CFG)
+    table = [-(1 - 1j) / 48.0 * series_closed(-h, 1.0 + 2.0 * s) * rho_kernel(h, 1, s, v, CFG).value
              for s in xs]
     for level in range(1, len(xs)):
         for i in range(len(xs) - level):
